@@ -4,16 +4,14 @@ After scale voting, edges whose scale measurement disagrees with the
 estimate are dropped; mutually consistent inliers then form a clique of
 the surviving graph, so the maximum clique is the inlier candidate set.
 
-The branch-and-bound search is the one compiled hot spot of the package:
-a Cython kernel is preferred and a pure-Python bitset twin is selected at
-import when the extension is unavailable (or when TLSREG_FORCE_PURE_CLIQUE
-is set).  Both implement the same search and return identical cliques.
+The exact branch-and-bound search (_bnb_py) runs on Python-int bitsets.
+It takes a few percent of a registration call, so it has no compiled
+twin.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -24,15 +22,8 @@ import numpy as np
 from ..invariants import MeasurementGraph
 from . import _bnb_py
 
-if os.environ.get("TLSREG_FORCE_PURE_CLIQUE"):
-    _bnb_native = None
-else:
-    try:
-        from . import _bnb as _bnb_native
-    except ImportError:
-        _bnb_native = None
-
-COMPILED_KERNEL = _bnb_native is not None
+# The package ships no compiled extension; kept for tools that record it.
+COMPILED_KERNEL = False
 DEFAULT_TIME_BUDGET = 10.0
 
 
@@ -53,11 +44,6 @@ class PrunedGraph:
         raw = self.adj_words.tobytes()
         nb = self.adj_words.shape[1] * 8
         return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") for i in range(self.n_vertices)]
-
-    def degrees(self) -> np.ndarray:
-        return np.unpackbits(
-            self.adj_words.view(np.uint8), axis=1, bitorder="little"
-        ).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -91,8 +77,7 @@ def prune_by_scale(graph: MeasurementGraph, s_hat: float, cbar_sq: float) -> Pru
     dropped here regardless.
     """
     trims = graph.trims
-    cbar = float(np.sqrt(cbar_sq))
-    keep = np.abs(trims.s_meas - s_hat) <= cbar * trims.alpha
+    keep = trims.consistent_with(s_hat, cbar_sq)
     return graph_from_edges(graph.topology.n_vertices, trims.indices[keep])
 
 
@@ -172,36 +157,22 @@ def max_clique(graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET) -> 
     active = _peel(adj, len(seed) - 1)
     order = _degeneracy_order(adj, active)
     order.reverse()  # densest core first
-    sub_ids = np.array(order, dtype=np.int64)
     remap = {v: i for i, v in enumerate(order)}
     m = len(order)
-
-    sub_adj = adj[np.ix_(order, order)]
-    nw = max(1, (m + 63) // 64)
-    packed = np.packbits(
-        np.concatenate([sub_adj, np.zeros((m, nw * 64 - m), dtype=bool)], axis=1),
-        axis=1,
-        bitorder="little",
-    )
-    words = np.ascontiguousarray(packed).view(np.uint64).reshape(m, nw)
     seed_sub = [remap[v] for v in seed]
 
-    if _bnb_native is not None:
-        verts, completed = _bnb_native.run_search(
-            words, sub_ids, np.array(seed_sub, dtype=np.int64), deadline
-        )
-    else:
-        raw = words.tobytes()
-        stride = nw * 8
-        sub_neighbors = [
-            int.from_bytes(raw[i * stride : (i + 1) * stride], "little") for i in range(m)
-        ]
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, m + 1000))
-        try:
-            verts, completed = _bnb_py.run_search(sub_neighbors, sub_ids, seed_sub, deadline)
-        finally:
-            sys.setrecursionlimit(old_limit)
+    # Row i of the reordered adjacency as an int: bit j set iff i ~ j.
+    packed = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
+    raw, stride = packed.tobytes(), packed.shape[1]
+    sub_neighbors = [
+        int.from_bytes(raw[i * stride : (i + 1) * stride], "little") for i in range(m)
+    ]
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, m + 1000))
+    try:
+        verts, completed = _bnb_py.run_search(sub_neighbors, order, seed_sub, deadline)
+    finally:
+        sys.setrecursionlimit(old_limit)
 
     result = np.array(sorted(verts), dtype=np.int64)
     _assert_clique(graph, result)

@@ -1,13 +1,10 @@
-"""Pure-Python maximum-clique kernel on arbitrary-precision int bitsets.
+"""Maximum-clique kernel on arbitrary-precision int bitsets.
 
 Branch-and-bound with a greedy-coloring upper bound.  Subtrees are pruned
 only when they cannot even TIE the incumbent, so every maximum clique
 stays reachable and the incumbent update rule (strictly larger wins;
 equal size wins only if lexicographically smaller in original vertex ids)
 makes the result the lexicographically smallest maximum clique.
-
-The compiled kernel in _bnb.pyx implements the identical search; both
-must return identical results on the same input.
 """
 
 from __future__ import annotations

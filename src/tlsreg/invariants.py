@@ -1,14 +1,18 @@
-"""Pairwise invariant measurements over a correspondence graph.
+"""Pairwise invariant measurements over the complete correspondence graph.
 
 TIMs (translation-invariant measurements) are vector differences of
 corresponding points along graph edges; the ratios of their norms (TRIMs)
 are additionally rotation-invariant and measure only the scale.  Noise
 bounds propagate as beta_i + beta_j for a TIM and (beta_i + beta_j) /
 ||a_bar|| for a TRIM.
+
+The graph is always complete: only there do mutually consistent inliers
+form a clique, which the maximum-clique pruning stage looks for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,42 +24,19 @@ DEGENERATE_EDGE_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GraphTopology:
-    """Edge set over vertices 0..n_vertices-1, each edge (i, j) with i < j."""
+    """The complete graph over vertices 0..n_vertices-1.
+
+    edges lists every pair (i, j) with i < j once, in np.triu_indices
+    row-major order; it is the row order of the TIMs built over it.
+    """
 
     n_vertices: int
     edges: np.ndarray
-    kind: str = "custom"
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must be (E, 2)")
-        if edges.shape[0] > 0:
-            if edges.min() < 0 or edges.max() >= self.n_vertices:
-                raise ValueError("edge index out of range")
-            if np.any(edges[:, 0] >= edges[:, 1]):
-                raise ValueError("edges must satisfy i < j")
-            uniq = np.unique(edges, axis=0)
-            if uniq.shape[0] != edges.shape[0]:
-                raise ValueError("duplicate edges")
-        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def complete(cls, n: int) -> "GraphTopology":
         i, j = np.triu_indices(n, k=1)
-        return cls(n, np.column_stack([i, j]), kind="complete")
-
-    @classmethod
-    def chain(cls, n: int) -> "GraphTopology":
-        idx = np.arange(n - 1)
-        return cls(n, np.column_stack([idx, idx + 1]), kind="chain")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "GraphTopology":
-        edges = np.asarray(edges, dtype=np.int64)
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        return cls(n, np.column_stack([lo, hi]), kind="custom")
+        return cls(n, np.column_stack([i, j]))
 
     @property
     def n_edges(self) -> int:
@@ -92,6 +73,10 @@ class TrimSet:
 
     def __len__(self) -> int:
         return self.tim_rows.shape[0]
+
+    def consistent_with(self, s_hat: float, cbar_sq: float) -> np.ndarray:
+        """Mask of the TRIMs that agree with scale s_hat: |s_k - s_hat| <= cbar * alpha_k."""
+        return np.abs(self.s_meas - s_hat) <= math.sqrt(cbar_sq) * self.alpha
 
 
 @dataclass(frozen=True)
@@ -144,9 +129,9 @@ def build_trims(tims: TimSet, eps_degenerate: float = 0.0) -> TrimSet:
     )
 
 
-def build_measurement_graph(c: CorrespondenceSet, g: GraphTopology | None = None) -> MeasurementGraph:
-    if g is None:
-        g = GraphTopology.complete(len(c))
+def build_measurement_graph(c: CorrespondenceSet) -> MeasurementGraph:
+    """TIMs and TRIMs over the complete graph of the correspondences."""
+    g = GraphTopology.complete(len(c))
     tims = build_tims(c, g)
     trims = build_trims(tims, eps_degenerate=degenerate_edge_cutoff(c))
-    return MeasurementGraph(topology=g, tims=tims, trims=trims)
+    return MeasurementGraph(g, tims, trims)

@@ -27,7 +27,7 @@ from .certifier import (
 )
 from .clique import CliqueResult, clique_iterator, prune_by_scale
 from .geometry import CorrespondenceSet, RigidTransform, TlsConfig, UnitQuaternion
-from .invariants import GraphTopology, MeasurementGraph, build_measurement_graph
+from .invariants import MeasurementGraph, build_measurement_graph
 from .rotation import GncOptions, RotationProblem, solve_gnc_tls
 from .scalar_tls import ScalarTlsProblem, solve_scalar_tls
 
@@ -39,7 +39,6 @@ class InsufficientInliersError(RuntimeError):
 @dataclass(frozen=True)
 class RegistrationOptions:
     known_scale: float | None = None
-    topology: str = "complete"  # or "chain"
     certify_rotation: bool = False
     clique_time_budget: float = 10.0
     gnc: GncOptions = field(default_factory=GncOptions)
@@ -84,20 +83,24 @@ class ErrorBounds:
     tighter: TighterBounds | None
 
 
+def _clique_consistent(graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices):
+    """Mask of the TRIMs consistent with s_hat whose endpoints are both in the clique."""
+    member = np.zeros(graph.topology.n_vertices, dtype=bool)
+    member[np.asarray(clique_vertices, dtype=np.int64)] = True
+    trims = graph.trims
+    return (
+        trims.consistent_with(s_hat, cbar_sq)
+        & member[trims.indices[:, 0]]
+        & member[trims.indices[:, 1]]
+    )
+
+
 def _clique_rotation_problem(
     graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices
 ) -> tuple[RotationProblem, np.ndarray]:
     """Rotation input: scale-consistent edges with both endpoints in the clique."""
-    member = np.zeros(graph.topology.n_vertices, dtype=bool)
-    member[np.asarray(clique_vertices, dtype=np.int64)] = True
-    trims = graph.trims
-    cbar = math.sqrt(cbar_sq)
-    keep = (
-        (np.abs(trims.s_meas - s_hat) <= cbar * trims.alpha)
-        & member[trims.indices[:, 0]]
-        & member[trims.indices[:, 1]]
-    )
-    rows = trims.tim_rows[keep]
+    keep = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
+    rows = graph.trims.tim_rows[keep]
     if rows.size < 2:
         raise InsufficientInliersError(
             "fewer than two scale-consistent measurements inside the clique"
@@ -113,17 +116,10 @@ def _clique_rotation_problem(
 
 def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
     """Scale re-vote restricted to scale-consistent clique-internal edges."""
-    member = np.zeros(graph.topology.n_vertices, dtype=bool)
-    member[np.asarray(clique_vertices, dtype=np.int64)] = True
-    trims = graph.trims
-    cbar = math.sqrt(cbar_sq)
-    keep = (
-        (np.abs(trims.s_meas - s_hat) <= cbar * trims.alpha)
-        & member[trims.indices[:, 0]]
-        & member[trims.indices[:, 1]]
-    )
+    keep = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
     if not np.any(keep):
         return None
+    trims = graph.trims
     sol = solve_scalar_tls(
         ScalarTlsProblem(trims.s_meas[keep], trims.alpha[keep], cbar_sq)
     )
@@ -159,13 +155,7 @@ def register(
     timings = {}
     stats = {}
     t0 = time.perf_counter()
-    if opts.topology == "complete":
-        topo = GraphTopology.complete(len(c))
-    elif opts.topology == "chain":
-        topo = GraphTopology.chain(len(c))
-    else:
-        raise ValueError(f"unknown topology {opts.topology!r}")
-    graph = build_measurement_graph(c, topo)
+    graph = build_measurement_graph(c)
     timings["invariants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -188,22 +178,11 @@ def register(
     timings["prune"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if opts.topology == "complete":
-        cliques = clique_iterator(pruned, time_budget=opts.clique_time_budget)
-        clique = next(cliques, None)
-        if clique is None or len(clique) < 3:
-            timings["clique"] = time.perf_counter() - t0
-            raise InsufficientInliersError("maximum clique smaller than 3 vertices")
-    else:
-        # Sparse topologies cannot host a meaningful clique (a chain's
-        # largest clique is one edge); fall back to every vertex touched
-        # by a scale-consistent edge, at reduced robustness.
-        cliques = iter(())
-        touched = np.unique(pruned.kept_edges)
-        if touched.size < 3:
-            timings["clique"] = time.perf_counter() - t0
-            raise InsufficientInliersError("fewer than 3 vertices with consistent edges")
-        clique = CliqueResult(vertices=touched.astype(np.int64), is_certified_maximum=False)
+    cliques = clique_iterator(pruned, time_budget=opts.clique_time_budget)
+    clique = next(cliques, None)
+    if clique is None or len(clique) < 3:
+        timings["clique"] = time.perf_counter() - t0
+        raise InsufficientInliersError("maximum clique smaller than 3 vertices")
     timings["clique"] = time.perf_counter() - t0
     stats["clique_size"] = len(clique)
 
@@ -266,9 +245,7 @@ def register(
         stage_stats=stats,
         clique=used_clique,
         graph=graph,
-        scale_inlier_edges=int(np.count_nonzero(
-            np.abs(graph.trims.s_meas - s_hat) <= math.sqrt(cfg.cbar_sq) * graph.trims.alpha
-        )),
+        scale_inlier_edges=int(np.count_nonzero(graph.trims.consistent_with(s_hat, cfg.cbar_sq))),
     )
 
 
@@ -373,7 +350,7 @@ def compute_error_bounds(
     )
 
 
-def _worst_case_over_triples(values: np.ndarray, reduce_min=True) -> float:
+def _worst_case_over_triples(values: np.ndarray) -> float:
     """max over 3-subsets of (min over the subset) = third-largest value."""
     if values.size < 3:
         return float(np.max(values))

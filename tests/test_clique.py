@@ -1,13 +1,10 @@
-"""Scale pruning and exact maximum-clique search (both kernels)."""
+"""Scale pruning and exact maximum-clique search."""
 
 import itertools
 
 import numpy as np
-import pytest
 
-from tlsreg import clique as clique_mod
 from tlsreg.clique import (
-    CliqueResult,
     clique_iterator,
     graph_from_edges,
     max_clique,
@@ -93,23 +90,13 @@ class TestMaxClique:
         n = 130
         edges = random_graph(rng, n, 0.92)
         r = max_clique(graph_from_edges(n, edges), time_budget=1e-4)
-        # Too little time to finish a dense 130-vertex instance: the result
-        # is still a clique but may be uncertified.
-        assert isinstance(r, CliqueResult)
-
-
-@pytest.mark.skipif(not clique_mod.COMPILED_KERNEL, reason="extension not built")
-class TestBackendEquivalence:
-    def test_backends_return_identical_cliques(self, monkeypatch):
-        for trial in range(40):
-            n = int(RNG.integers(5, 40))
-            edges = random_graph(RNG, n, float(RNG.uniform(0.2, 0.95)))
-            g = graph_from_edges(n, edges)
-            compiled = max_clique(g)
-            monkeypatch.setattr(clique_mod, "_bnb_native", None)
-            pure = max_clique(g)
-            monkeypatch.undo()
-            assert compiled.vertices.tolist() == pure.vertices.tolist()
+        # Too little time to finish a dense 130-vertex instance: the search
+        # stops at its first deadline check and returns its incumbent.
+        assert not r.is_certified_maximum
+        edge_set = set(edges)
+        assert len(r) >= 3
+        for a, b in itertools.combinations(r.vertices.tolist(), 2):
+            assert (a, b) in edge_set
 
 
 class TestPruneByScale:

@@ -28,19 +28,17 @@ class TestTopology:
     def test_complete_edge_count(self):
         g = GraphTopology.complete(100)
         assert g.n_edges == 4950
-
-    def test_chain(self):
-        g = GraphTopology.chain(5)
-        assert g.n_edges == 4
-        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4]]
-
-    def test_rejects_self_loops_and_duplicates(self):
-        with pytest.raises(ValueError):
-            GraphTopology(3, [[1, 1]])
-        with pytest.raises(ValueError):
-            GraphTopology(3, [[0, 1], [0, 1]])
-        with pytest.raises(ValueError):
-            GraphTopology(3, [[0, 5]])
+        for n in (0, 1, 2, 3, 7, 100):
+            g = GraphTopology.complete(n)
+            assert g.n_vertices == n
+            assert g.edges.shape == (n * (n - 1) // 2, 2)
+            i, j = g.edges[:, 0], g.edges[:, 1]
+            assert np.all(i < j)
+            assert np.all((0 <= i) & (j < n))
+            # Row-major order of np.triu_indices: sorted, hence no duplicates.
+            assert np.all(np.diff(i * n + j) > 0)
+            ti, tj = np.triu_indices(n, k=1)
+            assert np.array_equal(i, ti) and np.array_equal(j, tj)
 
 
 class TestBuildTims:
@@ -52,13 +50,6 @@ class TestBuildTims:
             assert len(tims) == 1
             assert np.allclose(tims.a_bar[0], [1, 0, 0])
             assert np.allclose(tims.b_bar[0], [1, 0, 0])
-
-    def test_chain_gives_consecutive_differences(self):
-        src = RNG.uniform(0, 1, size=(5, 3))
-        c = CorrespondenceSet(src, src, np.full(5, 0.1))
-        tims = build_tims(c, GraphTopology.chain(5))
-        assert len(tims) == 4
-        assert np.allclose(tims.a_bar, np.diff(src, axis=0))
 
     def test_beta_bar_is_sum_of_endpoint_bounds(self):
         betas = np.array([0.1, 0.2, 0.4])

@@ -139,13 +139,6 @@ class TestRegister:
         assert len(calls) == 2
         assert res.certificate is not None and not res.certificate.certified
 
-    def test_chain_topology(self):
-        rng = np.random.default_rng(16)
-        c, s, R, t, _ = synth(rng, 25)
-        res = register(c, TlsConfig(), RegistrationOptions(topology="chain"))
-        assert abs(res.transform.scale - s) < 1e-9
-        assert geodesic_rotation_error(res.transform.matrix, R) < 1e-8
-
     def test_adversarial_outliers_with_inlier_majority(self):
         # Noiseless inliers vs a mutually consistent adversarial structure:
         # as long as the inliers outnumber the adversarial set by 3, the
