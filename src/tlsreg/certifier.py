@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .geometry import left_product_matrix, quat_to_matrix, right_product_matrix
-from .rotation import RotationProblem
+from .geometry import left_product_matrix, quat_to_matrix
+from .rotation import RotationProblem, product_matrices
 
 E_AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -136,23 +136,23 @@ def build_cost_matrix(p: RotationProblem) -> QcqpData:
     nb = p.b_bars / p.beta_bars[:, None]
     cb = p.cbar_sq
 
-    n = 4 * (K + 1)
-    Q = np.zeros((n, n))
+    # L(b) = -L(b)^T for a pure quaternion b, so the coupling L(nb_k) R(na_k)
+    # is minus the rotation stage's product.  Its symmetric part, summed as
+    # P + P^T, is exactly symmetric, and so is Q.
+    prods = -product_matrices(na, nb)
+    sq = np.sum(na**2, axis=1) + np.sum(nb**2, axis=1)
     eye4 = np.eye(4)
-    for k in range(K):
-        a_hom = np.append(na[k], 0.0)
-        b_hom = np.append(nb[k], 0.0)
-        core = (np.dot(na[k], na[k]) + np.dot(nb[k], nb[k])) * eye4 + 2.0 * (
-            left_product_matrix(b_hom) @ right_product_matrix(a_hom)
-        )
-        core = 0.5 * (core + core.T)
-        q_kk = 0.5 * core + 0.5 * cb * eye4
-        q_0k = 0.25 * core - 0.25 * cb * eye4
-        r = 4 * (k + 1)
-        Q[r : r + 4, r : r + 4] = q_kk
-        Q[0:4, r : r + 4] = q_0k
-        Q[r : r + 4, 0:4] = q_0k
-    return QcqpData(Q=Q, K=K, cbar_sq=cb, na=na, nb=nb)
+    core = sq[:, None, None] * eye4 + (prods + prods.transpose(0, 2, 1))
+    q_kk = 0.5 * core + 0.5 * cb * eye4
+    q_0k = 0.25 * core - 0.25 * cb * eye4
+
+    idx = np.arange(1, K + 1)
+    Q = np.zeros((K + 1, 4, K + 1, 4))
+    Q[idx, :, idx, :] = q_kk
+    Q[0, :, 1:, :] = q_0k.transpose(1, 0, 2)
+    Q[1:, :, 0, :] = q_0k
+    n = 4 * (K + 1)
+    return QcqpData(Q=Q.reshape(n, n), K=K, cbar_sq=cb, na=na, nb=nb)
 
 
 def qcqp_cost(data: QcqpData, q, thetas) -> float:
@@ -178,9 +178,7 @@ def rotate_to_candidate_frame(data: QcqpData, cand: CandidateSolution) -> Rotate
     R = quat_to_matrix(cand.q_hat)
     xi = data.nb @ R - data.na  # R^T nb_k - na_k, row-wise
     inlier = cand.thetas > 0
-    stat = np.zeros(3)
-    for k in np.nonzero(inlier)[0]:
-        stat += np.cross(xi[k], data.na[k])
+    stat = np.cross(xi[inlier], data.na[inlier]).sum(axis=0)
     return RotatedData(
         Q_bar=Q_bar,
         x_bar=x_bar,
@@ -229,23 +227,21 @@ def initial_dual_guess(rot: RotatedData) -> np.ndarray:
     scalars = _diag_scalar_targets(rot)
     phis = _phi_vectors(rot)
 
-    delta = np.zeros_like(rot.Q_bar)
-    mat_sum = np.zeros((3, 3))
-    for k in range(1, K + 1):
-        q0k_m = rot.Q_bar[0:3, 4 * k : 4 * k + 3]
-        mat = -q0k_m - ((0.25 * th[k - 1] + 0.25) * xi_sq[k - 1] + 0.5 * rot.cbar_sq) * np.eye(3)
-        mat = 0.5 * (mat + mat.T)
-        mat_sum += mat
-        blk = delta[4 * k : 4 * k + 4, 4 * k : 4 * k + 4]
-        blk[0:3, 0:3] = mat
-        blk[0:3, 3] = phis[k]
-        blk[3, 0:3] = phis[k]
-        blk[3, 3] = scalars[k]
-    blk0 = delta[0:4, 0:4]
-    blk0[0:3, 0:3] = -mat_sum
-    blk0[0:3, 3] = phis[0]
-    blk0[3, 0:3] = phis[0]
-    blk0[3, 3] = scalars[0]
+    q0k_m = rot.Q_bar.reshape(K + 1, 4, K + 1, 4)[0, 0:3, 1:, 0:3].transpose(1, 0, 2)
+    coef = (0.25 * th + 0.25) * xi_sq + 0.5 * rot.cbar_sq
+    mats = -q0k_m - coef[:, None, None] * np.eye(3)
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+
+    blocks = np.zeros((K + 1, 4, 4))
+    blocks[0, 0:3, 0:3] = -mats.sum(axis=0)
+    blocks[1:, 0:3, 0:3] = mats
+    blocks[:, 0:3, 3] = phis
+    blocks[:, 3, 0:3] = phis
+    blocks[:, 3, 3] = scalars
+    idx = np.arange(K + 1)
+    delta = np.zeros((K + 1, 4, K + 1, 4))
+    delta[idx, :, idx, :] = blocks
+    delta = delta.reshape(rot.Q_bar.shape)
 
     return rot.Q_bar - _j_term(K + 1, rot.mu_hat) + delta
 

@@ -274,11 +274,9 @@ def _min_u_singular_value(units: np.ndarray, exhaustive_cap: int, rng: np.random
     if not exhaustive:
         sel = rng.choice(len(tuples), size=exhaustive_cap, replace=False)
         tuples = [tuples[s] for s in sel]
-    smin = np.inf
-    for i, j, h, k in tuples:
-        U = np.column_stack([units[i, j], units[i, h], units[i, k]])
-        smin = min(smin, float(np.linalg.svd(U, compute_uv=False)[-1]))
-    return smin, exhaustive
+    i, j, h, k = np.array(tuples).T
+    U = np.stack([units[i, j], units[i, h], units[i, k]], axis=-1)  # (T, 3, 3) columns
+    return float(np.linalg.svd(U, compute_uv=False)[:, -1].min()), exhaustive
 
 
 def compute_error_bounds(
@@ -320,17 +318,16 @@ def compute_error_bounds(
     eta_s = 2.0 * float(np.max(alphas))
 
     # Unit direction table over the selected vertices for the U tuples.
-    vids = inliers.tolist()
-    pos = {v: i for i, v in enumerate(vids)}
-    m = len(vids)
+    m = inliers.size
+    pos = np.zeros(len(c), dtype=np.int64)
+    pos[inliers] = np.arange(m)
+    norms = np.linalg.norm(sel_tims, axis=1)
+    ok = norms > 0
+    i, j = pos[sel_pairs[ok, 0]], pos[sel_pairs[ok, 1]]
+    u = sel_tims[ok] / norms[ok, None]
     units = np.full((m, m, 3), np.nan)
-    for (i, j), a_bar in zip(sel_pairs.tolist(), sel_tims):
-        n = np.linalg.norm(a_bar)
-        if n == 0:
-            continue
-        u = a_bar / n
-        units[pos[i], pos[j]] = u
-        units[pos[j], pos[i]] = -u
+    units[i, j] = u
+    units[j, i] = -u
     smin, exhaustive = _min_u_singular_value(units, U_TUPLE_CAP, rng)
     if smin < COPLANAR_SVAL_TOL:
         eta_R = math.inf
@@ -339,7 +336,7 @@ def compute_error_bounds(
 
     eta_t = TRANSLATION_BOUND_FACTOR * float(np.max(c.noise_bounds[inliers]))
 
-    tighter = _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, rng)
+    tighter = _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, norms)
     return ErrorBounds(
         eta_s=eta_s,
         eta_R_frobenius=eta_R,
@@ -358,7 +355,9 @@ def _worst_case_over_triples(values: np.ndarray) -> float:
     return float(top3)
 
 
-def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, rng) -> TighterBounds | None:
+def _tighter_bounds(
+    result, c, s_meas, alphas, sel_tims, sel_btims, a_norms
+) -> TighterBounds | None:
     s_hat = result.transform.scale
     R_hat = result.transform.matrix
     t_hat = result.transform.translation
@@ -374,27 +373,28 @@ def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, rng) -> Tigh
     # Rotation: over a candidate true-inlier triple T the bound is
     # sum_T zeta_R^2 / (2 s_hat (sigma1^2 + sigma2^2)) for the normalized
     # direction matrix of T; enumerate triples when affordable.
-    a_norms = np.linalg.norm(sel_tims, axis=1)
     ok = a_norms > 0
     res_norm = np.linalg.norm(sel_btims - s_hat * sel_tims @ R_hat.T, axis=1)
     zeta_R = np.where(ok, res_norm / np.maximum(a_norms, 1e-300) + alphas, np.inf)
     units = np.where(ok[:, None], sel_tims / np.maximum(a_norms, 1e-300)[:, None], 0.0)
 
     def rot_rhs(idx):
-        A = units[list(idx)].T  # 3 x |idx|
+        """Bound for each row of idx, a (T, n) array of measurement indices."""
+        A = units[idx].transpose(0, 2, 1)  # (T, 3, n)
         svals = np.linalg.svd(A, compute_uv=False)
-        denom = svals[-1] ** 2 + svals[-2] ** 2 if svals.size >= 2 else 0.0
-        if denom <= 0:
-            return math.inf
-        return float(np.sum(zeta_R[list(idx)] ** 2) / (2.0 * s_hat * denom))
+        denom = svals[:, -1] ** 2 + svals[:, -2] ** 2
+        num = np.sum(zeta_R[idx] ** 2, axis=1)
+        with np.errstate(divide="ignore"):
+            return np.where(denom > 0, num / (2.0 * s_hat * denom), math.inf)
 
-    if worst_case and np.count_nonzero(ok) >= 3:
-        cand_idx = np.nonzero(ok)[0]
-        rotation_bound = 0.0
-        for tri in combinations(cand_idx.tolist(), 3):
-            rotation_bound = max(rotation_bound, rot_rhs(tri))
+    cand_idx = np.nonzero(ok)[0]
+    if cand_idx.size < 3:
+        rotation_bound = math.inf
+    elif worst_case:
+        triples = np.array(list(combinations(cand_idx.tolist(), 3)))
+        rotation_bound = max(0.0, float(rot_rhs(triples).max()))
     else:
-        rotation_bound = rot_rhs(np.nonzero(ok)[0]) if np.count_nonzero(ok) >= 3 else math.inf
+        rotation_bound = float(rot_rhs(cand_idx[None, :])[0])
 
     # Translation: per-axis bound chains the scale and rotation terms with
     # the per-point zeta; worst case again via third-largest.

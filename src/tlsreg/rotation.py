@@ -2,8 +2,12 @@
 
 The inner solver is the closed-form weighted rotation alignment: the
 optimal rotation maximizing sum_k w_k <b_k, R a_k> is read off the
-extremal eigenvector of a 4x4 accumulation matrix built from the
-quaternion product matrices.  The outer loop anneals a surrogate of the
+extremal eigenvector of a 4x4 accumulation matrix, the weighted sum of
+the quaternion product matrices L(b_k)^T R(a_k).  Each product is
+bilinear in the pair (a_k, b_k), so the sum is the 3x3 weighted
+cross-covariance H = sum_k w_k a_k b_k^T contracted with nine constant
+4x4 bases (PRODUCT_BASIS): one matrix product over the measurements, no
+per-measurement loop.  The outer loop anneals a surrogate of the
 truncated cost from nearly-least-squares to the exact truncated cost,
 rewriting per-measurement weights in closed form at each step.
 """
@@ -78,18 +82,34 @@ class RotationSolution:
         return quat_to_matrix(self.rotation)
 
 
+# PRODUCT_BASIS[j, i] = L(e_i)^T R(e_j) over the pure unit quaternions
+# e_0, e_1, e_2.  For pure quaternions a and b, L(b)^T R(a) is bilinear in
+# their vector parts: L(b)^T R(a) = sum_ij a_j b_i PRODUCT_BASIS[j, i].
+_PURE_UNITS = np.eye(4)[:3]
+PRODUCT_BASIS = np.array(
+    [
+        [left_product_matrix(e_i).T @ right_product_matrix(e_j) for e_i in _PURE_UNITS]
+        for e_j in _PURE_UNITS
+    ]
+)
+
+
+def product_matrices(a, b) -> np.ndarray:
+    """(K, 4, 4) stack of L(b_k)^T R(a_k) for the pure quaternions of the
+    rows of a and b (both (K, 3))."""
+    return np.einsum("kj,ki,jipq->kpq", a, b, PRODUCT_BASIS)
+
+
 def _accumulation_matrix(a_bars, b_bars, weights) -> np.ndarray:
     """4x4 matrix whose max-eigenvalue eigenvector maximizes the weighted
-    alignment sum_k w_k b_k . (R a_k)."""
-    K = a_bars.shape[0]
-    a_hom = np.concatenate([a_bars, np.zeros((K, 1))], axis=1)
-    b_hom = np.concatenate([b_bars, np.zeros((K, 1))], axis=1)
-    M = np.zeros((4, 4))
-    for k in range(K):
-        w = weights[k]
-        if w == 0.0:
-            continue
-        M += w * left_product_matrix(b_hom[k]).T @ right_product_matrix(a_hom[k])
+    alignment sum_k w_k b_k . (R a_k).
+
+    That is the symmetric part of sum_k w_k L(b_k)^T R(a_k), formed as the
+    weighted cross-covariance H = sum_k w_k a_k b_k^T contracted with
+    PRODUCT_BASIS.
+    """
+    H = (a_bars * weights[:, None]).T @ b_bars
+    M = np.einsum("ji,jipq->pq", H, PRODUCT_BASIS)
     return 0.5 * (M + M.T)
 
 

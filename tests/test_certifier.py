@@ -25,7 +25,12 @@ from tlsreg.certifier import (
     rotate_to_candidate_frame,
     x_vector,
 )
-from tlsreg.geometry import random_unit_quaternion, skew
+from tlsreg.geometry import (
+    left_product_matrix,
+    random_unit_quaternion,
+    right_product_matrix,
+    skew,
+)
 from tlsreg.rotation import RotationProblem, binary_cost, solve_gnc_tls
 
 RNG = np.random.default_rng(555)
@@ -84,6 +89,31 @@ class TestCostMatrix:
                 assert np.all(data.block(i, j) == 0.0)
         assert np.all(data.block(0, 0) == 0.0)
         assert np.max(np.abs(data.Q - data.Q.T)) == 0.0
+
+
+    def test_arrow_blocks_match_per_measurement_closed_form(self):
+        # Per measurement, with a, b the bound-normalized vectors and P the
+        # symmetrized quaternion coupling L(b) R(a):
+        #   Q_kk = (|a|^2 + |b|^2 + cb) / 2 * I + P,
+        #   Q_0k = (|a|^2 + |b|^2 - cb) / 4 * I + P / 2.
+        K = 60
+        p = random_rotation_problem(np.random.default_rng(31), K, cbar_sq=0.9)
+        data = build_cost_matrix(p)
+        cb = p.cbar_sq
+        eye4 = np.eye(4)
+        for k in range(K):
+            a = p.a_bars[k] / p.beta_bars[k]
+            b = p.b_bars[k] / p.beta_bars[k]
+            prod = left_product_matrix(np.append(b, 0.0)) @ right_product_matrix(np.append(a, 0.0))
+            P = 0.5 * (prod + prod.T)
+            sq = a @ a + b @ b
+            scale = max(1.0, sq)
+            q_kk = 0.5 * (sq + cb) * eye4 + P
+            q_0k = 0.25 * (sq - cb) * eye4 + 0.5 * P
+            assert np.max(np.abs(data.block(k + 1, k + 1) - q_kk)) <= 1e-13 * scale
+            assert np.max(np.abs(data.block(0, k + 1) - q_0k)) <= 1e-13 * scale
+            assert np.array_equal(data.block(k + 1, 0), data.block(0, k + 1))
+        assert np.array_equal(data.Q, data.Q.T)
 
 
 class TestRotatedFrame:

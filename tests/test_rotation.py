@@ -8,12 +8,15 @@ import pytest
 
 from tlsreg.geometry import (
     geodesic_rotation_error,
+    left_product_matrix,
     quat_from_axis_angle,
     quat_to_matrix,
     random_unit_quaternion,
+    right_product_matrix,
 )
 from tlsreg.rotation import (
     RotationProblem,
+    _accumulation_matrix,
     binary_cost,
     check_collinear,
     horn_weighted,
@@ -47,6 +50,30 @@ def make_instance(rng, K, outlier_fraction=0.0, sigma=0.0, beta=0.1):
     labels = np.ones(K, dtype=bool)
     labels[out_idx] = False
     return a, b, q, labels
+
+
+def reference_accumulation_matrix(a, b, w):
+    """Per-measurement sum of the weighted quaternion product matrices."""
+    M = np.zeros((4, 4))
+    for a_k, b_k, w_k in zip(a, b, w):
+        M += w_k * left_product_matrix(np.append(b_k, 0.0)).T @ right_product_matrix(
+            np.append(a_k, 0.0)
+        )
+    return 0.5 * (M + M.T)
+
+
+class TestAccumulationMatrix:
+    @pytest.mark.parametrize("K", [2, 7, 500])
+    def test_matches_per_measurement_sum(self, K):
+        rng = np.random.default_rng(K)
+        a = rng.normal(size=(K, 3)) * rng.uniform(0.1, 10.0, size=(K, 1))
+        b = rng.normal(size=(K, 3)) * rng.uniform(0.1, 10.0, size=(K, 1))
+        w = rng.uniform(0.0, 5.0, size=K)
+        w[rng.choice(K, size=max(1, K // 4), replace=False)] = 0.0
+        M = _accumulation_matrix(a, b, w)
+        ref = reference_accumulation_matrix(a, b, w)
+        assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(M, M.T)
 
 
 class TestHornWeighted:
