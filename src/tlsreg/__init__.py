@@ -16,7 +16,7 @@ from .certifier import (
     certify,
     make_candidate,
 )
-from .clique import CliqueResult, PrunedGraph, clique_iterator, max_clique, prune_by_scale
+from .clique import CliqueResult, PrunedGraph, max_clique, next_clique, prune_by_scale
 from .geometry import (
     CorrespondenceSet,
     RigidTransform,
@@ -55,8 +55,8 @@ __all__ = [
     "make_candidate",
     "CliqueResult",
     "PrunedGraph",
-    "clique_iterator",
     "max_clique",
+    "next_clique",
     "prune_by_scale",
     "CorrespondenceSet",
     "RigidTransform",

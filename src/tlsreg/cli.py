@@ -26,6 +26,7 @@ from .geometry import (
 from .pipeline import InsufficientInliersError, RegistrationOptions, register
 from .plyio import (
     PlyError,
+    format_result_json,
     read_ascii_ply,
     read_result_json,
     transform_to_dict,
@@ -75,7 +76,7 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _result_payload(res, certify_requested: bool) -> dict:
+def _result_payload(res) -> dict:
     payload = {
         "transform": transform_to_dict(res.transform),
         "inlier_indices": res.inlier_indices.tolist(),
@@ -84,13 +85,25 @@ def _result_payload(res, certify_requested: bool) -> dict:
             k: (v.item() if hasattr(v, "item") else v) for k, v in res.stage_stats.items()
         },
     }
-    if certify_requested and res.certificate is not None:
+    if res.certificate is not None:
         payload["certificate"] = {
             "eta": res.certificate.eta,
             "verdict": res.certificate.verdict.value,
             "iterations": res.certificate.iterations_used,
         }
+    elif "certify_skipped_k" in res.stage_stats:
+        k = res.stage_stats["certify_skipped_k"]
+        payload["certificate"] = {"skipped": f"{k} measurements exceed certify-max-k"}
     return payload
+
+
+def _emit_result(payload: dict, out) -> None:
+    """Write the JSON result to `out`, or print it when no path is given."""
+    if out:
+        write_result_json(out, payload)
+        print(f"wrote {out}")
+    else:
+        print(format_result_json(payload))
 
 
 def _cmd_register(args) -> int:
@@ -100,39 +113,22 @@ def _cmd_register(args) -> int:
         print("error: source and destination clouds differ in size", file=sys.stderr)
         return EXIT_IO_ERROR
     c = CorrespondenceSet(src, dst, np.full(src.shape[0], args.beta))
-    cfg = TlsConfig(cbar_sq=args.cbar_sq)
-
-    certify_requested = not args.no_certify
     res = register(
         c,
-        cfg,
-        RegistrationOptions(known_scale=args.known_scale, certify_rotation=False),
+        TlsConfig(cbar_sq=args.cbar_sq),
+        RegistrationOptions(
+            known_scale=args.known_scale,
+            certify_rotation=not args.no_certify,
+            certify_max_k=args.certify_max_k,
+        ),
     )
-    payload = _result_payload(res, certify_requested=False)
-    if certify_requested:
-        # The certifier's matrices are 4(K+1) square; past a few hundred
-        # pairwise measurements certification is not tractable.
-        k = int(res.stage_stats.get("rotation_edges", 0))
-        if k > args.certify_max_k:
-            print(
-                f"warning: {k} rotation measurements exceed --certify-max-k="
-                f"{args.certify_max_k}; skipping certification",
-                file=sys.stderr,
-            )
-            payload["certificate"] = {"skipped": f"{k} measurements exceed certify-max-k"}
-        else:
-            res = register(
-                c,
-                cfg,
-                RegistrationOptions(known_scale=args.known_scale, certify_rotation=True),
-            )
-            payload = _result_payload(res, certify_requested=True)
-
-    if args.out:
-        write_result_json(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps({"schema_version": "1", **payload}, indent=2, sort_keys=True))
+    if "certify_skipped_k" in res.stage_stats:
+        print(
+            f"warning: {res.stage_stats['certify_skipped_k']} rotation measurements exceed "
+            f"--certify-max-k={args.certify_max_k}; skipping certification",
+            file=sys.stderr,
+        )
+    _emit_result(_result_payload(res), args.out)
     return EXIT_OK
 
 
@@ -163,11 +159,7 @@ def _cmd_certify(args) -> int:
         "mu_hat": cert.mu_hat,
         "stationarity_residual": cert.stationarity_residual,
     }
-    if args.out:
-        write_result_json(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps({"schema_version": "1", **payload}, indent=2, sort_keys=True))
+    _emit_result(payload, args.out)
     return EXIT_OK
 
 
@@ -324,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--known-scale", type=float, default=None)
     r.add_argument("--no-certify", action="store_true", help="skip rotation certification")
     r.add_argument(
-        "--certify-max-k", type=int, default=600,
+        "--certify-max-k", type=int, default=RegistrationOptions.certify_max_k,
         help="skip certification above this many rotation measurements",
     )
     r.add_argument("--out", default=None, help="write the JSON result here instead of stdout")

@@ -3,6 +3,10 @@
 After scale voting, edges whose scale measurement disagrees with the
 estimate are dropped; mutually consistent inliers then form a clique of
 the surviving graph, so the maximum clique is the inlier candidate set.
+When the certifier rejects the rotation found on it, `next_clique` gives
+the one fallback: the best maximum clique left after dropping one of its
+vertices.  Every search stops at a wall-clock deadline and says whether
+it finished.
 
 The exact branch-and-bound search (_bnb_py) runs on Python-int bitsets.
 It takes a few percent of a registration call, so it has no compiled
@@ -11,11 +15,9 @@ twin.
 
 from __future__ import annotations
 
-import heapq
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -190,49 +192,19 @@ def _assert_clique(graph: PrunedGraph, vertices: np.ndarray) -> None:
             raise AssertionError("search returned a non-clique vertex set")
 
 
-def _without_vertices(graph: PrunedGraph, removed: frozenset) -> PrunedGraph:
-    keep = ~(
-        np.isin(graph.kept_edges[:, 0], list(removed))
-        | np.isin(graph.kept_edges[:, 1], list(removed))
-    )
-    return graph_from_edges(graph.n_vertices, graph.kept_edges[keep])
+def next_clique(
+    graph: PrunedGraph, first: CliqueResult, time_budget: float = DEFAULT_TIME_BUDGET
+) -> CliqueResult | None:
+    """Fallback clique after `first`: the best maximum clique of G - v, v in first.
 
-
-def clique_iterator(
-    graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET
-) -> Iterator[CliqueResult]:
-    """Yield maximal cliques in non-increasing size order.
-
-    The first item is the maximum clique; later items support falling back
-    to the next-largest clique when downstream validation rejects one.
-    Enumeration forks on removing one member at a time (k-best scheme).
+    "Best" is largest, then lexicographically smallest; None when `first`
+    is empty.  The |first| searches share one deadline `time_budget`
+    seconds away: each gets only the time the earlier ones left.
     """
-    first = max_clique(graph, time_budget)
-    if len(first) == 0:
-        return
-    seen = {tuple(first.vertices.tolist())}
-    yield first
-
-    heap = []
-    counter = 0
-
-    def push_children(clique: CliqueResult, removed: frozenset):
-        nonlocal counter
-        for v in clique.vertices.tolist():
-            removed2 = removed | {v}
-            sub = _without_vertices(graph, removed2)
-            cand = max_clique(sub, time_budget)
-            if len(cand) == 0:
-                continue
-            key = tuple(cand.vertices.tolist())
-            counter += 1
-            heapq.heappush(heap, (-len(cand), key, counter, cand, removed2))
-
-    push_children(first, frozenset())
-    while heap:
-        _, key, _, cand, removed = heapq.heappop(heap)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield cand
-        push_children(cand, removed)
+    deadline = time.monotonic() + float(time_budget)
+    edges = graph.kept_edges
+    children = []
+    for v in first.vertices.tolist():
+        rest = graph_from_edges(graph.n_vertices, edges[np.all(edges != v, axis=1)])
+        children.append(max_clique(rest, max(0.0, deadline - time.monotonic())))
+    return min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=None)

@@ -17,15 +17,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .certifier import (
-    Certificate,
-    CertifyOptions,
-    Verdict,
-    build_cost_matrix,
-    certify,
-    make_candidate,
-)
-from .clique import CliqueResult, clique_iterator, prune_by_scale
+from . import clique
+from .certifier import Certificate, CertifyOptions, build_cost_matrix, certify, make_candidate
+from .clique import CliqueResult, prune_by_scale
 from .geometry import CorrespondenceSet, RigidTransform, TlsConfig, UnitQuaternion
 from .invariants import MeasurementGraph, build_measurement_graph
 from .rotation import GncOptions, RotationProblem, solve_gnc_tls
@@ -43,7 +37,9 @@ class RegistrationOptions:
     clique_time_budget: float = 10.0
     gnc: GncOptions = field(default_factory=GncOptions)
     certify_opts: CertifyOptions = field(default_factory=CertifyOptions)
-    retry_next_clique: bool = True
+    # The certifier's matrices are 4(K+1) square, so past a few hundred
+    # rotation measurements K certification is not tractable and is skipped.
+    certify_max_k: int = 600
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,6 @@ class RegistrationResult:
     stage_stats: dict
     clique: CliqueResult
     graph: MeasurementGraph
-    scale_inlier_edges: int
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ def _clique_consistent(graph: MeasurementGraph, s_hat: float, cbar_sq: float, cl
 
 def _clique_rotation_problem(
     graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices
-) -> tuple[RotationProblem, np.ndarray]:
+) -> RotationProblem:
     """Rotation input: scale-consistent edges with both endpoints in the clique."""
     keep = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
     rows = graph.trims.tim_rows[keep]
@@ -105,13 +100,12 @@ def _clique_rotation_problem(
         raise InsufficientInliersError(
             "fewer than two scale-consistent measurements inside the clique"
         )
-    problem = RotationProblem(
+    return RotationProblem(
         a_bars=s_hat * graph.tims.a_bar[rows],
         b_bars=graph.tims.b_bar[rows],
         beta_bars=graph.tims.beta_bar[rows],
         cbar_sq=cbar_sq,
     )
-    return problem, rows
 
 
 def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
@@ -124,6 +118,17 @@ def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
         ScalarTlsProblem(trims.s_meas[keep], trims.alpha[keep], cbar_sq)
     )
     return sol.estimate if sol.estimate > 0 else None
+
+
+def _certify_within_cap(problem, rot_sol, opts: RegistrationOptions, stats: dict):
+    """Certificate of the GNC rotation; None when not requested or over the cap."""
+    if not opts.certify_rotation:
+        return None
+    if problem.size > opts.certify_max_k:
+        stats["certify_skipped_k"] = problem.size
+        return None
+    cand = make_candidate(problem, rot_sol.rotation, rot_sol.theta)
+    return certify(build_cost_matrix(problem), cand, opts.certify_opts)
 
 
 def estimate_translation(source, target, s_hat, R_hat, betas, cbar_sq):
@@ -177,49 +182,39 @@ def register(
     stats["edges_kept"] = pruned.n_edges
     timings["prune"] = time.perf_counter() - t0
 
+    # One deadline bounds every search of the stage, the retry's included.
     t0 = time.perf_counter()
-    cliques = clique_iterator(pruned, time_budget=opts.clique_time_budget)
-    clique = next(cliques, None)
-    if clique is None or len(clique) < 3:
-        timings["clique"] = time.perf_counter() - t0
-        raise InsufficientInliersError("maximum clique smaller than 3 vertices")
+    deadline = time.monotonic() + opts.clique_time_budget
+    used = clique.max_clique(pruned, opts.clique_time_budget)
     timings["clique"] = time.perf_counter() - t0
-    stats["clique_size"] = len(clique)
+    if len(used) < 3:
+        raise InsufficientInliersError("maximum clique smaller than 3 vertices")
 
     # Chance-consistent outlier measurements can get absorbed into the
     # global scale vote and bias it; the clique members are mutually
     # consistent, so re-voting on their internal measurements removes the
     # bias (and is exact on noise-free data).
     if opts.known_scale is None:
-        s_refined = _refine_scale_on_clique(graph, s_hat, cfg.cbar_sq, clique.vertices)
+        s_refined = _refine_scale_on_clique(graph, s_hat, cfg.cbar_sq, used.vertices)
         if s_refined is not None:
             s_hat = s_refined
     stats["scale_estimate"] = s_hat
 
-    attempts = 2 if (opts.certify_rotation and opts.retry_next_clique) else 1
-    certificate = None
-    rot_sol = None
-    used_clique = clique
     t0 = time.perf_counter()
-    for attempt in range(attempts):
-        problem, rows = _clique_rotation_problem(
-            graph, s_hat, cfg.cbar_sq, used_clique.vertices
-        )
-        rot_sol = solve_gnc_tls(problem, opts.gnc)
-        if not opts.certify_rotation:
-            break
-        data = build_cost_matrix(problem)
-        cand = make_candidate(problem, rot_sol.rotation, rot_sol.theta)
-        certificate = certify(data, cand, opts.certify_opts)
-        if certificate.verdict is Verdict.CERTIFIED:
-            break
-        if attempt + 1 < attempts:
-            nxt = next(cliques, None)
-            if nxt is None or len(nxt) < 3:
-                break
-            used_clique = nxt
-            stats["clique_size"] = len(used_clique)
+    problem = _clique_rotation_problem(graph, s_hat, cfg.cbar_sq, used.vertices)
+    rot_sol = solve_gnc_tls(problem, opts.gnc)
+    certificate = _certify_within_cap(problem, rot_sol, opts, stats)
+    if certificate is not None and not certificate.certified:
+        # The paper's cascade retries once, on the next-largest clique.
+        retry = clique.next_clique(pruned, used, deadline - time.monotonic())
+        if len(retry) >= 3:
+            used = retry
+            problem = _clique_rotation_problem(graph, s_hat, cfg.cbar_sq, used.vertices)
+            rot_sol = solve_gnc_tls(problem, opts.gnc)
+            certificate = _certify_within_cap(problem, rot_sol, opts, stats)
     timings["rotation"] = time.perf_counter() - t0
+    stats["clique_size"] = len(used)
+    stats["clique_completed"] = bool(used.is_certified_maximum)
     stats["gnc_iterations"] = rot_sol.gnc_iterations
     stats["rotation_edges"] = rot_sol.theta.shape[0]
     if rot_sol.degenerate:
@@ -227,7 +222,7 @@ def register(
 
     t0 = time.perf_counter()
     R_hat = rot_sol.matrix
-    members = used_clique.vertices
+    members = used.vertices
     t_vec, axis_masks, joint_mask = estimate_translation(
         c.source[members], c.target[members], s_hat, R_hat, c.noise_bounds[members], cfg.cbar_sq
     )
@@ -243,9 +238,8 @@ def register(
         certificate=certificate,
         stage_timings=timings,
         stage_stats=stats,
-        clique=used_clique,
+        clique=used,
         graph=graph,
-        scale_inlier_edges=int(np.count_nonzero(graph.trims.consistent_with(s_hat, cfg.cbar_sq))),
     )
 
 
@@ -255,6 +249,46 @@ SUBSET_CAP = 10_000
 COPLANAR_SVAL_TOL = 1e-9
 
 
+def _unrank_combination(rank: int, n: int, k: int) -> list[int]:
+    """The rank-th k-subset of range(n) in itertools.combinations order."""
+    picked, v = [], 0
+    for slots in range(k, 0, -1):
+        # Skip every block of subsets that starts with v while rank lies past it.
+        while rank >= (block := math.comb(n - v - 1, slots - 1)):
+            rank -= block
+            v += 1
+        picked.append(v)
+        v += 1
+    return picked
+
+
+def _base_point_tuples(units: np.ndarray, exhaustive_cap: int, rng: np.random.Generator):
+    """(i; j, h, k) rows over units, all of them or a sample of exhaustive_cap.
+
+    The tuples are ordered by i, then by (j, h, k) as itertools.combinations
+    over the j with a finite units[i, j]; a sample draws tuple indices in
+    that order and unranks them, so the tuples are never listed.
+    """
+    finite = np.isfinite(units[:, :, 0])
+    np.fill_diagonal(finite, False)
+    degrees = finite.sum(axis=1)
+    counts = degrees * (degrees - 1) * (degrees - 2) // 6  # C(degree, 3)
+    ends = np.cumsum(counts)
+    total = int(counts.sum())
+    exhaustive = total <= exhaustive_cap
+    if exhaustive:
+        picks = range(total)
+    else:
+        picks = rng.choice(total, size=exhaustive_cap, replace=False).tolist()
+    rows = []
+    for idx in picks:
+        i = int(np.searchsorted(ends, idx, side="right"))
+        others = np.flatnonzero(finite[i])
+        rank = idx - int(ends[i] - counts[i])
+        rows.append([i, *others[_unrank_combination(rank, int(degrees[i]), 3)].tolist()])
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), exhaustive
+
+
 def _min_u_singular_value(units: np.ndarray, exhaustive_cap: int, rng: np.random.Generator):
     """Smallest singular value over base-point 4-tuples of unit directions.
 
@@ -262,19 +296,10 @@ def _min_u_singular_value(units: np.ndarray, exhaustive_cap: int, rng: np.random
     (rows of NaN where undefined).  Enumerates all (i; j, h, k) tuples when
     there are at most exhaustive_cap, otherwise samples that many.
     """
-    m = units.shape[0]
-    tuples = []
-    for i in range(m):
-        others = [j for j in range(m) if j != i and np.isfinite(units[i, j, 0])]
-        for j, h, k in combinations(others, 3):
-            tuples.append((i, j, h, k))
-    if not tuples:
+    tuples, exhaustive = _base_point_tuples(units, exhaustive_cap, rng)
+    if tuples.shape[0] == 0:
         return 0.0, True
-    exhaustive = len(tuples) <= exhaustive_cap
-    if not exhaustive:
-        sel = rng.choice(len(tuples), size=exhaustive_cap, replace=False)
-        tuples = [tuples[s] for s in sel]
-    i, j, h, k = np.array(tuples).T
+    i, j, h, k = tuples.T
     U = np.stack([units[i, j], units[i, h], units[i, k]], axis=-1)  # (T, 3, 3) columns
     return float(np.linalg.svd(U, compute_uv=False)[:, -1].min()), exhaustive
 

@@ -135,9 +135,14 @@ def transform_to_dict(transform) -> dict:
     }
 
 
-def write_result_json(path, payload: dict) -> None:
+def format_result_json(payload: dict) -> str:
+    """The payload as a versioned JSON document, keys sorted."""
     doc = {"schema_version": RESULT_SCHEMA_VERSION, **payload}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def write_result_json(path, payload: dict) -> None:
+    Path(path).write_text(format_result_json(payload) + "\n")
 
 
 def read_result_json(path) -> dict:

@@ -210,6 +210,44 @@ class TestCli:
         assert math.degrees(err) < 1.0
         assert doc["certificate"]["verdict"] == "certified"
 
+    @pytest.mark.parametrize(
+        "flags, certificate",
+        [([], "verdict"), (["--no-certify"], None), (["--certify-max-k", "3"], "skipped")],
+    )
+    def test_register_runs_the_cascade_once(self, tmp_path, monkeypatch, capsys, flags, certificate):
+        import tlsreg.cli as cli
+
+        prefix = tmp_path / "inst"
+        cli_main(["generate", "--n", "12", "--seed", "7", "--known-scale", "--out", str(prefix)])
+        calls = []
+        real_register = cli.register
+
+        def counting_register(*args, **kwargs):
+            calls.append(args)
+            return real_register(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "register", counting_register)
+        capsys.readouterr()
+        rc = cli_main(
+            [
+                "register", "--src", f"{prefix}_src.ply", "--dst", f"{prefix}_dst.ply",
+                "--beta", "0.0554", "--known-scale", "1.0", *flags,
+            ]
+        )
+        assert rc == 0 and len(calls) == 1
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert doc["schema_version"] == "1"
+        if certificate is None:
+            assert "certificate" not in doc
+        else:
+            assert certificate in doc["certificate"]
+        if certificate == "skipped":
+            k = doc["stage_stats"]["rotation_edges"]
+            assert doc["certificate"] == {"skipped": f"{k} measurements exceed certify-max-k"}
+            assert doc["stage_stats"]["certify_skipped_k"] == k
+            assert f"{k} rotation measurements exceed --certify-max-k=3" in out.err
+
     def test_generate_is_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
             cli_main(

@@ -1,13 +1,15 @@
 """Scale pruning and exact maximum-clique search."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from tlsreg.clique import (
-    clique_iterator,
     graph_from_edges,
     max_clique,
+    next_clique,
     prune_by_scale,
 )
 from tlsreg.geometry import CorrespondenceSet, quat_to_matrix, random_unit_quaternion
@@ -154,14 +156,46 @@ class TestInlierContainment:
             assert contained or len(r) >= len(inliers)
 
 
-class TestCliqueIterator:
-    def test_yields_decreasing_sizes(self):
-        small = list(itertools.combinations(range(4), 2))
-        big = list(itertools.combinations(range(5, 12), 2))
-        g = graph_from_edges(12, sorted(set(small + big)))
-        it = clique_iterator(g)
-        first = next(it)
-        second = next(it)
-        assert first.vertices.tolist() == list(range(5, 12))
-        assert len(second) <= len(first)
-        assert second.vertices.tolist() != first.vertices.tolist()
+class TestNextClique:
+    def test_matches_best_of_vertex_deleted_oracle(self):
+        # The fallback is the largest, then lexicographically smallest, of
+        # the maximum cliques of G - v over the members v of the first one.
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            n = int(rng.integers(4, 13))
+            edges = random_graph(rng, n, float(rng.uniform(0.3, 0.9)))
+            g = graph_from_edges(n, edges)
+            first = max_clique(g)
+            oracle = min(
+                (
+                    brute_force_max_clique(n, [e for e in edges if v not in e])
+                    for v in first.vertices.tolist()
+                ),
+                key=lambda c: (-len(c), c),
+            )
+            r = next_clique(g, first)
+            assert r.vertices.tolist() == oracle, (n, edges)
+            assert r.is_certified_maximum
+            assert len(r) <= len(first)
+            assert not set(first.vertices.tolist()) <= set(r.vertices.tolist())
+
+    def test_children_share_one_deadline(self, monkeypatch):
+        import time
+
+        import tlsreg.clique as cl
+
+        clock = [time.monotonic()]
+        budgets = []
+        real = cl.max_clique
+
+        def recording(graph, time_budget):
+            budgets.append(time_budget)
+            clock[0] += 0.25  # each search uses a quarter second of the fake clock
+            return real(graph, 60.0)
+
+        monkeypatch.setattr(cl, "max_clique", recording)
+        monkeypatch.setattr(cl, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        g = graph_from_edges(12, list(itertools.combinations(range(5, 12), 2)))
+        next_clique(g, real(g), time_budget=1.0)
+        # Each of the 7 children gets what the earlier ones left of the deadline.
+        assert budgets == pytest.approx([1.0, 0.75, 0.5, 0.25, 0, 0, 0])

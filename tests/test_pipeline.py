@@ -1,5 +1,6 @@
 """Full cascade: recovery, translation solver, and a-posteriori bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from tlsreg.geometry import (
 from tlsreg.pipeline import (
     InsufficientInliersError,
     RegistrationOptions,
+    _base_point_tuples,
+    _min_u_singular_value,
     compute_error_bounds,
     estimate_translation,
     register,
@@ -138,6 +141,78 @@ class TestRegister:
         # next-largest clique
         assert len(calls) == 2
         assert res.certificate is not None and not res.certificate.certified
+
+    def test_clique_budget_bounds_the_whole_stage(self, monkeypatch):
+        # A fake clock that moves only while a search runs: every search,
+        # the retry's included, must end by the deadline set at the first.
+        import time as real_time
+        from types import SimpleNamespace
+
+        import tlsreg.clique as cl
+        import tlsreg.pipeline as pl
+        from tlsreg.certifier import Certificate, Verdict
+
+        clock = [real_time.monotonic()]
+        fake_time = SimpleNamespace(
+            monotonic=lambda: clock[0], perf_counter=real_time.perf_counter
+        )
+        monkeypatch.setattr(cl, "time", fake_time)
+        monkeypatch.setattr(pl, "time", fake_time)
+        searches = []
+        real_search = cl.max_clique
+
+        def timed_search(graph, time_budget):
+            searches.append((clock[0], time_budget))
+            clock[0] += 0.25
+            return real_search(graph, 60.0)
+
+        def always_reject(data, cand, opts=None):
+            return Certificate(1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0)
+
+        monkeypatch.setattr(cl, "max_clique", timed_search)
+        monkeypatch.setattr(pl, "certify", always_reject)
+        rng = np.random.default_rng(15)
+        c, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
+        register(
+            c, TlsConfig(), RegistrationOptions(certify_rotation=True, clique_time_budget=10.0)
+        )
+        start, budget = searches[0]
+        assert budget == 10.0
+        assert len(searches) > 2  # the first search plus one per member of its clique
+        for now, child_budget in searches[1:]:
+            assert 0.0 <= child_budget
+            assert now + child_budget <= start + budget + 1e-9
+
+    def test_certify_cap_skips_the_cost_matrix(self, monkeypatch):
+        import tlsreg.pipeline as pl
+
+        def never(problem):
+            raise AssertionError("cost matrix built above certify_max_k")
+
+        monkeypatch.setattr(pl, "build_cost_matrix", never)
+        rng = np.random.default_rng(7)
+        c, s, *_ = synth(rng, 30, outlier_rate=0.4)
+        res = register(
+            c, TlsConfig(), RegistrationOptions(certify_rotation=True, certify_max_k=10)
+        )
+        assert res.certificate is None
+        k = res.stage_stats["rotation_edges"]
+        assert k > 10 and res.stage_stats["certify_skipped_k"] == k
+        assert abs(res.transform.scale - s) < 1e-9
+
+    def test_clique_completed_reports_budget_expiry(self):
+        # Uniform clouds with a loose bound prune to a ~90%-dense graph on
+        # 130 vertices, far too hard to search exhaustively in 0.1 ms.
+        rng = np.random.default_rng(0)
+        src, dst = rng.uniform(0, 1, size=(2, 130, 3))
+        c = CorrespondenceSet(src, dst, np.full(130, 0.3))
+        res = register(
+            c, TlsConfig(), RegistrationOptions(known_scale=1.0, clique_time_budget=1e-4)
+        )
+        assert res.stage_stats["clique_completed"] is False
+        assert not res.clique.is_certified_maximum
+        c, *_ = synth(np.random.default_rng(0), 40)
+        assert register(c).stage_stats["clique_completed"] is True
 
     def test_adversarial_outliers_with_inlier_majority(self):
         # Noiseless inliers vs a mutually consistent adversarial structure:
@@ -270,6 +345,41 @@ class TestErrorBounds:
         res = register(c, TlsConfig(), RegistrationOptions(known_scale=1.0))
         b = compute_error_bounds(res, c)
         assert math.isinf(b.eta_R_frobenius)
+
+    @staticmethod
+    def listed_tuples(units, cap, rng):
+        """Reference: list every (i; j, h, k) tuple, then sample from the list."""
+        m = units.shape[0]
+        tuples = []
+        for i in range(m):
+            others = [j for j in range(m) if j != i and np.isfinite(units[i, j, 0])]
+            for j, h, k in itertools.combinations(others, 3):
+                tuples.append((i, j, h, k))
+        exhaustive = len(tuples) <= cap
+        if tuples and not exhaustive:
+            sel = rng.choice(len(tuples), size=cap, replace=False)
+            tuples = [tuples[t] for t in sel]
+        return np.array(tuples, dtype=np.int64).reshape(-1, 4), exhaustive
+
+    @pytest.mark.parametrize("m, n_nan, cap", [(6, 0, 500), (7, 2, 500), (12, 0, 500), (13, 5, 40)])
+    def test_base_point_tuples_match_listed_enumeration(self, m, n_nan, cap):
+        rng = np.random.default_rng(m)
+        units = np.full((m, m, 3), np.nan)  # NaN where undefined, as in the real table
+        i, j = np.triu_indices(m, 1)
+        d = rng.normal(size=(i.size, 3))
+        units[i, j] = d / np.linalg.norm(d, axis=1, keepdims=True)
+        units[j, i] = -units[i, j]
+        for a, b in rng.choice(m, size=(n_nan, 2)):
+            units[a, b] = units[b, a] = np.nan  # degenerate pairs
+        units[0, :] = units[:, 0] = np.nan  # an isolated vertex
+        expected, exhaustive = self.listed_tuples(units, cap, np.random.default_rng(3))
+        got, got_exhaustive = _base_point_tuples(units, cap, np.random.default_rng(3))
+        assert got_exhaustive == exhaustive == (m <= 7)
+        assert np.array_equal(got, expected)
+        i, j, h, k = expected.T
+        U = np.stack([units[i, j], units[i, h], units[i, k]], axis=-1)
+        smin = float(np.linalg.svd(U, compute_uv=False)[:, -1].min())
+        assert _min_u_singular_value(units, cap, np.random.default_rng(3)) == (smin, exhaustive)
 
     def test_translation_bound_value(self):
         # (9 + 3 sqrt(3)) * 0.01 for uniform bound 0.01
