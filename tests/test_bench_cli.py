@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tlsreg
 from tlsreg.geometry import geodesic_rotation_error
 from tlsreg.invariants import build_measurement_graph
 from tlsreg.plyio import (
@@ -319,8 +321,13 @@ class TestCli:
         assert all(not r["failed"] for r in doc["records"])
 
     def test_console_entry_point(self):
+        # The subprocess must import the same tlsreg as this test run.
+        src = str(Path(tlsreg.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, path] if path else [src])}
         proc = subprocess.run(
-            [sys.executable, "-m", "tlsreg.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "tlsreg.cli", "--help"],
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "generate" in proc.stdout

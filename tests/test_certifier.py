@@ -50,6 +50,50 @@ def stationary_candidate(rng, K, beta=0.7):
     return p, cand
 
 
+def full_spectrum_psd(M):
+    """Reference PSD projection: clip every eigenvalue and rebuild."""
+    sym = 0.5 * (M + M.T)
+    vals, vecs = np.linalg.eigh(sym)
+    out = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return 0.5 * (out + out.T)
+
+
+def gnc_rotated_data(rng, K, corrupt=0):
+    """Candidate-frame data of a GNC solution, optionally with `corrupt`
+    inliers flipped to outliers."""
+    a, b, q_true, _ = make_rotation_instance(rng, K, outlier_fraction=0.3, sigma=0.01)
+    p = RotationProblem(a, b, np.full(K, 0.11), cbar_sq=1.0)
+    sol = solve_gnc_tls(p)
+    theta = sol.theta.copy()
+    theta[np.nonzero(theta > 0)[0][:corrupt]] = -1
+    data = build_cost_matrix(p)
+    cand = make_candidate(p, sol.rotation, theta)
+    return data, cand, rotate_to_candidate_frame(data, cand)
+
+
+def reference_certify(data, cand, opts=CertifyOptions()):
+    """The splitting loop of `certify` with the full-spectrum projection."""
+    rot = rotate_to_candidate_frame(data, cand)
+    M = initial_dual_guess(rot)
+    eta, verdict, it = np.inf, Verdict.BUDGET_EXHAUSTED, 0
+    for it in range(1, opts.max_iters + 1):
+        M_psd = full_spectrum_psd(M)
+        M_aff = project_to_dual_subspace(2.0 * M_psd - M, rot)
+        M = M + opts.gamma * (M_aff - M_psd)
+        lam1 = float(np.linalg.eigvalsh(M_aff)[0])
+        if abs(lam1) <= opts.eig_zero_rel_tol * max(1.0, float(np.linalg.norm(M_aff))):
+            lam1 = 0.0
+        eta_t = 0.0 if lam1 == 0.0 else abs(lam1) * (data.K + 1) / rot.mu_hat
+        eta = min(eta, eta_t)
+        if eta < opts.eta_target:
+            verdict = Verdict.CERTIFIED
+            break
+        if float(np.linalg.norm(M_aff - M_psd)) < opts.fixed_point_tol:
+            verdict = Verdict.SUBOPTIMAL
+            break
+    return verdict, it, eta
+
+
 class TestCostMatrix:
     def test_single_measurement_blocks_by_hand(self):
         # a = b = e_x with unit bound and unit threshold: the quadratic
@@ -258,6 +302,30 @@ class TestPsdProjection:
             cand = project_to_psd_cone(cand)
             assert np.linalg.norm(cand - M) >= best - 1e-9
 
+    def test_matches_full_spectrum_reference(self):
+        rng = np.random.default_rng(7)
+        cases = []
+        for n in (5, 40, 120):
+            A = rng.normal(size=(n, n))
+            cases.append(0.5 * (A + A.T))  # about half the eigenvalues negative
+        # a real splitting iterate at K=20, a few steps in
+        _, _, rot = gnc_rotated_data(np.random.default_rng(3), 20, corrupt=3)
+        M = initial_dual_guess(rot)
+        for _ in range(3):
+            M_psd = full_spectrum_psd(M)
+            M = M + project_to_dual_subspace(2.0 * M_psd - M, rot) - M_psd
+        assert np.linalg.eigvalsh(M)[0] < 0.0
+        cases.append(M)
+        A = rng.normal(size=(30, 30))
+        cases.append(A @ A.T + np.eye(30))  # positive definite: empty subset
+        U, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        cases.append((U * np.array([-2.0, -0.5, 0.0, 0.0, 1.0, 3.0])) @ U.T)
+        cases.append(np.diag([-1.0, -1e-7, 0.0, 2.0]))  # tiny negative, exact zero
+        cases.append(-(A @ A.T) - np.eye(30))  # all negative
+        for M in cases:
+            tol = 1e-10 * max(1.0, float(np.linalg.norm(M)))
+            assert np.max(np.abs(project_to_psd_cone(M) - full_spectrum_psd(M))) <= tol
+
 
 class TestAffineProjection:
     def test_idempotent_and_membership(self):
@@ -369,6 +437,35 @@ class TestCertify:
         cand = make_candidate(p, sol.rotation, sol.theta)
         cert = certify(build_cost_matrix(p), cand, CertifyOptions(max_iters=30, eta_target=1e-12))
         assert all(lam <= 1e-8 for lam in cert.min_eigenvalue_trace)
+
+    def test_matches_full_spectrum_reference_loop(self):
+        cases = [
+            (gnc_rotated_data(np.random.default_rng(41), 12), CertifyOptions()),
+            (gnc_rotated_data(np.random.default_rng(42), 12, corrupt=3),
+             CertifyOptions(max_iters=60)),
+            (gnc_rotated_data(np.random.default_rng(43), 8, corrupt=2),
+             CertifyOptions(max_iters=40, gamma=1.5)),
+        ]
+        for (data, cand, _), opts in cases:
+            cert = certify(data, cand, opts)
+            verdict, iterations, eta = reference_certify(data, cand, opts)
+            assert cert.verdict is verdict
+            assert cert.iterations_used == iterations
+            assert abs(cert.eta - eta) <= 1e-9 * eta
+
+    def test_inputs_left_unchanged(self):
+        data, cand, rot = gnc_rotated_data(np.random.default_rng(44), 10, corrupt=2)
+        Q, Q_bar = data.Q.copy(), rot.Q_bar.copy()
+        M = initial_dual_guess(rot)
+        M_before = M.copy()
+        project_to_psd_cone(M)
+        assert np.array_equal(M, M_before)
+        A = project_to_dual_subspace(M, rot)
+        assert np.array_equal(M, M_before)
+        assert np.array_equal(rot.Q_bar, Q_bar)
+        assert np.array_equal(A, A.T)
+        certify(data, cand, CertifyOptions(max_iters=5))
+        assert np.array_equal(data.Q, Q)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
