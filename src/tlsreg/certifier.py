@@ -26,6 +26,16 @@ eta unsound.  The affine projection is closed-form and works on one copy
 of the iterate.  At K=100 (404x404, one BLAS thread, 2-core x86-64) the
 PSD projection takes about 9 ms, the minimum eigenvalue 6-7 ms and the
 affine projection 3 ms.
+
+Every iterate's bound is sound on its own, so the loop may stop at any
+iteration: stopping early can only return a larger eta, never an unsound
+one.  `certify` therefore gives up on a candidate whose best eta has
+stalled, one that fell by less than STALL_REL_DROP over the last
+STALL_WINDOW iterations (see `stalled`).  On 148 accurate GNC candidates
+at K=100 the best eta fell by more than half over every 10-iteration
+window until it certified, so none of them stops early; 31 corrupted ones
+(three inliers flipped) stopped after 11-26 iterations, with an eta at
+most 3% above its 200-iteration value.
 """
 
 from __future__ import annotations
@@ -41,8 +51,22 @@ from .rotation import RotationProblem, product_matrices
 
 E_AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
+# Stall exit: the splitting gives up once the best eta has fallen by less
+# than STALL_REL_DROP (relative) over the last STALL_WINDOW iterations.
+STALL_WINDOW = 10
+STALL_REL_DROP = 0.01
+
 
 class Verdict(Enum):
+    """How the splitting ended.
+
+    CERTIFIED: the best eta fell below the target; the candidate is
+    globally optimal to within that relative bound.
+    SUBOPTIMAL: the splitting reached a fixed point or its best eta stalled
+    above the target; eta is the best (sound) bound it found.
+    BUDGET_EXHAUSTED: eta was still improving when max_iters ran out.
+    """
+
     CERTIFIED = "certified"
     SUBOPTIMAL = "suboptimal"
     BUDGET_EXHAUSTED = "budget_exhausted"
@@ -352,6 +376,19 @@ def min_eigenvalue(M: np.ndarray) -> float:
     return float(vals[0])
 
 
+def stalled(best_etas) -> bool:
+    """True when the best eta fell by less than STALL_REL_DROP (relative)
+    over the last STALL_WINDOW iterations.
+
+    `best_etas[t - 1]` is the best eta after iteration t, so at iteration
+    t > W this tests best[t] > (1 - r) * best[t - W].  Shorter histories
+    never stall, nor does an infinite eta.
+    """
+    if len(best_etas) <= STALL_WINDOW:
+        return False
+    return best_etas[-1] > (1.0 - STALL_REL_DROP) * best_etas[-1 - STALL_WINDOW]
+
+
 def certify(
     data: QcqpData, cand: CandidateSolution, opts: CertifyOptions = CertifyOptions()
 ) -> Certificate:
@@ -362,6 +399,13 @@ def certify(
     minimum eigenvalue within round-off of zero (relative to the iterate's
     norm) counts as exactly zero: the certificate then holds to machine
     precision and eta is reported as 0.
+
+    Each iteration first tests for certification, then for a fixed point,
+    then for a stall (`stalled`: less than a 1% drop of the best eta over
+    10 iterations); the last two end the search as SUBOPTIMAL, so a stall
+    never yields CERTIFIED.  Every iterate's eta is a sound bound, so the
+    eta of a stalled search is sound too, only possibly larger than more
+    iterations would have given.
     """
     if not np.all(np.isfinite(data.Q)):
         raise ValueError("cost matrix must be finite")
@@ -377,6 +421,7 @@ def certify(
     M = initial_dual_guess(rot)
     eta = np.inf
     trace = []
+    best = []
     verdict = Verdict.BUDGET_EXHAUSTED
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
@@ -400,11 +445,12 @@ def certify(
         else:
             eta_t = np.inf
         eta = min(eta, eta_t)
+        best.append(eta)
 
         if eta < opts.eta_target:
             verdict = Verdict.CERTIFIED
             break
-        if float(np.linalg.norm(step)) < opts.fixed_point_tol:
+        if float(np.linalg.norm(step)) < opts.fixed_point_tol or stalled(best):
             verdict = Verdict.SUBOPTIMAL
             break
 

@@ -15,7 +15,7 @@ rewriting per-measurement weights in closed form at each step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class RotationSolution:
     gnc_iterations: int
     converged: bool
     degenerate: bool
-    surrogate_trace: tuple = field(default=(), repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -214,19 +213,13 @@ def solve_gnc_tls(p: RotationProblem, opts: GncOptions = GncOptions()) -> Rotati
 
     degenerate = check_collinear(p.a_bars, np.ones(p.size))
     weights = np.ones(p.size)
-    trace = []
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        before = _surrogate(r_sq, weights, mu, eps_sq)
         weights = _weight_update(r_sq, mu, eps_sq)
-        after_weights = _surrogate(r_sq, weights, mu, eps_sq)
-
         if np.count_nonzero(weights * inv_beta_sq) >= 2:
             q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq, warn_degenerate=False)
         r_sq = residuals_sq(q)
-        after_solve = _surrogate(r_sq, weights, mu, eps_sq)
-        trace.append((before, after_weights, after_solve))
 
         binary = np.max(np.minimum(weights, 1.0 - weights)) < opts.weight_tol
         if mu >= opts.mu_stop or binary:
@@ -242,5 +235,4 @@ def solve_gnc_tls(p: RotationProblem, opts: GncOptions = GncOptions()) -> Rotati
         gnc_iterations=iterations,
         converged=converged,
         degenerate=degenerate,
-        surrogate_trace=tuple(trace),
     )

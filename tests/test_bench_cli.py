@@ -284,27 +284,45 @@ class TestCli:
         )
         assert rc == 3
 
-    def test_certify_subcommand(self, tmp_path):
+    @staticmethod
+    def _certify_problem(tmp_path, flipped=0):
+        """Noise-free ground-truth candidate, the first `flipped` inliers
+        marked as outliers, saved for `tlsreg certify`."""
         from tlsreg.synthetic import generate as gen
 
         c, gt, _ = gen(SyntheticSpec(n_points=12, sigma=0.0, seed=3, known_scale=True))
         g = build_measurement_graph(c)
+        thetas = [1] * len(g.tims)
+        thetas[:flipped] = [-1] * flipped
         problem_doc = {
             "a_bars": g.tims.a_bar.tolist(),
             "b_bars": g.tims.b_bar.tolist(),
             "beta_bars": g.tims.beta_bar.tolist(),
             "cbar_sq": 1.0,
             "quaternion_xyzw": gt.rotation.as_array().tolist(),
-            "thetas": [1] * len(g.tims),
+            "thetas": thetas,
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem_doc))
+        return path
+
+    def test_certify_subcommand(self, tmp_path):
+        path = self._certify_problem(tmp_path)
         out = tmp_path / "cert.json"
         rc = cli_main(["certify", "--problem", str(path), "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "certified"
         assert doc["eta"] < 1e-3
+
+    def test_certify_subcommand_rejects_corrupted_candidate_early(self, tmp_path):
+        path = self._certify_problem(tmp_path, flipped=3)
+        out = tmp_path / "cert.json"
+        rc = cli_main(["certify", "--problem", str(path), "--max-iters", "200", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "suboptimal"
+        assert doc["iterations"] < 200
 
     def test_bench_subcommand(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -11,6 +11,7 @@ from helpers import (
     make_rotation_instance,
 )
 from tlsreg.certifier import (
+    STALL_WINDOW,
     CertifyOptions,
     Verdict,
     _j_term,
@@ -23,6 +24,7 @@ from tlsreg.certifier import (
     project_to_psd_cone,
     qcqp_cost,
     rotate_to_candidate_frame,
+    stalled,
     x_vector,
 )
 from tlsreg.geometry import (
@@ -71,11 +73,14 @@ def gnc_rotated_data(rng, K, corrupt=0):
     return data, cand, rotate_to_candidate_frame(data, cand)
 
 
-def reference_certify(data, cand, opts=CertifyOptions()):
-    """The splitting loop of `certify` with the full-spectrum projection."""
+def reference_certify(data, cand, opts=CertifyOptions(), stall_exit=True):
+    """The splitting loop of `certify` with the full-spectrum projection.
+
+    With stall_exit=False it runs on past a stall, to max_iters or a fixed
+    point."""
     rot = rotate_to_candidate_frame(data, cand)
     M = initial_dual_guess(rot)
-    eta, verdict, it = np.inf, Verdict.BUDGET_EXHAUSTED, 0
+    eta, verdict, it, best = np.inf, Verdict.BUDGET_EXHAUSTED, 0, []
     for it in range(1, opts.max_iters + 1):
         M_psd = full_spectrum_psd(M)
         M_aff = project_to_dual_subspace(2.0 * M_psd - M, rot)
@@ -85,10 +90,13 @@ def reference_certify(data, cand, opts=CertifyOptions()):
             lam1 = 0.0
         eta_t = 0.0 if lam1 == 0.0 else abs(lam1) * (data.K + 1) / rot.mu_hat
         eta = min(eta, eta_t)
+        best.append(eta)
         if eta < opts.eta_target:
             verdict = Verdict.CERTIFIED
             break
-        if float(np.linalg.norm(M_aff - M_psd)) < opts.fixed_point_tol:
+        if float(np.linalg.norm(M_aff - M_psd)) < opts.fixed_point_tol or (
+            stall_exit and stalled(best)
+        ):
             verdict = Verdict.SUBOPTIMAL
             break
     return verdict, it, eta
@@ -452,6 +460,26 @@ class TestCertify:
             assert cert.verdict is verdict
             assert cert.iterations_used == iterations
             assert abs(cert.eta - eta) <= 1e-9 * eta
+
+    def test_stall_exit_rejects_early_with_sound_eta(self):
+        data, cand, _ = gnc_rotated_data(np.random.default_rng(45), 100, corrupt=3)
+        cert = certify(data, cand)
+        assert cert.verdict is Verdict.SUBOPTIMAL
+        assert cert.iterations_used <= 40
+        verdict, iterations, eta_full = reference_certify(data, cand, stall_exit=False)
+        assert verdict is not Verdict.CERTIFIED
+        assert iterations > cert.iterations_used
+        # An earlier iterate's bound: never below the full run's, and close.
+        assert eta_full <= cert.eta <= 1.05 * eta_full
+
+    def test_stalled_helper(self):
+        # best[t - 1] is the best eta after iteration t
+        geometric = [0.95**t for t in range(1, 201)]  # 5% per iteration
+        assert not any(stalled(geometric[:t]) for t in range(201))
+        flat = [5.0] * 200
+        fired = [t for t in range(201) if stalled(flat[:t])]
+        assert fired[0] == STALL_WINDOW + 1
+        assert not any(stalled(flat[:t]) for t in range(STALL_WINDOW + 1))
 
     def test_inputs_left_unchanged(self):
         data, cand, rot = gnc_rotated_data(np.random.default_rng(44), 10, corrupt=2)

@@ -15,8 +15,11 @@ from tlsreg.geometry import (
     right_product_matrix,
 )
 from tlsreg.rotation import (
+    GncOptions,
     RotationProblem,
     _accumulation_matrix,
+    _surrogate,
+    _weight_update,
     binary_cost,
     check_collinear,
     horn_weighted,
@@ -230,13 +233,38 @@ class TestGncTls:
             assert sol.cost <= best + 1e-6
 
     def test_surrogate_monotone_within_iterations(self):
+        # Replays solve_gnc_tls step by step: at fixed mu, the weight update
+        # and the weighted rotation solve each lower the surrogate.
         rng = np.random.default_rng(77)
         a, b, _, _ = make_instance(rng, 30, outlier_fraction=0.3, sigma=0.01, beta=0.055)
         p = RotationProblem(a, b, np.full(30, 0.11))
-        sol = solve_gnc_tls(p)
-        for before, after_weights, after_solve in sol.surrogate_trace:
+        opts = GncOptions()
+        eps_sq = p.cbar_sq
+        inv_beta_sq = 1.0 / p.beta_bars**2
+
+        def residuals_sq(q):
+            return np.sum((p.b_bars - p.a_bars @ quat_to_matrix(q).T) ** 2, axis=1) * inv_beta_sq
+
+        q = np.array([0.0, 0.0, 0.0, 1.0])
+        r_sq = residuals_sq(q)
+        mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), opts.mu_min)
+        weights = np.ones(p.size)
+        for iterations in range(1, opts.max_iterations + 1):
+            before = _surrogate(r_sq, weights, mu, eps_sq)
+            weights = _weight_update(r_sq, mu, eps_sq)
+            after_weights = _surrogate(r_sq, weights, mu, eps_sq)
+            q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq, warn_degenerate=False)
+            r_sq = residuals_sq(q)
+            after_solve = _surrogate(r_sq, weights, mu, eps_sq)
             assert after_weights <= before + 1e-9
             assert after_solve <= after_weights + 1e-9
+            if mu >= opts.mu_stop or np.max(np.minimum(weights, 1.0 - weights)) < opts.weight_tol:
+                break
+            mu *= opts.mu_factor
+        # the replay took the solver's own steps
+        sol = solve_gnc_tls(p)
+        assert sol.gnc_iterations == iterations
+        assert np.array_equal(sol.rotation, q)
 
     def test_output_quaternion_is_unit_and_rotation_valid(self):
         rng = np.random.default_rng(3)
