@@ -41,12 +41,6 @@ class PrunedGraph:
     def n_edges(self) -> int:
         return self.kept_edges.shape[0]
 
-    def neighbor_ints(self) -> list[int]:
-        """Rows as Python ints (bit i set iff adjacent to vertex i)."""
-        raw = self.adj_words.tobytes()
-        nb = self.adj_words.shape[1] * 8
-        return [int.from_bytes(raw[i * nb : (i + 1) * nb], "little") for i in range(self.n_vertices)]
-
 
 @dataclass(frozen=True)
 class CliqueResult:
@@ -80,7 +74,8 @@ def prune_by_scale(graph: MeasurementGraph, s_hat: float, cbar_sq: float) -> Pru
     """
     trims = graph.trims
     keep = trims.consistent_with(s_hat, cbar_sq)
-    return graph_from_edges(graph.topology.n_vertices, trims.indices[keep])
+    edges = graph.topology.edge_pairs(trims.tim_rows[keep])
+    return graph_from_edges(graph.topology.n_vertices, edges)
 
 
 def _dense_adjacency(graph: PrunedGraph) -> np.ndarray:
@@ -177,19 +172,16 @@ def max_clique(graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET) -> 
         sys.setrecursionlimit(old_limit)
 
     result = np.array(sorted(verts), dtype=np.int64)
-    _assert_clique(graph, result)
+    _assert_clique(adj, result)
     return CliqueResult(result, bool(completed))
 
 
-def _assert_clique(graph: PrunedGraph, vertices: np.ndarray) -> None:
-    neighbors = graph.neighbor_ints()
-    mask = 0
-    for v in vertices:
-        mask |= 1 << int(v)
-    for v in vertices:
-        required = mask & ~(1 << int(v))
-        if neighbors[int(v)] & required != required:
-            raise AssertionError("search returned a non-clique vertex set")
+def _assert_clique(adj: np.ndarray, vertices: np.ndarray) -> None:
+    """Raise unless every two distinct vertices are adjacent in the dense adjacency."""
+    sub = adj[np.ix_(vertices, vertices)]
+    np.fill_diagonal(sub, True)
+    if not sub.all():
+        raise AssertionError("search returned a non-clique vertex set")
 
 
 def next_clique(

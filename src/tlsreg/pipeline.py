@@ -79,44 +79,35 @@ class ErrorBounds:
 
 
 def _clique_consistent(graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices):
-    """Mask of the TRIMs consistent with s_hat whose endpoints are both in the clique."""
-    member = np.zeros(graph.topology.n_vertices, dtype=bool)
-    member[np.asarray(clique_vertices, dtype=np.int64)] = True
-    trims = graph.trims
-    return (
-        trims.consistent_with(s_hat, cbar_sq)
-        & member[trims.indices[:, 0]]
-        & member[trims.indices[:, 1]]
-    )
+    """TRIM rows consistent with s_hat whose endpoints are both in the clique,
+    and their vertex pairs."""
+    rows, pairs = graph.trims_within(clique_vertices)
+    keep = graph.trims.consistent_with(s_hat, cbar_sq, rows)
+    return rows[keep], pairs[keep]
 
 
 def _clique_rotation_problem(
     graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices
 ) -> RotationProblem:
     """Rotation input: scale-consistent edges with both endpoints in the clique."""
-    keep = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
-    rows = graph.trims.tim_rows[keep]
+    rows, pairs = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
     if rows.size < 2:
         raise InsufficientInliersError(
             "fewer than two scale-consistent measurements inside the clique"
         )
+    a_bars, b_bars, beta_bars = graph.tims.at(pairs)
     return RotationProblem(
-        a_bars=s_hat * graph.tims.a_bar[rows],
-        b_bars=graph.tims.b_bar[rows],
-        beta_bars=graph.tims.beta_bar[rows],
-        cbar_sq=cbar_sq,
+        a_bars=s_hat * a_bars, b_bars=b_bars, beta_bars=beta_bars, cbar_sq=cbar_sq
     )
 
 
 def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
     """Scale re-vote restricted to scale-consistent clique-internal edges."""
-    keep = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
-    if not np.any(keep):
+    rows, _ = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
+    if rows.size == 0:
         return None
     trims = graph.trims
-    sol = solve_scalar_tls(
-        ScalarTlsProblem(trims.s_meas[keep], trims.alpha[keep], cbar_sq)
-    )
+    sol = solve_scalar_tls(ScalarTlsProblem(trims.s_meas[rows], trims.alpha[rows], cbar_sq))
     return sol.estimate if sol.estimate > 0 else None
 
 
@@ -326,17 +317,10 @@ def compute_error_bounds(
         raise InsufficientInliersError("bounds need at least 3 selected inliers")
     rng = np.random.default_rng(seed)
 
-    member = np.zeros(len(c), dtype=bool)
-    member[inliers] = True
-    trims = graph.trims
-    tim_rows = trims.tim_rows
-    pairs = trims.indices
-    sel = member[pairs[:, 0]] & member[pairs[:, 1]]
-    alphas = trims.alpha[sel]
-    s_meas = trims.s_meas[sel]
-    sel_pairs = pairs[sel]
-    sel_tims = graph.tims.a_bar[tim_rows[sel]]
-    sel_btims = graph.tims.b_bar[tim_rows[sel]]
+    rows, sel_pairs = graph.trims_within(inliers)
+    alphas = graph.trims.alpha[rows]
+    s_meas = graph.trims.s_meas[rows]
+    sel_tims, sel_btims, _ = graph.tims.at(sel_pairs)
     if alphas.size == 0:
         raise InsufficientInliersError("no scale measurements among selected inliers")
 

@@ -292,12 +292,13 @@ class TestCli:
 
         c, gt, _ = gen(SyntheticSpec(n_points=12, sigma=0.0, seed=3, known_scale=True))
         g = build_measurement_graph(c)
+        a_bars, b_bars, beta_bars = g.tims.at(np.column_stack(np.triu_indices(len(c), k=1)))
         thetas = [1] * len(g.tims)
         thetas[:flipped] = [-1] * flipped
         problem_doc = {
-            "a_bars": g.tims.a_bar.tolist(),
-            "b_bars": g.tims.b_bar.tolist(),
-            "beta_bars": g.tims.beta_bar.tolist(),
+            "a_bars": a_bars.tolist(),
+            "b_bars": b_bars.tolist(),
+            "beta_bars": beta_bars.tolist(),
             "cbar_sq": 1.0,
             "quaternion_xyzw": gt.rotation.as_array().tolist(),
             "thetas": thetas,

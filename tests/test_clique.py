@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tlsreg.clique import (
+    _bnb_py,
     graph_from_edges,
     max_clique,
     next_clique,
@@ -99,6 +100,12 @@ class TestMaxClique:
         assert len(r) >= 3
         for a, b in itertools.combinations(r.vertices.tolist(), 2):
             assert (a, b) in edge_set
+
+    def test_non_clique_from_the_search_is_rejected(self, monkeypatch):
+        # A path 0-1-2 has no triangle; a search claiming one must not pass.
+        monkeypatch.setattr(_bnb_py, "run_search", lambda *args: ([0, 1, 2], True))
+        with pytest.raises(AssertionError, match="non-clique"):
+            max_clique(graph_from_edges(3, [(0, 1), (1, 2)]))
 
 
 class TestPruneByScale:
