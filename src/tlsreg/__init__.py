@@ -36,7 +36,7 @@ from .pipeline import (
     register,
 )
 from .ransac import ransac_baseline
-from .rotation import GncOptions, RotationProblem, RotationSolution, horn_weighted, solve_gnc_tls
+from .rotation import RotationProblem, RotationSolution, horn_weighted, solve_gnc_tls
 from .scalar_tls import (
     ScalarTlsProblem,
     ScalarTlsSolution,
@@ -75,7 +75,6 @@ __all__ = [
     "estimate_translation",
     "register",
     "ransac_baseline",
-    "GncOptions",
     "RotationProblem",
     "RotationSolution",
     "horn_weighted",

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from .geometry import left_product_matrix, quat_to_matrix
-from .rotation import RotationProblem, product_matrices
+from .rotation import RotationProblem, binary_cost, product_matrices
 
 E_AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 
@@ -55,6 +55,15 @@ E_AXIS = np.array([0.0, 0.0, 0.0, 1.0])
 # than STALL_REL_DROP (relative) over the last STALL_WINDOW iterations.
 STALL_WINDOW = 10
 STALL_REL_DROP = 0.01
+# Fixed-point exit: a Douglas-Rachford step (relaxation 1) below this
+# Frobenius norm ends the splitting.
+FIXED_POINT_TOL = 1e-10
+# |lambda_1| below this times max(1, ||M||_F) is numerically zero: the
+# dual certificate holds to machine precision.
+EIG_ZERO_REL_TOL = 1e-10
+# Inlier stationarity residual above which the candidate is reported as
+# not stationary.
+STATIONARITY_TOL = 1e-6
 
 
 class Verdict(Enum):
@@ -134,16 +143,6 @@ class Certificate:
 class CertifyOptions:
     max_iters: int = 200
     eta_target: float = 1e-3
-    gamma: float = 1.0
-    fixed_point_tol: float = 1e-10
-    # |lambda_1| below this times max(1, ||M||_F) is numerically zero: the
-    # dual certificate holds to machine precision.
-    eig_zero_rel_tol: float = 1e-10
-    stationarity_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 2.0:
-            raise ValueError("gamma must be in (0, 2)")
 
 
 def x_vector(q, thetas) -> np.ndarray:
@@ -154,8 +153,6 @@ def x_vector(q, thetas) -> np.ndarray:
 
 def make_candidate(p: RotationProblem, q, thetas) -> CandidateSolution:
     """Candidate with its cost evaluated in the binary-indicator form."""
-    from .rotation import binary_cost
-
     q = np.asarray(q, dtype=float)
     thetas = np.asarray(thetas, dtype=np.int64)
     if thetas.shape != (p.size,) or not np.all(np.abs(thetas) == 1):
@@ -430,11 +427,11 @@ def certify(
         reflected -= M
         M_aff = project_to_dual_subspace(reflected, rot)
         step = M_aff - M_psd
-        M += opts.gamma * step
+        M += step
 
         lam1 = min_eigenvalue(M_aff)
         scale = max(1.0, float(np.linalg.norm(M_aff)))
-        if abs(lam1) <= opts.eig_zero_rel_tol * scale:
+        if abs(lam1) <= EIG_ZERO_REL_TOL * scale:
             lam1 = 0.0
         trace.append(lam1)
 
@@ -450,7 +447,7 @@ def certify(
         if eta < opts.eta_target:
             verdict = Verdict.CERTIFIED
             break
-        if float(np.linalg.norm(step)) < opts.fixed_point_tol or stalled(best):
+        if float(np.linalg.norm(step)) < FIXED_POINT_TOL or stalled(best):
             verdict = Verdict.SUBOPTIMAL
             break
 
@@ -461,5 +458,5 @@ def certify(
         min_eigenvalue_trace=tuple(trace),
         mu_hat=rot.mu_hat,
         stationarity_residual=rot.stationarity_residual,
-        candidate_stationary=rot.stationarity_residual <= opts.stationarity_tol,
+        candidate_stationary=rot.stationarity_residual <= STATIONARITY_TOL,
     )

@@ -31,15 +31,17 @@ DEFAULT_TIME_BUDGET = 10.0
 
 @dataclass(frozen=True)
 class PrunedGraph:
-    """Symmetric adjacency over correspondence vertices, bit-packed rows."""
+    """Symmetric adjacency over correspondence vertices, no self-loops."""
 
-    n_vertices: int
-    adj_words: np.ndarray  # (n, nw) uint64, little-endian bit order
-    kept_edges: np.ndarray  # (E, 2) surviving vertex pairs
+    adj: np.ndarray  # (n, n) bool
+
+    @property
+    def n_vertices(self) -> int:
+        return self.adj.shape[0]
 
     @property
     def n_edges(self) -> int:
-        return self.kept_edges.shape[0]
+        return int(np.count_nonzero(self.adj)) // 2
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,14 @@ class CliqueResult:
 
 def graph_from_edges(n_vertices: int, edges) -> PrunedGraph:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    nw = max(1, (n_vertices + 63) // 64)
-    dense = np.zeros((n_vertices, nw * 64), dtype=np.uint8)
+    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
     if edges.shape[0]:
         if edges.min() < 0 or edges.max() >= n_vertices:
             raise ValueError("edge index out of range")
-        dense[edges[:, 0], edges[:, 1]] = 1
-        dense[edges[:, 1], edges[:, 0]] = 1
-        np.fill_diagonal(dense[:, :n_vertices], 0)
-    packed = np.packbits(dense, axis=1, bitorder="little")
-    words = np.ascontiguousarray(packed).view(np.uint64).reshape(n_vertices, nw)
-    return PrunedGraph(n_vertices=n_vertices, adj_words=words, kept_edges=edges)
+        adj[edges[:, 0], edges[:, 1]] = True
+        adj[edges[:, 1], edges[:, 0]] = True
+        np.fill_diagonal(adj, False)
+    return PrunedGraph(adj)
 
 
 def prune_by_scale(graph: MeasurementGraph, s_hat: float, cbar_sq: float) -> PrunedGraph:
@@ -76,11 +75,6 @@ def prune_by_scale(graph: MeasurementGraph, s_hat: float, cbar_sq: float) -> Pru
     keep = trims.consistent_with(s_hat, cbar_sq)
     edges = graph.topology.edge_pairs(trims.tim_rows[keep])
     return graph_from_edges(graph.topology.n_vertices, edges)
-
-
-def _dense_adjacency(graph: PrunedGraph) -> np.ndarray:
-    bits = np.unpackbits(graph.adj_words.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, : graph.n_vertices].astype(bool)
 
 
 def _greedy_clique(adj: np.ndarray) -> list[int]:
@@ -142,7 +136,7 @@ def max_clique(graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET) -> 
         return CliqueResult(np.empty(0, dtype=np.int64), True)
 
     deadline = time.monotonic() + float(time_budget)
-    adj = _dense_adjacency(graph)
+    adj = graph.adj
 
     seed = _greedy_clique(adj)
     if not seed:
@@ -194,9 +188,10 @@ def next_clique(
     seconds away: each gets only the time the earlier ones left.
     """
     deadline = time.monotonic() + float(time_budget)
-    edges = graph.kept_edges
     children = []
     for v in first.vertices.tolist():
-        rest = graph_from_edges(graph.n_vertices, edges[np.all(edges != v, axis=1)])
-        children.append(max_clique(rest, max(0.0, deadline - time.monotonic())))
+        rest = graph.adj.copy()
+        rest[v, :] = False
+        rest[:, v] = False
+        children.append(max_clique(PrunedGraph(rest), max(0.0, deadline - time.monotonic())))
     return min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=None)

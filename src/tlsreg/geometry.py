@@ -321,14 +321,11 @@ class TlsConfig:
     """Knobs of the truncated-least-squares cost.
 
     cbar_sq is the squared truncation threshold (residuals above it are
-    cost-neutral); noise_quantile_p feeds beta_from_sigma.
+    cost-neutral).
     """
 
     cbar_sq: float = 1.0
-    noise_quantile_p: float = 1.0 - 1e-6
 
     def __post_init__(self):
         if not self.cbar_sq > 0:
             raise ValueError("cbar_sq must be positive")
-        if not 0.0 < self.noise_quantile_p < 1.0:
-            raise ValueError("noise_quantile_p must be in (0, 1)")

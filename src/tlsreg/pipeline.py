@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import clique
-from .certifier import Certificate, CertifyOptions, build_cost_matrix, certify, make_candidate
+from .certifier import Certificate, build_cost_matrix, certify, make_candidate
 from .clique import CliqueResult, prune_by_scale
 from .geometry import CorrespondenceSet, RigidTransform, TlsConfig, UnitQuaternion
 from .invariants import MeasurementGraph, build_measurement_graph
-from .rotation import GncOptions, RotationProblem, solve_gnc_tls
+from .rotation import RotationProblem, solve_gnc_tls
 from .scalar_tls import ScalarTlsProblem, solve_scalar_tls
 
 
@@ -34,9 +34,7 @@ class InsufficientInliersError(RuntimeError):
 class RegistrationOptions:
     known_scale: float | None = None
     certify_rotation: bool = False
-    clique_time_budget: float = 10.0
-    gnc: GncOptions = field(default_factory=GncOptions)
-    certify_opts: CertifyOptions = field(default_factory=CertifyOptions)
+    clique_time_budget: float = clique.DEFAULT_TIME_BUDGET
     # The certifier's matrices are 4(K+1) square, so past a few hundred
     # rotation measurements K certification is not tractable and is skipped.
     certify_max_k: int = 600
@@ -119,7 +117,7 @@ def _certify_within_cap(problem, rot_sol, opts: RegistrationOptions, stats: dict
         stats["certify_skipped_k"] = problem.size
         return None
     cand = make_candidate(problem, rot_sol.rotation, rot_sol.theta)
-    return certify(build_cost_matrix(problem), cand, opts.certify_opts)
+    return certify(build_cost_matrix(problem), cand)
 
 
 def estimate_translation(source, target, s_hat, R_hat, betas, cbar_sq):
@@ -193,7 +191,7 @@ def register(
 
     t0 = time.perf_counter()
     problem = _clique_rotation_problem(graph, s_hat, cfg.cbar_sq, used.vertices)
-    rot_sol = solve_gnc_tls(problem, opts.gnc)
+    rot_sol = solve_gnc_tls(problem)
     certificate = _certify_within_cap(problem, rot_sol, opts, stats)
     if certificate is not None and not certificate.certified:
         # The paper's cascade retries once, on the next-largest clique.
@@ -201,7 +199,7 @@ def register(
         if len(retry) >= 3:
             used = retry
             problem = _clique_rotation_problem(graph, s_hat, cfg.cbar_sq, used.vertices)
-            rot_sol = solve_gnc_tls(problem, opts.gnc)
+            rot_sol = solve_gnc_tls(problem)
             certificate = _certify_within_cap(problem, rot_sol, opts, stats)
     timings["rotation"] = time.perf_counter() - t0
     stats["clique_size"] = len(used)
@@ -236,6 +234,8 @@ def register(
 
 TRANSLATION_BOUND_FACTOR = 9.0 + 3.0 * math.sqrt(3.0)
 U_TUPLE_CAP = 500
+# Seed of the U-tuple sample drawn when there are more than U_TUPLE_CAP.
+U_TUPLE_SEED = 0
 SUBSET_CAP = 10_000
 COPLANAR_SVAL_TOL = 1e-9
 
@@ -295,13 +295,7 @@ def _min_u_singular_value(units: np.ndarray, exhaustive_cap: int, rng: np.random
     return float(np.linalg.svd(U, compute_uv=False)[:, -1].min()), exhaustive
 
 
-def compute_error_bounds(
-    result: RegistrationResult,
-    c: CorrespondenceSet,
-    graph: MeasurementGraph | None = None,
-    cfg: TlsConfig = TlsConfig(),
-    seed: int = 0,
-) -> ErrorBounds:
+def compute_error_bounds(result: RegistrationResult, c: CorrespondenceSet) -> ErrorBounds:
     """A-posteriori error bounds over the selected inlier set.
 
     The coarse bounds need only the consensus maxima: 2*max(alpha) for the
@@ -310,12 +304,11 @@ def compute_error_bounds(
     translation.  The tighter variants take the worst case over 3-subsets
     of the selected measurements so they hold for any true-inlier choice.
     """
-    if graph is None:
-        graph = result.graph
+    graph = result.graph
     inliers = result.inlier_indices
     if inliers.size < 3:
         raise InsufficientInliersError("bounds need at least 3 selected inliers")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(U_TUPLE_SEED)
 
     rows, sel_pairs = graph.trims_within(inliers)
     alphas = graph.trims.alpha[rows]

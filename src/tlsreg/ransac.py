@@ -17,6 +17,8 @@ import numpy as np
 from .geometry import CorrespondenceSet, RigidTransform, UnitQuaternion, quat_to_matrix
 from .rotation import horn_weighted
 
+RANSAC_CONFIDENCE = 0.99
+
 
 @dataclass(frozen=True)
 class RansacResult:
@@ -38,7 +40,7 @@ def absolute_orientation(src, dst, fix_scale: float | None = None):
     mu_d = dst.mean(axis=0)
     a = src - mu_s
     b = dst - mu_d
-    q = horn_weighted(a, b, np.ones(src.shape[0]), warn_degenerate=False)
+    q = horn_weighted(a, b, np.ones(src.shape[0]))
     R = quat_to_matrix(q)
     if fix_scale is not None:
         s = float(fix_scale)
@@ -52,21 +54,18 @@ def absolute_orientation(src, dst, fix_scale: float | None = None):
 def ransac_baseline(
     c: CorrespondenceSet,
     max_iters: int = 1000,
-    inlier_threshold: float | None = None,
-    confidence: float = 0.99,
     seed: int = 0,
     known_scale: float | None = None,
 ) -> RansacResult:
     """Three-point similarity RANSAC over the given correspondences.
 
-    inlier_threshold defaults to the per-point noise bounds.
+    A correspondence is an inlier when its residual is within its noise
+    bound; the loop stops once an all-inlier sample has been drawn with
+    probability RANSAC_CONFIDENCE.
     """
     n = len(c)
     if n < 3:
         raise ValueError("need at least 3 correspondences")
-    thresholds = (
-        np.full(n, float(inlier_threshold)) if inlier_threshold is not None else c.noise_bounds
-    )
     rng = np.random.Generator(np.random.Philox(seed))
 
     best_mask = np.zeros(n, dtype=bool)
@@ -86,7 +85,7 @@ def ransac_baseline(
         if s <= 0:
             continue
         dist = np.linalg.norm(c.target - s * c.source @ R.T - t, axis=1)
-        mask = dist <= thresholds
+        mask = dist <= c.noise_bounds
         count = int(mask.sum())
         if count > best_count:
             best_count = count
@@ -95,7 +94,7 @@ def ransac_baseline(
             if w >= 1.0:
                 break
             denom = min(math.log(max(1.0 - w**3, 1e-12)), -1e-15)
-            needed = min(max_iters, math.ceil(math.log(1.0 - confidence) / denom))
+            needed = min(max_iters, math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / denom))
 
     if best_count >= 3:
         s, R, t = absolute_orientation(

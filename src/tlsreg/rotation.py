@@ -14,7 +14,6 @@ rewriting per-measurement weights in closed form at each step.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,16 @@ import numpy as np
 from .geometry import left_product_matrix, quat_to_matrix, right_product_matrix
 
 COLLINEAR_REL_TOL = 1e-9
+
+# The paper's annealing schedule: mu starts at the value that makes the
+# surrogate convex (at least GNC_MU_MIN), grows by GNC_MU_FACTOR per step,
+# and stops at GNC_MU_STOP, when every weight is binary to within
+# GNC_WEIGHT_TOL, or after GNC_MAX_ITERATIONS steps.
+GNC_MAX_ITERATIONS = 100
+GNC_MU_FACTOR = 1.4
+GNC_MU_STOP = 1e6
+GNC_MU_MIN = 1e-6
+GNC_WEIGHT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,15 +65,6 @@ class RotationProblem:
     @property
     def size(self) -> int:
         return self.a_bars.shape[0]
-
-
-@dataclass(frozen=True)
-class GncOptions:
-    max_iterations: int = 100
-    mu_factor: float = 1.4
-    mu_stop: float = 1e6
-    mu_min: float = 1e-6
-    weight_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,12 +124,12 @@ def check_collinear(a_bars, weights) -> bool:
     return eigvals[1] <= COLLINEAR_REL_TOL * max(eigvals[-1], 1e-300)
 
 
-def horn_weighted(a_bars, b_bars, weights, warn_degenerate: bool = True) -> np.ndarray:
+def horn_weighted(a_bars, b_bars, weights) -> np.ndarray:
     """Global minimizer of sum_k w_k ||b_k - R a_k||^2 over rotations.
 
     Returns a unit quaternion.  Degenerate (collinear) input still yields
     a valid rotation but the component about the common axis is arbitrary;
-    a warning is emitted.
+    `check_collinear` detects that case.
     """
     a = np.atleast_2d(np.asarray(a_bars, dtype=float))
     b = np.atleast_2d(np.asarray(b_bars, dtype=float))
@@ -138,8 +138,6 @@ def horn_weighted(a_bars, b_bars, weights, warn_degenerate: bool = True) -> np.n
         raise ValueError("weights must be nonnegative")
     if np.count_nonzero(w) < 2:
         raise ValueError("need at least two weight-positive measurements")
-    if warn_degenerate and check_collinear(a, w):
-        warnings.warn("collinear rotation geometry: solution not unique", stacklevel=2)
     M = _accumulation_matrix(a, b, w)
     eigvals, eigvecs = np.linalg.eigh(M)
     q = eigvecs[:, -1]
@@ -191,7 +189,7 @@ def _weight_update(r_sq, mu, eps_sq) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def solve_gnc_tls(p: RotationProblem, opts: GncOptions = GncOptions()) -> RotationSolution:
+def solve_gnc_tls(p: RotationProblem) -> RotationSolution:
     """Graduated non-convexity for the truncated rotation objective.
 
     Starts from the identity rotation, anneals the control parameter
@@ -209,23 +207,23 @@ def solve_gnc_tls(p: RotationProblem, opts: GncOptions = GncOptions()) -> Rotati
     r_sq = residuals_sq(q)
     r_max_sq = float(np.max(r_sq))
     mu = eps_sq / max(2.0 * r_max_sq - eps_sq, 1e-12)
-    mu = max(mu, opts.mu_min)
+    mu = max(mu, GNC_MU_MIN)
 
     degenerate = check_collinear(p.a_bars, np.ones(p.size))
     weights = np.ones(p.size)
     converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, GNC_MAX_ITERATIONS + 1):
         weights = _weight_update(r_sq, mu, eps_sq)
         if np.count_nonzero(weights * inv_beta_sq) >= 2:
-            q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq, warn_degenerate=False)
+            q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq)
         r_sq = residuals_sq(q)
 
-        binary = np.max(np.minimum(weights, 1.0 - weights)) < opts.weight_tol
-        if mu >= opts.mu_stop or binary:
+        binary = np.max(np.minimum(weights, 1.0 - weights)) < GNC_WEIGHT_TOL
+        if mu >= GNC_MU_STOP or binary:
             converged = True
             break
-        mu *= opts.mu_factor
+        mu *= GNC_MU_FACTOR
 
     theta = np.where(weights >= 0.5, 1, -1).astype(np.int64)
     return RotationSolution(

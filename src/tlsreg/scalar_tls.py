@@ -79,8 +79,10 @@ def _consensus_mask(p: ScalarTlsProblem, estimate: float) -> np.ndarray:
 class _Sweep:
     """Per-interval consensus statistics from the boundary sweep.
 
-    Arrays are aligned: interval i spans (lo[i], hi[i]) with n[i] active
-    measurements whose weighted sums are w[i], s1[i], s2[i].
+    Arrays are aligned: interval i spans (lo[i], hi[i]) with n[i] > 0
+    active measurements whose weighted sums are w[i], s1[i], s2[i].
+    Intervals with no active measurement are left out, so the arrays are
+    empty when every boundary collapsed to one point.
     """
 
     lo: np.ndarray
@@ -98,41 +100,60 @@ def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
     K = s.size
 
     pos = np.concatenate([s - half, s + half])
-    inv_a2 = 1.0 / (a * a)
-    delta_n = np.concatenate([np.ones(K), -np.ones(K)])
-    delta_w = np.concatenate([inv_a2, -inv_a2])
-    delta_s1 = np.concatenate([s * inv_a2, -s * inv_a2])
-    delta_s2 = np.concatenate([s * s * inv_a2, -s * s * inv_a2])
-
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
 
     # Collapse boundaries that coincide within relative tolerance so ties
     # produce one event group instead of zero-width intervals.
-    scale = np.maximum(1.0, np.abs(pos))
     new_group = np.empty(pos.size, dtype=bool)
     new_group[0] = True
-    new_group[1:] = np.diff(pos) > BOUNDARY_MERGE_REL_TOL * scale[1:]
-    group_id = np.cumsum(new_group) - 1
-    n_groups = group_id[-1] + 1
+    new_group[1:] = np.diff(pos) > BOUNDARY_MERGE_REL_TOL * np.maximum(1.0, np.abs(pos[1:]))
     group_pos = pos[new_group]
-
-    cum_n = np.cumsum(delta_n[order])
-    cum_w = np.cumsum(delta_w[order])
-    cum_s1 = np.cumsum(delta_s1[order])
-    cum_s2 = np.cumsum(delta_s2[order])
-    last_of_group = np.nonzero(np.append(new_group[1:], True))[0]
-
     # State after processing all events of group g is valid on the open
     # interval (group_pos[g], group_pos[g + 1]).
+    last = np.nonzero(np.append(new_group[1:], True))[0][: group_pos.size - 1]
+
+    def running(v, at):
+        """Sum of v over the active measurements after the events at `at`:
+        +v enters at a lower boundary, -v leaves at an upper one.  Summing
+        one quantity at a time keeps the full-length temporaries of the
+        others out of memory."""
+        return np.cumsum(np.concatenate([v, -v])[order])[at]
+
+    n = np.rint(running(np.ones(K), last)).astype(np.int64)
+    occupied = np.nonzero(n > 0)[0]
+    rows = last[occupied]
+    inv_a2 = 1.0 / (a * a)
     return _Sweep(
-        lo=group_pos[: n_groups - 1],
-        hi=group_pos[1:],
-        n=np.rint(cum_n[last_of_group][: n_groups - 1]).astype(np.int64),
-        w=cum_w[last_of_group][: n_groups - 1],
-        s1=cum_s1[last_of_group][: n_groups - 1],
-        s2=cum_s2[last_of_group][: n_groups - 1],
+        lo=group_pos[occupied],
+        hi=group_pos[occupied + 1],
+        n=n[occupied],
+        w=running(inv_a2, rows),
+        s1=running(s * inv_a2, rows),
+        s2=running(s * s * inv_a2, rows),
     )
+
+
+def _solution(p: ScalarTlsProblem, estimate: float, n_candidates: int) -> ScalarTlsSolution:
+    return ScalarTlsSolution(
+        estimate=estimate,
+        cost=tls_cost(p, estimate),
+        inlier_mask=_consensus_mask(p, estimate),
+        n_candidates=n_candidates,
+    )
+
+
+def _collapsed_point(p: ScalarTlsProblem) -> float:
+    """The one point left when every interval boundary collapsed: it
+    covers every measurement."""
+    return float(np.min(p.measurements - p.alphas * np.sqrt(p.cbar_sq)))
+
+
+def _largest_consensus(sweep: _Sweep) -> tuple[int, np.ndarray]:
+    """Index of the largest consensus set, the smallest midpoint on ties,
+    and the interval midpoints."""
+    mids = 0.5 * (sweep.lo + sweep.hi)
+    return int(np.lexsort((mids, -sweep.n))[0]), mids
 
 
 def solve_scalar_tls(p: ScalarTlsProblem) -> ScalarTlsSolution:
@@ -143,40 +164,19 @@ def solve_scalar_tls(p: ScalarTlsProblem) -> ScalarTlsSolution:
     """
     sweep = _sweep_intervals(p)
     K = p.measurements.size
-    occupied = sweep.n > 0
-    n_candidates = int(np.count_nonzero(occupied))
+    n_candidates = sweep.n.size
     assert n_candidates <= 2 * K - 1
     if n_candidates == 0:
-        # All interval boundaries collapsed to one point: that point covers
-        # every measurement.
-        estimate = float(np.min(p.measurements - p.alphas * np.sqrt(p.cbar_sq)))
-        return ScalarTlsSolution(
-            estimate=estimate,
-            cost=tls_cost(p, estimate),
-            inlier_mask=_consensus_mask(p, estimate),
-            n_candidates=0,
-        )
+        return _solution(p, _collapsed_point(p), 0)
 
-    n = sweep.n[occupied]
-    w = sweep.w[occupied]
-    s1 = sweep.s1[occupied]
-    s2 = sweep.s2[occupied]
-
-    estimates = s1 / w
+    estimates = sweep.s1 / sweep.w
     # Cost of keeping exactly this consensus set: weighted SSE at its
     # least-squares center plus the truncation penalty of everything else.
-    sse = np.maximum(s2 - s1 * s1 / w, 0.0)
-    costs = sse + (K - n) * p.cbar_sq
+    sse = np.maximum(sweep.s2 - sweep.s1 * sweep.s1 / sweep.w, 0.0)
+    costs = sse + (K - sweep.n) * p.cbar_sq
 
-    best = np.lexsort((estimates, -n, costs))[0]
-    estimate = float(estimates[best])
-    mask = _consensus_mask(p, estimate)
-    return ScalarTlsSolution(
-        estimate=estimate,
-        cost=tls_cost(p, estimate),
-        inlier_mask=mask,
-        n_candidates=n_candidates,
-    )
+    best = np.lexsort((estimates, -sweep.n, costs))[0]
+    return _solution(p, float(estimates[best]), n_candidates)
 
 
 def solve_consensus_max(p: ScalarTlsProblem) -> ScalarTlsSolution:
@@ -187,28 +187,10 @@ def solve_consensus_max(p: ScalarTlsProblem) -> ScalarTlsSolution:
     cardinality prefer the smaller estimate.
     """
     sweep = _sweep_intervals(p)
-    occupied = sweep.n > 0
-    n_candidates = int(np.count_nonzero(occupied))
-    if n_candidates == 0:
-        estimate = float(np.min(p.measurements - p.alphas * np.sqrt(p.cbar_sq)))
-        return ScalarTlsSolution(
-            estimate=estimate,
-            cost=tls_cost(p, estimate),
-            inlier_mask=_consensus_mask(p, estimate),
-            n_candidates=0,
-        )
-
-    n = sweep.n[occupied]
-    mids = 0.5 * (sweep.lo[occupied] + sweep.hi[occupied])
-    best = np.lexsort((mids, -n))[0]
-    estimate = float(mids[best])
-    mask = _consensus_mask(p, estimate)
-    return ScalarTlsSolution(
-        estimate=estimate,
-        cost=tls_cost(p, estimate),
-        inlier_mask=mask,
-        n_candidates=n_candidates,
-    )
+    if sweep.n.size == 0:
+        return _solution(p, _collapsed_point(p), 0)
+    best, mids = _largest_consensus(sweep)
+    return _solution(p, float(mids[best]), sweep.n.size)
 
 
 def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:
@@ -220,18 +202,12 @@ def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:
     same inliers as consensus maximization.
     """
     sweep = _sweep_intervals(p)
-    occupied = sweep.n > 0
-    if not np.any(occupied):
+    n = sweep.n
+    if n.size == 0:
         K = p.measurements.size
         return ConsensusDiagnostics(True, K, 0, 0.0, float(K))
-    n = sweep.n[occupied]
-    lo = sweep.lo[occupied]
-    hi = sweep.hi[occupied]
-    w = sweep.w[occupied]
-    s1 = sweep.s1[occupied]
 
-    mids = 0.5 * (lo + hi)
-    best = np.lexsort((mids, -n))[0]
+    best, mids = _largest_consensus(sweep)
     max_size = int(n[best])
     second_size = 0
     if n.size > 1:
@@ -240,7 +216,7 @@ def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:
 
     # Best representative of the winning set: its weighted least-squares
     # center clamped into the feasibility interval (minimizes r_in there).
-    center = float(np.clip(s1[best] / w[best], lo[best], hi[best]))
+    center = float(np.clip(sweep.s1[best] / sweep.w[best], sweep.lo[best], sweep.hi[best]))
     members = _consensus_mask(p, mids[best])
     r = (center - p.measurements[members]) / p.alphas[members]
     r_in = float(np.sum(r * r))

@@ -51,7 +51,7 @@ def brute_force_rotation_optimum(a, b, beta_bars, cbar_sq):
                 # Rotation about the common axis is free; align the axis by
                 # falling back to the generic solver (still optimal here).
                 pass
-            q = horn_weighted(a[mask], b[mask], w, warn_degenerate=False)
+            q = horn_weighted(a[mask], b[mask], w)
             R = quat_to_matrix(q)
             r_sq = np.sum((b[mask] - a[mask] @ R.T) ** 2, axis=1) / beta_bars[mask] ** 2
             cost = float(np.sum(r_sq)) + n_out * cbar_sq

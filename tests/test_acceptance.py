@@ -275,7 +275,7 @@ def test_criterion_8_certifier_discrimination():
                 good_and_certified += 1
                 iter_counts.append(cert.iterations_used)
         # Deliberately corrupted candidate on a quarter of the trials
-        # (rejection needs the full iteration budget, so it dominates cost).
+        # (rejection ends once the bound stalls, after 11-26 iterations).
         if trial % 4 == 0:
             corrupted_total += 1
             bad = sol.theta.copy()

@@ -11,6 +11,8 @@ from helpers import (
     make_rotation_instance,
 )
 from tlsreg.certifier import (
+    EIG_ZERO_REL_TOL,
+    FIXED_POINT_TOL,
     STALL_WINDOW,
     CertifyOptions,
     Verdict,
@@ -84,9 +86,9 @@ def reference_certify(data, cand, opts=CertifyOptions(), stall_exit=True):
     for it in range(1, opts.max_iters + 1):
         M_psd = full_spectrum_psd(M)
         M_aff = project_to_dual_subspace(2.0 * M_psd - M, rot)
-        M = M + opts.gamma * (M_aff - M_psd)
+        M = M + (M_aff - M_psd)
         lam1 = float(np.linalg.eigvalsh(M_aff)[0])
-        if abs(lam1) <= opts.eig_zero_rel_tol * max(1.0, float(np.linalg.norm(M_aff))):
+        if abs(lam1) <= EIG_ZERO_REL_TOL * max(1.0, float(np.linalg.norm(M_aff))):
             lam1 = 0.0
         eta_t = 0.0 if lam1 == 0.0 else abs(lam1) * (data.K + 1) / rot.mu_hat
         eta = min(eta, eta_t)
@@ -94,7 +96,7 @@ def reference_certify(data, cand, opts=CertifyOptions(), stall_exit=True):
         if eta < opts.eta_target:
             verdict = Verdict.CERTIFIED
             break
-        if float(np.linalg.norm(M_aff - M_psd)) < opts.fixed_point_tol or (
+        if float(np.linalg.norm(M_aff - M_psd)) < FIXED_POINT_TOL or (
             stall_exit and stalled(best)
         ):
             verdict = Verdict.SUBOPTIMAL
@@ -452,7 +454,7 @@ class TestCertify:
             (gnc_rotated_data(np.random.default_rng(42), 12, corrupt=3),
              CertifyOptions(max_iters=60)),
             (gnc_rotated_data(np.random.default_rng(43), 8, corrupt=2),
-             CertifyOptions(max_iters=40, gamma=1.5)),
+             CertifyOptions(max_iters=40)),
         ]
         for (data, cand, _), opts in cases:
             cert = certify(data, cand, opts)
@@ -494,16 +496,6 @@ class TestCertify:
         assert np.array_equal(A, A.T)
         certify(data, cand, CertifyOptions(max_iters=5))
         assert np.array_equal(data.Q, Q)
-
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            CertifyOptions(gamma=2.5)
-
-    def test_non_default_relaxation_parameter(self):
-        p, cand = stationary_candidate(np.random.default_rng(77), 8)
-        for gamma in (0.5, 1.5):
-            cert = certify(build_cost_matrix(p), cand, CertifyOptions(gamma=gamma))
-            assert cert.verdict is Verdict.CERTIFIED
 
     def test_non_stationary_candidate_is_flagged(self):
         rng = np.random.default_rng(13)

@@ -190,8 +190,6 @@ class TestTypes:
         assert TlsConfig().cbar_sq == 1.0
         with pytest.raises(ValueError):
             TlsConfig(cbar_sq=0.0)
-        with pytest.raises(ValueError):
-            TlsConfig(noise_quantile_p=1.5)
 
     def test_unit_quaternion_renormalizes(self):
         q = UnitQuaternion([0.0, 0.0, 0.0, 2.0])

@@ -15,7 +15,11 @@ from tlsreg.geometry import (
     right_product_matrix,
 )
 from tlsreg.rotation import (
-    GncOptions,
+    GNC_MAX_ITERATIONS,
+    GNC_MU_FACTOR,
+    GNC_MU_MIN,
+    GNC_MU_STOP,
+    GNC_WEIGHT_TOL,
     RotationProblem,
     _accumulation_matrix,
     _surrogate,
@@ -170,11 +174,11 @@ class TestHornWeighted:
         solver_cost = weighted_cost(a, b, w, quat_to_matrix(q))
         assert solver_cost <= oracle_cost + 1e-6
 
-    def test_collinear_input_warns(self):
+    def test_collinear_input_gives_unit_quaternion(self):
         a = np.array([[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
         b = a.copy()
-        with pytest.warns(UserWarning, match="collinear"):
-            horn_weighted(a, b, np.ones(3))
+        q = horn_weighted(a, b, np.ones(3))
+        assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         assert check_collinear(a, np.ones(3))
 
 
@@ -223,7 +227,7 @@ class TestGncTls:
                 elif check_collinear(a[mask], np.ones(n_in)):
                     continue  # unconstrained axis; never optimal for these seeds
                 else:
-                    q = horn_weighted(a[mask], b[mask], 1.0 / beta_bars[mask] ** 2, warn_degenerate=False)
+                    q = horn_weighted(a[mask], b[mask], 1.0 / beta_bars[mask] ** 2)
                     R = quat_to_matrix(q)
                     r_sq = np.sum((b[mask] - a[mask] @ R.T) ** 2, axis=1) / beta_bars[mask] ** 2
                     cost = float(np.sum(r_sq)) + n_out * p.cbar_sq
@@ -238,7 +242,6 @@ class TestGncTls:
         rng = np.random.default_rng(77)
         a, b, _, _ = make_instance(rng, 30, outlier_fraction=0.3, sigma=0.01, beta=0.055)
         p = RotationProblem(a, b, np.full(30, 0.11))
-        opts = GncOptions()
         eps_sq = p.cbar_sq
         inv_beta_sq = 1.0 / p.beta_bars**2
 
@@ -247,20 +250,20 @@ class TestGncTls:
 
         q = np.array([0.0, 0.0, 0.0, 1.0])
         r_sq = residuals_sq(q)
-        mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), opts.mu_min)
+        mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
         weights = np.ones(p.size)
-        for iterations in range(1, opts.max_iterations + 1):
+        for iterations in range(1, GNC_MAX_ITERATIONS + 1):
             before = _surrogate(r_sq, weights, mu, eps_sq)
             weights = _weight_update(r_sq, mu, eps_sq)
             after_weights = _surrogate(r_sq, weights, mu, eps_sq)
-            q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq, warn_degenerate=False)
+            q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq)
             r_sq = residuals_sq(q)
             after_solve = _surrogate(r_sq, weights, mu, eps_sq)
             assert after_weights <= before + 1e-9
             assert after_solve <= after_weights + 1e-9
-            if mu >= opts.mu_stop or np.max(np.minimum(weights, 1.0 - weights)) < opts.weight_tol:
+            if mu >= GNC_MU_STOP or np.max(np.minimum(weights, 1.0 - weights)) < GNC_WEIGHT_TOL:
                 break
-            mu *= opts.mu_factor
+            mu *= GNC_MU_FACTOR
         # the replay took the solver's own steps
         sol = solve_gnc_tls(p)
         assert sol.gnc_iterations == iterations
