@@ -303,6 +303,9 @@ def compute_error_bounds(result: RegistrationResult, c: CorrespondenceSet) -> Er
     (infinite for coplanar geometry), and (9 + 3*sqrt(3))*beta for the
     translation.  The tighter variants take the worst case over 3-subsets
     of the selected measurements so they hold for any true-inlier choice.
+
+    The coarse bounds are derived for cbar_sq = 1: they use 2*max(alpha)
+    although inliers were selected with |s_k - s| <= sqrt(cbar_sq)*alpha_k.
     """
     graph = result.graph
     inliers = result.inlier_indices

@@ -26,6 +26,8 @@ from .geometry import (
 
 NOISELESS_BETA_FLOOR = 1e-2
 BETA_SIGMA_FACTOR = 5.54  # one-in-a-million tail of the 3-dof chi law
+TRANSLATION_NORM_MAX = 1.0
+OUTLIER_RADIUS = 5.0
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,6 @@ class SyntheticSpec:
     sigma: float = 0.01
     outlier_rate: float = 0.0
     scale_range: tuple = (1.0, 5.0)
-    translation_norm_max: float = 1.0
-    outlier_radius: float = 5.0
     seed: int = 0
     known_scale: bool = False
     all_to_all: bool = False
@@ -91,7 +91,7 @@ def _random_transform(rng, spec: SyntheticSpec) -> RigidTransform:
     q /= np.linalg.norm(q)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    t = direction * rng.uniform(0.0, spec.translation_norm_max)
+    t = direction * rng.uniform(0.0, TRANSLATION_NORM_MAX)
     return RigidTransform(scale=s, rotation=UnitQuaternion(q), translation=t)
 
 
@@ -131,7 +131,7 @@ def generate(spec: SyntheticSpec):
     labels = np.ones(spec.n_points, dtype=bool)
     if n_out:
         out_idx = rng.choice(spec.n_points, size=n_out, replace=False)
-        dst[out_idx] = _ball_samples(rng, n_out, spec.outlier_radius)
+        dst[out_idx] = _ball_samples(rng, n_out, OUTLIER_RADIUS)
         labels[out_idx] = False
     c = CorrespondenceSet(src, dst, np.full(spec.n_points, beta))
     return c, gt, labels

@@ -6,8 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import tlsreg.clique as cl
 from tlsreg.clique import (
-    _bnb_py,
+    _degeneracy_order,
+    _greedy_clique,
+    _peel,
     graph_from_edges,
     max_clique,
     next_clique,
@@ -41,6 +44,47 @@ def random_graph(rng, n, p):
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < p
     ]
     return edges
+
+
+# References that recount every degree over the whole adjacency at each step.
+
+
+def recount_greedy_clique(adj):
+    cand = np.ones(adj.shape[0], dtype=bool)
+    clique = []
+    while True:
+        degs = (adj & cand[None, :]).sum(axis=1)
+        degs[~cand] = -1
+        v = int(np.argmax(degs))
+        if degs[v] < 0:
+            break
+        clique.append(v)
+        cand &= adj[v]
+        if not cand.any():
+            break
+    return clique
+
+
+def recount_peel(adj, min_degree):
+    active = np.ones(adj.shape[0], dtype=bool)
+    while True:
+        degs = (adj & active[None, :]).sum(axis=1)
+        below = active & (degs < min_degree)
+        if not below.any():
+            return active
+        active &= ~below
+
+
+def recount_degeneracy_order(adj, active):
+    degs = (adj & active[None, :]).sum(axis=1).astype(np.int64)
+    degs[~active] = 1 << 30
+    order = []
+    for _ in range(int(active.sum())):
+        v = int(np.argmin(degs))
+        order.append(v)
+        degs[adj[v]] -= 1
+        degs[v] = 1 << 30
+    return order
 
 
 class TestMaxClique:
@@ -103,9 +147,47 @@ class TestMaxClique:
 
     def test_non_clique_from_the_search_is_rejected(self, monkeypatch):
         # A path 0-1-2 has no triangle; a search claiming one must not pass.
-        monkeypatch.setattr(_bnb_py, "run_search", lambda *args: ([0, 1, 2], True))
+        # Its greedy seed has 2 vertices and its core 3, so it is searched.
+        monkeypatch.setattr(cl, "run_search", lambda *args: ([0, 1, 2], True))
         with pytest.raises(AssertionError, match="non-clique"):
             max_clique(graph_from_edges(3, [(0, 1), (1, 2)]))
+
+    def test_search_skipped_when_core_is_the_seed(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched although the core is the seed")
+
+        monkeypatch.setattr(cl, "run_search", no_search)
+        r = max_clique(graph_from_edges(40, list(itertools.combinations(range(40), 2))))
+        assert r.vertices.tolist() == list(range(40)) and r.is_certified_maximum
+
+        # A 12-clique planted in sparse noise: the noise peels away.
+        rng = np.random.default_rng(8)
+        n = 200
+        planted = sorted(rng.choice(n, size=12, replace=False).tolist())
+        edges = random_graph(rng, n, 0.02) + list(itertools.combinations(planted, 2))
+        r = max_clique(graph_from_edges(n, edges))
+        assert r.vertices.tolist() == planted and r.is_certified_maximum
+
+    def test_preprocessing_matches_full_recount(self):
+        rng = np.random.default_rng(17)
+        path = [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(2, 60)]
+        cases = [graph_from_edges(n, random_graph(rng, n, float(rng.uniform(0.05, 0.95))))
+                 for n in rng.integers(1, 61, size=200)]
+        cases += [
+            graph_from_edges(7, np.empty((0, 2))),
+            graph_from_edges(200, list(itertools.combinations(range(200), 2))),
+            graph_from_edges(61, path),
+        ]
+        for g in cases:
+            adj = g.adj
+            deg = np.count_nonzero(adj, axis=1)
+            seed = _greedy_clique(adj, deg)
+            assert seed == recount_greedy_clique(adj)
+            active = recount_peel(adj, len(seed) - 1)
+            core = _peel(adj, deg, len(seed) - 1)
+            assert core.tolist() == np.flatnonzero(active).tolist()
+            order = core[_degeneracy_order(adj[np.ix_(core, core)])]
+            assert order.tolist() == recount_degeneracy_order(adj, active)
 
 
 class TestPruneByScale:
@@ -187,8 +269,6 @@ class TestNextClique:
 
     def test_children_share_one_deadline(self, monkeypatch):
         import time
-
-        import tlsreg.clique as cl
 
         clock = [time.monotonic()]
         budgets = []

@@ -23,6 +23,7 @@ from tlsreg.pipeline import (
     register,
 )
 from tlsreg.scalar_tls import ScalarTlsProblem, solve_scalar_tls
+from tlsreg.synthetic import SyntheticSpec, generate
 
 
 def synth(rng, n, outlier_rate=0.0, sigma=0.0, scale=None, beta=None, tmax=1.0):
@@ -337,6 +338,27 @@ class TestErrorBounds:
                 assert np.all(dt <= b.tighter.translation + 1e-12)
             held += 1
         assert held == 25
+
+    def test_bounds_hold_at_a_looser_truncation(self):
+        # Criterion 10's protocol with cbar_sq = 4: the coarse bounds are
+        # derived for cbar_sq = 1, but on these seeds they still hold.
+        for seed in range(50_000, 50_030):
+            c, gt, _ = generate(
+                SyntheticSpec(n_points=30, sigma=0.01, outlier_rate=0.3, seed=seed)
+            )
+            res = register(c, TlsConfig(cbar_sq=4.0))
+            b = compute_error_bounds(res, c)
+            tf = res.transform
+            R = gt.rotation.to_matrix()
+            assert abs(tf.scale - gt.scale) <= b.eta_s, seed
+            assert np.linalg.norm(tf.scale * tf.matrix - gt.scale * R) <= b.eta_R_frobenius, seed
+            assert np.linalg.norm(tf.translation - gt.translation) <= b.eta_t, seed
+            if b.tighter is not None:
+                assert abs(tf.scale - gt.scale) <= b.tighter.scale + 1e-12, seed
+                angle = geodesic_rotation_error(tf.matrix, R)
+                assert gt.scale * (1 - math.cos(angle)) <= b.tighter.rotation + 1e-12, seed
+                dt = np.abs(tf.translation - gt.translation)
+                assert np.all(dt <= b.tighter.translation + 1e-12), seed
 
     def test_coplanar_geometry_gives_infinite_rotation_bound(self):
         rng = np.random.default_rng(42)
