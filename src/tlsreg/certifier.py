@@ -49,8 +49,6 @@ import scipy.linalg
 from .geometry import left_product_matrix, quat_to_matrix
 from .rotation import RotationProblem, binary_cost, product_matrices
 
-E_AXIS = np.array([0.0, 0.0, 0.0, 1.0])
-
 # Stall exit: the splitting gives up once the best eta has fallen by less
 # than STALL_REL_DROP (relative) over the last STALL_WINDOW iterations.
 STALL_WINDOW = 10
@@ -95,9 +93,6 @@ class QcqpData:
     na: np.ndarray
     nb: np.ndarray
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.Q[4 * i : 4 * i + 4, 4 * j : 4 * j + 4]
-
 
 @dataclass(frozen=True)
 class CandidateSolution:
@@ -111,7 +106,6 @@ class RotatedData:
     """Candidate-frame quantities consumed by the projections."""
 
     Q_bar: np.ndarray
-    x_bar: np.ndarray
     xi: np.ndarray  # (K, 3) rotated residuals of the normalized TIMs
     na: np.ndarray  # (K, 3) normalized source differences
     thetas: np.ndarray  # (K+1,) with the leading +1 prepended
@@ -204,7 +198,6 @@ def rotate_to_candidate_frame(data: QcqpData, cand: CandidateSolution) -> Rotate
     Q_bar = 0.5 * (Q_bar + Q_bar.T)
 
     thetas = np.concatenate([[1.0], np.asarray(cand.thetas, dtype=float)])
-    x_bar = np.kron(thetas, E_AXIS)
 
     R = quat_to_matrix(cand.q_hat)
     xi = data.nb @ R - data.na  # R^T nb_k - na_k, row-wise
@@ -212,7 +205,6 @@ def rotate_to_candidate_frame(data: QcqpData, cand: CandidateSolution) -> Rotate
     stat = np.cross(xi[inlier], data.na[inlier]).sum(axis=0)
     return RotatedData(
         Q_bar=Q_bar,
-        x_bar=x_bar,
         xi=xi,
         na=data.na,
         thetas=thetas,
@@ -221,12 +213,6 @@ def rotate_to_candidate_frame(data: QcqpData, cand: CandidateSolution) -> Rotate
         K=K,
         stationarity_residual=float(np.linalg.norm(stat)),
     )
-
-
-def _j_term(n_blocks: int, mu_hat: float) -> np.ndarray:
-    J = np.zeros((4 * n_blocks, 4 * n_blocks))
-    J[0:4, 0:4] = mu_hat * np.eye(4)
-    return J
 
 
 def _diag_scalar_targets(rot: RotatedData) -> np.ndarray:
@@ -251,6 +237,9 @@ def initial_dual_guess(rot: RotatedData) -> np.ndarray:
     Off-diagonal correction blocks are zero; the diagonal blocks' scalar
     and vector parts enforce the null-vector equations, and the matrix
     parts are chosen so the guess is already PSD on noise-free data.
+    The guess is Q_bar - mu_hat * J + correction, built in one copy of
+    Q_bar: J is the identity on block (0,0), and the correction touches
+    only the diagonal blocks.
     """
     K = rot.K
     th = rot.thetas[1:]
@@ -269,12 +258,12 @@ def initial_dual_guess(rot: RotatedData) -> np.ndarray:
     blocks[:, 0:3, 3] = phis
     blocks[:, 3, 0:3] = phis
     blocks[:, 3, 3] = scalars
-    idx = np.arange(K + 1)
-    delta = np.zeros((K + 1, 4, K + 1, 4))
-    delta[idx, :, idx, :] = blocks
-    delta = delta.reshape(rot.Q_bar.shape)
 
-    return rot.Q_bar - _j_term(K + 1, rot.mu_hat) + delta
+    M = rot.Q_bar.copy()
+    M[0:4, 0:4] -= rot.mu_hat * np.eye(4)
+    idx = np.arange(K + 1)
+    M.reshape(K + 1, 4, K + 1, 4)[idx, :, idx, :] += blocks
+    return M
 
 
 def project_to_psd_cone(M: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Command-line front end: generate / register / certify / bench.
 
 Exit codes: 0 success, 2 insufficient inliers, 3 I/O or format error.
-The REG_THREADS environment variable caps benchmark workers.
+Benchmark workers come from --workers, capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -112,16 +112,18 @@ def _cmd_register(args) -> int:
     if src.shape != dst.shape:
         print("error: source and destination clouds differ in size", file=sys.stderr)
         return EXIT_IO_ERROR
-    c = CorrespondenceSet(src, dst, np.full(src.shape[0], args.beta))
-    res = register(
-        c,
-        TlsConfig(cbar_sq=args.cbar_sq),
-        RegistrationOptions(
+    try:
+        c = CorrespondenceSet(src, dst, np.full(src.shape[0], args.beta))
+        cfg = TlsConfig(cbar_sq=args.cbar_sq)
+        opts = RegistrationOptions(
             known_scale=args.known_scale,
             certify_rotation=not args.no_certify,
             certify_max_k=args.certify_max_k,
-        ),
-    )
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
+    res = register(c, cfg, opts)
     if "certify_skipped_k" in res.stage_stats:
         print(
             f"warning: {res.stage_stats['certify_skipped_k']} rotation measurements exceed "
@@ -143,10 +145,13 @@ def _cmd_certify(args) -> int:
         )
         q = np.asarray(doc["quaternion_xyzw"], dtype=float)
         thetas = np.asarray(doc["thetas"], dtype=np.int64)
+        cand = make_candidate(problem, q, thetas)
     except KeyError as exc:
         print(f"error: problem file missing field {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    cand = make_candidate(problem, q, thetas)
+    except (ValueError, TypeError) as exc:
+        print(f"error: malformed problem file: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     cert = certify(
         build_cost_matrix(problem),
         cand,
@@ -221,11 +226,9 @@ def run_bench_trial(params: dict) -> dict:
 
 
 def _worker_count(requested: int | None) -> int:
-    cap = os.environ.get("REG_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if requested:
-        return max(1, min(requested, limit))
-    return max(1, limit)
+    """--workers capped at the CPU count; every CPU when it is not given."""
+    limit = os.cpu_count() or 1
+    return max(1, min(requested or limit, limit))
 
 
 def _cmd_bench(args) -> int:

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-QUAT_NORM_TOL = 1e-12
 ROTATION_ORTHO_TOL = 1e-10
-
-IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def _as_vec(x, n: int, name: str) -> np.ndarray:
@@ -38,7 +35,7 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def left_product_matrix(q) -> np.ndarray:
-    """4x4 matrix L(q) such that quat_multiply(q, p) == L(q) @ p.
+    """4x4 left-product matrix: the quaternion product q * p equals L(q) @ p.
 
     Orthogonal for unit q; L(q).T @ q == [0, 0, 0, 1].
     """
@@ -54,7 +51,7 @@ def left_product_matrix(q) -> np.ndarray:
 
 
 def right_product_matrix(q) -> np.ndarray:
-    """4x4 matrix R(q) such that quat_multiply(p, q) == R(q) @ p.
+    """4x4 right-product matrix: the quaternion product p * q equals R(q) @ p.
 
     Commutes with left_product_matrix of any other quaternion:
     L(x) @ R(y) == R(y) @ L(x).
@@ -70,15 +67,6 @@ def right_product_matrix(q) -> np.ndarray:
     )
 
 
-def quat_multiply(qa, qb) -> np.ndarray:
-    return left_product_matrix(qa) @ np.asarray(qb, dtype=float)
-
-
-def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([-q[0], -q[1], -q[2], q[3]])
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (q and -q give the same R)."""
     x, y, z, w = quat_normalize(q)
@@ -91,60 +79,6 @@ def quat_to_matrix(q) -> np.ndarray:
     )
 
 
-def matrix_to_quat(R) -> np.ndarray:
-    """Unit quaternion of a rotation matrix (Shepperd's method).
-
-    Sign convention: scalar part is nonnegative.
-    """
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError("rotation matrix must be 3x3")
-    t = np.trace(R)
-    cand = [t, R[0, 0], R[1, 1], R[2, 2]]
-    case = int(np.argmax(cand))
-    if case == 0:
-        r = math.sqrt(1.0 + t)
-        s = 0.5 / r
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) * s, (R[0, 2] - R[2, 0]) * s, (R[1, 0] - R[0, 1]) * s, 0.5 * r]
-        )
-    elif case == 1:
-        r = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2])
-        s = 0.5 / r
-        q = np.array(
-            [0.5 * r, (R[0, 1] + R[1, 0]) * s, (R[0, 2] + R[2, 0]) * s, (R[2, 1] - R[1, 2]) * s]
-        )
-    elif case == 2:
-        r = math.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2])
-        s = 0.5 / r
-        q = np.array(
-            [(R[0, 1] + R[1, 0]) * s, 0.5 * r, (R[1, 2] + R[2, 1]) * s, (R[0, 2] - R[2, 0]) * s]
-        )
-    else:
-        r = math.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2])
-        s = 0.5 / r
-        q = np.array(
-            [(R[0, 2] + R[2, 0]) * s, (R[1, 2] + R[2, 1]) * s, 0.5 * r, (R[1, 0] - R[0, 1]) * s]
-        )
-    if q[3] < 0:
-        q = -q
-    return quat_normalize(q)
-
-
-def rotate_vector(q, v) -> np.ndarray:
-    """Apply the rotation of unit quaternion q to a 3-vector."""
-    return quat_to_matrix(q) @ _as_vec(v, 3, "vector")
-
-
-def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
-    axis = _as_vec(axis, 3, "axis")
-    n = np.linalg.norm(axis)
-    if n == 0:
-        raise ValueError("axis must be nonzero")
-    half = 0.5 * angle
-    return np.concatenate([math.sin(half) * axis / n, [math.cos(half)]])
-
-
 def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
     """Uniform random rotation (normalized 4-d Gaussian sample)."""
     while True:
@@ -152,12 +86,6 @@ def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:
         n = np.linalg.norm(q)
         if n > 1e-6:
             return q / n
-
-
-def skew(v) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ u == cross(v, u)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def geodesic_rotation_error(Ra, Rb) -> float:
@@ -223,29 +151,11 @@ class UnitQuaternion:
         self._q = quat_normalize(q)
         self._q.flags.writeable = False
 
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(IDENTITY_QUAT)
-
-    @classmethod
-    def from_matrix(cls, R) -> "UnitQuaternion":
-        return cls(matrix_to_quat(R))
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle: float) -> "UnitQuaternion":
-        return cls(quat_from_axis_angle(axis, angle))
-
     def as_array(self) -> np.ndarray:
         return self._q
 
     def to_matrix(self) -> np.ndarray:
         return quat_to_matrix(self._q)
-
-    def conjugate(self) -> "UnitQuaternion":
-        return UnitQuaternion(quat_conjugate(self._q))
-
-    def rotate(self, v) -> np.ndarray:
-        return rotate_vector(self._q, v)
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self._q, dtype=dtype)
@@ -306,8 +216,8 @@ class CorrespondenceSet:
             raise ValueError("need at least one correspondence")
         if not (np.all(np.isfinite(src)) and np.all(np.isfinite(tgt))):
             raise ValueError("points must be finite")
-        if not np.all(bounds > 0):
-            raise ValueError("noise bounds must be positive")
+        if not np.all((bounds > 0) & np.isfinite(bounds)):
+            raise ValueError("noise bounds must be positive and finite")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
         object.__setattr__(self, "noise_bounds", bounds)
@@ -327,5 +237,5 @@ class TlsConfig:
     cbar_sq: float = 1.0
 
     def __post_init__(self):
-        if not self.cbar_sq > 0:
-            raise ValueError("cbar_sq must be positive")
+        if not (self.cbar_sq > 0 and math.isfinite(self.cbar_sq)):
+            raise ValueError("cbar_sq must be positive and finite")

@@ -39,6 +39,16 @@ class RegistrationOptions:
     # rotation measurements K certification is not tractable and is skipped.
     certify_max_k: int = 600
 
+    def __post_init__(self):
+        if self.known_scale is not None and not (
+            math.isfinite(self.known_scale) and self.known_scale > 0
+        ):
+            raise ValueError("known_scale must be None or positive and finite")
+        if not self.clique_time_budget >= 0:
+            raise ValueError("clique_time_budget must be >= 0")
+        if not self.certify_max_k >= 0:
+            raise ValueError("certify_max_k must be >= 0")
+
 
 @dataclass(frozen=True)
 class RegistrationResult:
@@ -73,7 +83,7 @@ class ErrorBounds:
     eta_t: float
     u_min_singular_value: float
     u_tuples_exhaustive: bool
-    tighter: TighterBounds | None
+    tighter: TighterBounds
 
 
 def _clique_consistent(graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices):
@@ -162,8 +172,8 @@ def register(
             ScalarTlsProblem(graph.trims.s_meas, graph.trims.alpha, cfg.cbar_sq)
         )
         s_hat = sol.estimate
-    if s_hat <= 0:
-        raise InsufficientInliersError("estimated scale is not positive")
+        if s_hat <= 0:
+            raise InsufficientInliersError("estimated scale is not positive")
     timings["scale"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -354,15 +364,11 @@ def compute_error_bounds(result: RegistrationResult, c: CorrespondenceSet) -> Er
 
 def _worst_case_over_triples(values: np.ndarray) -> float:
     """max over 3-subsets of (min over the subset) = third-largest value."""
-    if values.size < 3:
-        return float(np.max(values))
     top3 = np.partition(values, values.size - 3)[values.size - 3]
     return float(top3)
 
 
-def _tighter_bounds(
-    result, c, s_meas, alphas, sel_tims, sel_btims, a_norms
-) -> TighterBounds | None:
+def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, a_norms) -> TighterBounds:
     s_hat = result.transform.scale
     R_hat = result.transform.matrix
     t_hat = result.transform.translation
@@ -371,8 +377,7 @@ def _tighter_bounds(
     # Scale: zeta_i = |s_i - s_hat| + alpha_i; any true-inlier triple gives
     # min over it, so the worst case is the third-largest zeta.
     zeta_s = np.abs(s_meas - s_hat) + alphas
-    n_subsets = math.comb(alphas.size, 3) if alphas.size >= 3 else 0
-    worst_case = 0 < n_subsets <= SUBSET_CAP
+    worst_case = 0 < math.comb(alphas.size, 3) <= SUBSET_CAP
     scale_bound = _worst_case_over_triples(zeta_s) if worst_case else float(np.min(zeta_s))
 
     # Rotation: over a candidate true-inlier triple T the bound is

@@ -115,18 +115,6 @@ def write_labels(path, labels) -> None:
     Path(path).write_text("".join(f"{int(bool(v))}\n" for v in labels))
 
 
-def read_labels(path) -> np.ndarray:
-    values = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line not in ("0", "1"):
-            raise PlyError("labels must be 0 or 1", lineno)
-        values.append(line == "1")
-    return np.asarray(values, dtype=bool)
-
-
 def transform_to_dict(transform) -> dict:
     return {
         "scale": float(transform.scale),

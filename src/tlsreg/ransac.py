@@ -32,7 +32,8 @@ def absolute_orientation(src, dst, fix_scale: float | None = None):
 
     Centroids decouple the translation; the rotation comes from the
     quaternion eigenvector solver and the scale from the aligned
-    correlation ratio.
+    correlation ratio.  Returns (s, q, R, t), with q the unit quaternion
+    [x, y, z, w] of R.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
@@ -48,7 +49,7 @@ def absolute_orientation(src, dst, fix_scale: float | None = None):
         denom = float(np.sum(a * a))
         s = float(np.sum(b * (a @ R.T)) / denom) if denom > 0 else 1.0
     t = mu_d - s * R @ mu_s
-    return s, R, t
+    return s, q, R, t
 
 
 def ransac_baseline(
@@ -79,7 +80,7 @@ def ransac_baseline(
         if np.linalg.matrix_rank(src3 - src3.mean(axis=0)) < 2:
             continue
         try:
-            s, R, t = absolute_orientation(src3, c.target[idx], fix_scale=known_scale)
+            s, _, R, t = absolute_orientation(src3, c.target[idx], fix_scale=known_scale)
         except ValueError:
             continue
         if s <= 0:
@@ -97,11 +98,11 @@ def ransac_baseline(
             needed = min(max_iters, math.ceil(math.log(1.0 - RANSAC_CONFIDENCE) / denom))
 
     if best_count >= 3:
-        s, R, t = absolute_orientation(
+        s, q, _, t = absolute_orientation(
             c.source[best_mask], c.target[best_mask], fix_scale=known_scale
         )
     else:
-        s, R, t = absolute_orientation(c.source, c.target, fix_scale=known_scale)
+        s, q, _, t = absolute_orientation(c.source, c.target, fix_scale=known_scale)
         best_mask = np.ones(n, dtype=bool)
-    transform = RigidTransform(scale=s, rotation=UnitQuaternion.from_matrix(R), translation=t)
+    transform = RigidTransform(scale=s, rotation=UnitQuaternion(q), translation=t)
     return RansacResult(transform=transform, inlier_mask=best_mask, iterations=it)

@@ -56,8 +56,10 @@ class RotationProblem:
             raise ValueError("need at least two measurements")
         if bb.shape != (a.shape[0],) or not np.all(bb > 0):
             raise ValueError("beta_bars must be (K,) positive")
-        if not self.cbar_sq > 0:
-            raise ValueError("cbar_sq must be positive")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(bb))):
+            raise ValueError("measurements and bounds must be finite")
+        if not (self.cbar_sq > 0 and np.isfinite(self.cbar_sq)):
+            raise ValueError("cbar_sq must be positive and finite")
         object.__setattr__(self, "a_bars", a)
         object.__setattr__(self, "b_bars", b)
         object.__setattr__(self, "beta_bars", bb)

@@ -1,12 +1,38 @@
 """Shared brute-force oracles and instance generators for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 
-from tlsreg.certifier import _diag_scalar_targets, _j_term, _phi_vectors
+from tlsreg.certifier import _diag_scalar_targets, _phi_vectors
 from tlsreg.geometry import quat_to_matrix, random_unit_quaternion
 from tlsreg.rotation import check_collinear, horn_weighted
+
+
+def skew(v):
+    """Cross-product matrix: skew(v) @ u == cross(v, u)."""
+    x, y, z = np.asarray(v, dtype=float)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def quat_from_axis_angle(axis, angle):
+    """Unit quaternion [x, y, z, w] of a rotation by angle about axis."""
+    axis = np.asarray(axis, dtype=float)
+    half = 0.5 * angle
+    return np.concatenate([math.sin(half) * axis / np.linalg.norm(axis), [math.cos(half)]])
+
+
+def j_term(n_blocks, mu_hat):
+    """mu_hat * J: mu_hat times the identity on block (0, 0), zero elsewhere."""
+    J = np.zeros((4 * n_blocks, 4 * n_blocks))
+    J[0:4, 0:4] = mu_hat * np.eye(4)
+    return J
+
+
+def x_bar(rot):
+    """The candidate vector in its own frame: [1, theta] (x) [0, 0, 0, 1]."""
+    return np.kron(rot.thetas, [0.0, 0.0, 0.0, 1.0])
 
 
 def make_rotation_instance(rng, K, outlier_fraction=0.0, sigma=0.0, beta=0.055):
@@ -64,7 +90,7 @@ def dense_affine_projection_oracle(M, rot):
     the raw constraint list on the full matrix parameterization."""
     B = rot.K + 1
     n = 4 * B
-    Jm = _j_term(B, rot.mu_hat)
+    Jm = j_term(B, rot.mu_hat)
     H = M - rot.Q_bar + Jm
 
     rows = []

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import tlsreg
-from tlsreg.geometry import geodesic_rotation_error
+from tlsreg.geometry import geodesic_rotation_error, quat_to_matrix
 from tlsreg.invariants import build_measurement_graph
 from tlsreg.plyio import (
     PlyError,
     read_ascii_ply,
-    read_labels,
     write_ascii_ply,
     write_labels,
 )
@@ -128,14 +127,15 @@ class TestRansac:
     def test_absolute_orientation_recovers_similarity(self):
         rng = np.random.default_rng(0)
         src = rng.uniform(0, 1, size=(10, 3))
-        from tlsreg.geometry import quat_to_matrix, random_unit_quaternion
+        from tlsreg.geometry import random_unit_quaternion
 
         R = quat_to_matrix(random_unit_quaternion(rng))
         s_true, t_true = 2.5, np.array([0.3, -0.2, 0.7])
         dst = s_true * src @ R.T + t_true
-        s, R_est, t = absolute_orientation(src, dst)
+        s, q, R_est, t = absolute_orientation(src, dst)
         assert abs(s - s_true) < 1e-10
         assert np.allclose(R_est, R, atol=1e-10)
+        assert np.array_equal(quat_to_matrix(q), R_est)
         assert np.allclose(t, t_true, atol=1e-10)
 
 
@@ -151,7 +151,7 @@ class TestPlyIo:
         labels = np.array([True, False, True, True])
         path = tmp_path / "labels.txt"
         write_labels(path, labels)
-        assert np.array_equal(read_labels(path), labels)
+        assert path.read_text() == "1\n0\n1\n1\n"
 
     def test_extra_properties_are_skipped(self, tmp_path):
         path = tmp_path / "colored.ply"
@@ -206,8 +206,6 @@ class TestCli:
         meta = json.loads(Path(f"{prefix}_meta.json").read_text())
         gt_q = np.array(meta["ground_truth"]["quaternion_xyzw"])
         est_q = np.array(doc["transform"]["quaternion_xyzw"])
-        from tlsreg.geometry import quat_to_matrix
-
         err = geodesic_rotation_error(quat_to_matrix(gt_q), quat_to_matrix(est_q))
         assert math.degrees(err) < 1.0
         assert doc["certificate"]["verdict"] == "certified"
@@ -307,6 +305,43 @@ class TestCli:
         path.write_text(json.dumps(problem_doc))
         return path
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: {**d, "a_bars": d["a_bars"][:1], "b_bars": d["b_bars"][:1],
+                       "beta_bars": d["beta_bars"][:1], "thetas": d["thetas"][:1]},
+            lambda d: [d],
+            lambda d: {**d, "b_bars": d["b_bars"][:-1]},
+            lambda d: {**d, "thetas": [0] * len(d["thetas"])},
+            lambda d: {**d, "b_bars": [[math.nan, 0.0, 0.0]] + d["b_bars"][1:]},
+        ],
+        ids=["one-measurement", "top-level-list", "mismatched-shapes", "thetas-not-signs", "nan"],
+    )
+    def test_certify_malformed_problem_exit_code(self, tmp_path, capsys, edit):
+        path = self._certify_problem(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        rc = cli_main(["certify", "--problem", str(path)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--known-scale", "-1"], ["--known-scale", "nan"], ["--beta", "inf"],
+         ["--cbar-sq", "inf"], ["--certify-max-k", "-1"]],
+        ids=["negative-scale", "nan-scale", "infinite-beta", "infinite-cbar-sq", "negative-max-k"],
+    )
+    def test_register_out_of_range_option_exit_code(self, tmp_path, capsys, flags):
+        prefix = tmp_path / "inst"
+        cli_main(["generate", "--n", "12", "--seed", "7", "--known-scale", "--out", str(prefix)])
+        capsys.readouterr()
+        rc = cli_main(
+            ["register", "--src", f"{prefix}_src.ply", "--dst", f"{prefix}_dst.ply",
+             "--beta", "0.0554", *flags]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_certify_subcommand(self, tmp_path):
         path = self._certify_problem(tmp_path)
         out = tmp_path / "cert.json"
@@ -339,17 +374,41 @@ class TestCli:
         assert len(doc["aggregates"]) == 2
         assert all(not r["failed"] for r in doc["records"])
 
-    def test_console_entry_point(self):
+    def test_worker_count_is_capped_at_the_cpu_count(self):
+        from tlsreg.cli import _worker_count
+
+        cpus = os.cpu_count() or 1
+        assert _worker_count(None) == cpus
+        assert _worker_count(1) == 1
+        assert _worker_count(10 * cpus) == cpus
+        assert _worker_count(-3) == 1
+
+    @staticmethod
+    def _run_python(*args):
         # The subprocess must import the same tlsreg as this test run.
         src = str(Path(tlsreg.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, path] if path else [src])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "tlsreg.cli", "--help"],
-            capture_output=True, text=True, env=env,
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env,
         )
+
+    def test_console_entry_point(self):
+        proc = self._run_python("-m", "tlsreg.cli", "--help")
         assert proc.returncode == 0
         assert "generate" in proc.stdout
+
+    def test_import_loads_no_heavy_scipy_module(self):
+        # A fresh interpreter: other tests import scipy.integrate in-process.
+        # scipy.spatial alone adds about 8 MB of RSS to every run.
+        proc = self._run_python(
+            "-c",
+            "import sys, tlsreg, tlsreg.cli; print(sorted(m for m in ("
+            "'scipy.spatial', 'scipy.stats', 'scipy.integrate', 'scipy.optimize')"
+            " if m in sys.modules))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_bench_sweep_matches_robustness_expectations(self, tmp_path):
         # Reduced-trial version of the headline sweep: median rotation

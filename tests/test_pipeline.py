@@ -272,6 +272,22 @@ class TestCorrespondenceFreeMode:
 
 
 class TestDegenerateInputs:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"known_scale": -1.0},
+            {"known_scale": 0.0},
+            {"known_scale": math.nan},
+            {"known_scale": math.inf},
+            {"clique_time_budget": -1.0},
+            {"clique_time_budget": math.nan},
+            {"certify_max_k": -1},
+        ],
+    )
+    def test_out_of_range_options_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            RegistrationOptions(**kwargs)
+
     def test_duplicate_source_points_survive(self):
         # Coincident source points make zero-length difference vectors;
         # those edges carry no scale measurement and must be skipped, not
@@ -330,12 +346,11 @@ class TestErrorBounds:
             dF = np.linalg.norm(res.transform.scale * res.transform.matrix - s * R)
             assert dF <= b.eta_R_frobenius
             assert np.linalg.norm(res.transform.translation - t) <= b.eta_t
-            if b.tighter is not None:
-                assert abs(res.transform.scale - s) <= b.tighter.scale + 1e-12
-                angle = geodesic_rotation_error(res.transform.matrix, R)
-                assert s * (1 - math.cos(angle)) <= b.tighter.rotation + 1e-12
-                dt = np.abs(res.transform.translation - t)
-                assert np.all(dt <= b.tighter.translation + 1e-12)
+            assert abs(res.transform.scale - s) <= b.tighter.scale + 1e-12
+            angle = geodesic_rotation_error(res.transform.matrix, R)
+            assert s * (1 - math.cos(angle)) <= b.tighter.rotation + 1e-12
+            dt = np.abs(res.transform.translation - t)
+            assert np.all(dt <= b.tighter.translation + 1e-12)
             held += 1
         assert held == 25
 
@@ -353,12 +368,11 @@ class TestErrorBounds:
             assert abs(tf.scale - gt.scale) <= b.eta_s, seed
             assert np.linalg.norm(tf.scale * tf.matrix - gt.scale * R) <= b.eta_R_frobenius, seed
             assert np.linalg.norm(tf.translation - gt.translation) <= b.eta_t, seed
-            if b.tighter is not None:
-                assert abs(tf.scale - gt.scale) <= b.tighter.scale + 1e-12, seed
-                angle = geodesic_rotation_error(tf.matrix, R)
-                assert gt.scale * (1 - math.cos(angle)) <= b.tighter.rotation + 1e-12, seed
-                dt = np.abs(tf.translation - gt.translation)
-                assert np.all(dt <= b.tighter.translation + 1e-12), seed
+            assert abs(tf.scale - gt.scale) <= b.tighter.scale + 1e-12, seed
+            angle = geodesic_rotation_error(tf.matrix, R)
+            assert gt.scale * (1 - math.cos(angle)) <= b.tighter.rotation + 1e-12, seed
+            dt = np.abs(tf.translation - gt.translation)
+            assert np.all(dt <= b.tighter.translation + 1e-12), seed
 
     def test_coplanar_geometry_gives_infinite_rotation_bound(self):
         rng = np.random.default_rng(42)

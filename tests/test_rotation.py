@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import quat_from_axis_angle
 from tlsreg.geometry import (
     geodesic_rotation_error,
     left_product_matrix,
-    quat_from_axis_angle,
     quat_to_matrix,
     random_unit_quaternion,
     right_product_matrix,
@@ -301,3 +301,15 @@ class TestGncTls:
     def test_rejects_tiny_problems(self):
         with pytest.raises(ValueError):
             RotationProblem(np.ones((1, 3)), np.ones((1, 3)), [0.1])
+
+    @pytest.mark.parametrize("field", ["a_bars", "b_bars", "beta_bars", "cbar_sq"])
+    def test_rejects_non_finite_input(self, field):
+        args = {"a_bars": np.ones((3, 3)), "b_bars": np.ones((3, 3)),
+                "beta_bars": np.ones(3), "cbar_sq": 1.0}
+        if field == "cbar_sq":
+            args[field] = math.inf
+        else:
+            args[field] = args[field].copy()
+            args[field][1] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            RotationProblem(**args)
