@@ -11,7 +11,11 @@ Working in the frame rotated by q_hat turns the candidate into the
 constant vector x_bar = [1, theta_1, ..., theta_K] (x) [0,0,0,1] and makes
 both projections of the Douglas-Rachford splitting closed-form; the
 minimum eigenvalue of the affine-feasible iterate yields the relative
-sub-optimality bound eta = |lambda_1| (K+1) / mu_hat at every step.
+sub-optimality bound eta = |lambda_1| (K+1) / mu_hat at every step.  The
+frame rotation O = diag(L(q_hat), ..., L(q_hat)) commutes with each
+R(a_k) and turns L(b_k) into L(R^T b_k), so the rotated matrix O^T Q O is
+the cost matrix of the rotated measurements (a_k, R^T b_k), assembled by
+the same arrow formula as Q.
 
 Internally the measurements are normalized by their noise bounds
 (a <- a/beta, b <- b/beta), which drops every beta^2 denominator from the
@@ -46,8 +50,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .geometry import left_product_matrix, quat_to_matrix
-from .rotation import RotationProblem, binary_cost, product_matrices
+from .geometry import quat_to_matrix
+from .rotation import RotationProblem, binary_cost, product_matrices, product_table
 
 # Stall exit: the splitting gives up once the best eta has fallen by less
 # than STALL_REL_DROP (relative) over the last STALL_WINDOW iterations.
@@ -138,11 +142,16 @@ class CertifyOptions:
     max_iters: int = 200
     eta_target: float = 1e-3
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not (self.eta_target > 0 and np.isfinite(self.eta_target)):
+            raise ValueError("eta_target must be positive and finite")
+
 
 def x_vector(q, thetas) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    return np.concatenate([q] + [t * q for t in thetas])
+    return np.kron(np.concatenate([[1.0], thetas]), np.asarray(q, dtype=float))
 
 
 def make_candidate(p: RotationProblem, q, thetas) -> CandidateSolution:
@@ -154,17 +163,13 @@ def make_candidate(p: RotationProblem, q, thetas) -> CandidateSolution:
     return CandidateSolution(q_hat=q, thetas=thetas, mu_hat=binary_cost(p, q, thetas))
 
 
-def build_cost_matrix(p: RotationProblem) -> QcqpData:
-    """Assemble Q so that x^T Q x reproduces the binary-indicator cost."""
-    K = p.size
-    na = p.a_bars / p.beta_bars[:, None]
-    nb = p.b_bars / p.beta_bars[:, None]
-    cb = p.cbar_sq
-
+def _arrow_matrix(na, nb, cb) -> np.ndarray:
+    """Arrow-pattern cost matrix of bound-normalized measurements (K, 3)."""
+    K = na.shape[0]
     # L(b) = -L(b)^T for a pure quaternion b, so the coupling L(nb_k) R(na_k)
     # is minus the rotation stage's product.  Its symmetric part, summed as
     # P + P^T, is exactly symmetric, and so is Q.
-    prods = -product_matrices(na, nb)
+    prods = -product_matrices(product_table(na, nb))
     sq = np.sum(na**2, axis=1) + np.sum(nb**2, axis=1)
     eye4 = np.eye(4)
     core = sq[:, None, None] * eye4 + (prods + prods.transpose(0, 2, 1))
@@ -177,7 +182,14 @@ def build_cost_matrix(p: RotationProblem) -> QcqpData:
     Q[0, :, 1:, :] = q_0k.transpose(1, 0, 2)
     Q[1:, :, 0, :] = q_0k
     n = 4 * (K + 1)
-    return QcqpData(Q=Q.reshape(n, n), K=K, cbar_sq=cb, na=na, nb=nb)
+    return Q.reshape(n, n)
+
+
+def build_cost_matrix(p: RotationProblem) -> QcqpData:
+    """Assemble Q so that x^T Q x reproduces the binary-indicator cost."""
+    na = p.a_bars / p.beta_bars[:, None]
+    nb = p.b_bars / p.beta_bars[:, None]
+    return QcqpData(Q=_arrow_matrix(na, nb, p.cbar_sq), K=p.size, cbar_sq=p.cbar_sq, na=na, nb=nb)
 
 
 def qcqp_cost(data: QcqpData, q, thetas) -> float:
@@ -189,28 +201,22 @@ def rotate_to_candidate_frame(data: QcqpData, cand: CandidateSolution) -> Rotate
     """Similarity-transform Q by the block-diagonal candidate rotation.
 
     The candidate vector becomes [1, theta] (x) e; eigenvalues of Q are
-    preserved, so sub-optimality bounds transfer unchanged.
+    preserved, so sub-optimality bounds transfer unchanged.  The
+    transformed matrix is the cost matrix of the measurements
+    (na_k, R^T nb_k).
     """
-    K = data.K
-    O = left_product_matrix(cand.q_hat / np.linalg.norm(cand.q_hat))
-    Qr = data.Q.reshape(K + 1, 4, K + 1, 4)
-    Q_bar = np.einsum("pa,ipjq,qb->iajb", O, Qr, O, optimize=True).reshape(data.Q.shape)
-    Q_bar = 0.5 * (Q_bar + Q_bar.T)
-
-    thetas = np.concatenate([[1.0], np.asarray(cand.thetas, dtype=float)])
-
-    R = quat_to_matrix(cand.q_hat)
-    xi = data.nb @ R - data.na  # R^T nb_k - na_k, row-wise
+    nb_rot = data.nb @ quat_to_matrix(cand.q_hat)  # R^T nb_k, row-wise
+    xi = nb_rot - data.na
     inlier = cand.thetas > 0
     stat = np.cross(xi[inlier], data.na[inlier]).sum(axis=0)
     return RotatedData(
-        Q_bar=Q_bar,
+        Q_bar=_arrow_matrix(data.na, nb_rot, data.cbar_sq),
         xi=xi,
         na=data.na,
-        thetas=thetas,
+        thetas=np.concatenate([[1.0], np.asarray(cand.thetas, dtype=float)]),
         mu_hat=cand.mu_hat,
         cbar_sq=data.cbar_sq,
-        K=K,
+        K=data.K,
         stationarity_residual=float(np.linalg.norm(stat)),
     )
 

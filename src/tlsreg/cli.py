@@ -146,17 +146,14 @@ def _cmd_certify(args) -> int:
         q = np.asarray(doc["quaternion_xyzw"], dtype=float)
         thetas = np.asarray(doc["thetas"], dtype=np.int64)
         cand = make_candidate(problem, q, thetas)
+        opts = CertifyOptions(max_iters=args.max_iters, eta_target=args.eta_target)
     except KeyError as exc:
         print(f"error: problem file missing field {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     except (ValueError, TypeError) as exc:
-        print(f"error: malformed problem file: {exc}", file=sys.stderr)
+        print(f"error: malformed problem file or option: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    cert = certify(
-        build_cost_matrix(problem),
-        cand,
-        CertifyOptions(max_iters=args.max_iters, eta_target=args.eta_target),
-    )
+    cert = certify(build_cost_matrix(problem), cand, opts)
     payload = {
         "eta": cert.eta,
         "verdict": cert.verdict.value,

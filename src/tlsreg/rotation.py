@@ -1,20 +1,29 @@
 """Truncated-least-squares rotation estimation via graduated non-convexity.
 
+Every measurement enters the rotation stage through one bilinear term,
+b_k . (R a_k).  A RotationProblem stores its measurements once as a
+K x 9 table of the products vec(a_k b_k^T) (see `product_table`), next to
+the squared norms |a_k|^2 + |b_k|^2.  Everything the stage computes is
+linear in that table:
+
+* the squared residual |b_k - R a_k|^2 is the squared norms minus twice
+  the table times vec(R^T) (`RotationProblem.residuals_sq`);
+* the weighted cross-covariance sum_k w_k a_k b_k^T is w @ table;
+* the quaternion product matrix L(b_k)^T R(a_k) is the table row times
+  nine constant 4x4 bases (PRODUCT_BASIS, `product_matrices`).
+
 The inner solver is the closed-form weighted rotation alignment: the
-optimal rotation maximizing sum_k w_k <b_k, R a_k> is read off the
-extremal eigenvector of a 4x4 accumulation matrix, the weighted sum of
-the quaternion product matrices L(b_k)^T R(a_k).  Each product is
-bilinear in the pair (a_k, b_k), so the sum is the 3x3 weighted
-cross-covariance H = sum_k w_k a_k b_k^T contracted with nine constant
-4x4 bases (PRODUCT_BASIS): one matrix product over the measurements, no
-per-measurement loop.  The outer loop anneals a surrogate of the
-truncated cost from nearly-least-squares to the exact truncated cost,
-rewriting per-measurement weights in closed form at each step.
+rotation maximizing sum_k w_k b_k . (R a_k) is read off the extremal
+eigenvector of the symmetric 4x4 matrix sum_k w_k L(b_k)^T R(a_k), the
+cross-covariance contracted with PRODUCT_BASIS.  The outer loop anneals a
+surrogate of the truncated cost from nearly-least-squares to the exact
+truncated cost, rewriting per-measurement weights in closed form at each
+step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,13 +47,16 @@ class RotationProblem:
     """Scaled pairwise measurements for rotation-only estimation.
 
     a_bars must already carry the scale estimate (s_hat * raw difference);
-    beta_bars are the propagated inlier bounds.
+    beta_bars are the propagated inlier bounds.  `table` and `sq_norms` are
+    derived from the measurements on construction.
     """
 
     a_bars: np.ndarray
     b_bars: np.ndarray
     beta_bars: np.ndarray
     cbar_sq: float = 1.0
+    table: np.ndarray = field(init=False, repr=False)  # (K, 9), see product_table
+    sq_norms: np.ndarray = field(init=False, repr=False)  # |a_k|^2 + |b_k|^2
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a_bars, dtype=float))
@@ -63,10 +75,21 @@ class RotationProblem:
         object.__setattr__(self, "a_bars", a)
         object.__setattr__(self, "b_bars", b)
         object.__setattr__(self, "beta_bars", bb)
+        object.__setattr__(self, "table", product_table(a, b))
+        object.__setattr__(self, "sq_norms", np.sum(a**2, axis=1) + np.sum(b**2, axis=1))
 
     @property
     def size(self) -> int:
         return self.a_bars.shape[0]
+
+    def residuals_sq(self, q) -> np.ndarray:
+        """Squared residuals |b_k - R a_k|^2 / beta_k^2 at a rotation.
+
+        Expanded as |a_k|^2 + |b_k|^2 - 2 b_k . (R a_k); the clip at zero
+        removes the round-off of that difference on exact inliers.
+        """
+        R = quat_to_matrix(q)
+        return np.maximum(self.sq_norms - 2.0 * (self.table @ R.T.ravel()), 0.0) / self.beta_bars**2
 
 
 @dataclass(frozen=True)
@@ -95,23 +118,16 @@ PRODUCT_BASIS = np.array(
 )
 
 
-def product_matrices(a, b) -> np.ndarray:
-    """(K, 4, 4) stack of L(b_k)^T R(a_k) for the pure quaternions of the
-    rows of a and b (both (K, 3))."""
-    return np.einsum("kj,ki,jipq->kpq", a, b, PRODUCT_BASIS)
+def product_table(a, b) -> np.ndarray:
+    """(K, 9) rows vec(a_k b_k^T) of the rows of a and b (both (K, 3)):
+    column 3j+i holds a_kj * b_ki, the order of PRODUCT_BASIS.reshape(9, 4, 4)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(-1, 9)
 
 
-def _accumulation_matrix(a_bars, b_bars, weights) -> np.ndarray:
-    """4x4 matrix whose max-eigenvalue eigenvector maximizes the weighted
-    alignment sum_k w_k b_k . (R a_k).
-
-    That is the symmetric part of sum_k w_k L(b_k)^T R(a_k), formed as the
-    weighted cross-covariance H = sum_k w_k a_k b_k^T contracted with
-    PRODUCT_BASIS.
-    """
-    H = (a_bars * weights[:, None]).T @ b_bars
-    M = np.einsum("ji,jipq->pq", H, PRODUCT_BASIS)
-    return 0.5 * (M + M.T)
+def product_matrices(table) -> np.ndarray:
+    """L(b_k)^T R(a_k) for the pure quaternions a_k, b_k behind each row
+    of a product table: (..., 9) -> (..., 4, 4)."""
+    return (table @ PRODUCT_BASIS.reshape(9, 16)).reshape(*np.shape(table)[:-1], 4, 4)
 
 
 def check_collinear(a_bars, weights) -> bool:
@@ -126,21 +142,12 @@ def check_collinear(a_bars, weights) -> bool:
     return eigvals[1] <= COLLINEAR_REL_TOL * max(eigvals[-1], 1e-300)
 
 
-def horn_weighted(a_bars, b_bars, weights) -> np.ndarray:
-    """Global minimizer of sum_k w_k ||b_k - R a_k||^2 over rotations.
-
-    Returns a unit quaternion.  Degenerate (collinear) input still yields
-    a valid rotation but the component about the common axis is arbitrary;
-    `check_collinear` detects that case.
-    """
-    a = np.atleast_2d(np.asarray(a_bars, dtype=float))
-    b = np.atleast_2d(np.asarray(b_bars, dtype=float))
-    w = np.asarray(weights, dtype=float).ravel()
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if np.count_nonzero(w) < 2:
-        raise ValueError("need at least two weight-positive measurements")
-    M = _accumulation_matrix(a, b, w)
+def _horn(cross_cov) -> np.ndarray:
+    """Unit quaternion maximizing sum_k w_k b_k . (R a_k), given the
+    weighted cross-covariance w @ table: the max-eigenvalue eigenvector of
+    sum_k w_k L(b_k)^T R(a_k).  That matrix is exactly symmetric, since
+    each PRODUCT_BASIS matrix is."""
+    M = product_matrices(cross_cov)
     eigvals, eigvecs = np.linalg.eigh(M)
     q = eigvecs[:, -1]
     # Inverse-iteration polish: the 4x4 eigensolver's vector error grows
@@ -158,20 +165,32 @@ def horn_weighted(a_bars, b_bars, weights) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+def horn_weighted(a_bars, b_bars, weights) -> np.ndarray:
+    """Global minimizer of sum_k w_k ||b_k - R a_k||^2 over rotations.
+
+    Returns a unit quaternion.  Degenerate (collinear) input still yields
+    a valid rotation but the component about the common axis is arbitrary;
+    `check_collinear` detects that case.
+    """
+    a = np.atleast_2d(np.asarray(a_bars, dtype=float))
+    b = np.atleast_2d(np.asarray(b_bars, dtype=float))
+    w = np.asarray(weights, dtype=float).ravel()
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    if np.count_nonzero(w) < 2:
+        raise ValueError("need at least two weight-positive measurements")
+    return _horn(w @ product_table(a, b))
+
+
 def truncated_cost(p: RotationProblem, q) -> float:
     """Exact truncated objective at a rotation."""
-    R = quat_to_matrix(q)
-    r_sq = np.sum((p.b_bars - p.a_bars @ R.T) ** 2, axis=1) / p.beta_bars**2
-    return float(np.sum(np.minimum(r_sq, p.cbar_sq)))
+    return float(np.sum(np.minimum(p.residuals_sq(q), p.cbar_sq)))
 
 
 def binary_cost(p: RotationProblem, q, theta) -> float:
     """Objective of the binary-indicator form: inliers pay their weighted
     squared residual, outliers pay the truncation constant."""
-    R = quat_to_matrix(q)
-    r_sq = np.sum((p.b_bars - p.a_bars @ R.T) ** 2, axis=1) / p.beta_bars**2
-    theta = np.asarray(theta)
-    return float(np.sum(np.where(theta > 0, r_sq, p.cbar_sq)))
+    return float(np.sum(np.where(np.asarray(theta) > 0, p.residuals_sq(q), p.cbar_sq)))
 
 
 def _surrogate(r_sq, weights, mu, eps_sq) -> float:
@@ -181,14 +200,11 @@ def _surrogate(r_sq, weights, mu, eps_sq) -> float:
 
 
 def _weight_update(r_sq, mu, eps_sq) -> np.ndarray:
-    w = np.empty_like(r_sq)
-    lo = mu / (mu + 1.0) * eps_sq
-    hi = (mu + 1.0) / mu * eps_sq
-    w[r_sq <= lo] = 1.0
-    w[r_sq >= hi] = 0.0
-    mid = (r_sq > lo) & (r_sq < hi)
-    w[mid] = np.sqrt(eps_sq * mu * (mu + 1.0) / r_sq[mid]) - mu
-    return np.clip(w, 0.0, 1.0)
+    # The square-root law is >= 1 for r_sq <= mu/(mu+1) eps_sq and <= 0 for
+    # r_sq >= (mu+1)/mu eps_sq, so the clip gives the binary weights there;
+    # a zero residual divides to inf and clips to 1.
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.clip(np.sqrt(eps_sq * mu * (mu + 1.0) / r_sq) - mu, 0.0, 1.0)
 
 
 def solve_gnc_tls(p: RotationProblem) -> RotationSolution:
@@ -200,13 +216,8 @@ def solve_gnc_tls(p: RotationProblem) -> RotationSolution:
     """
     eps_sq = p.cbar_sq
     inv_beta_sq = 1.0 / p.beta_bars**2
-
-    def residuals_sq(q):
-        R = quat_to_matrix(q)
-        return np.sum((p.b_bars - p.a_bars @ R.T) ** 2, axis=1) * inv_beta_sq
-
     q = np.array([0.0, 0.0, 0.0, 1.0])
-    r_sq = residuals_sq(q)
+    r_sq = p.residuals_sq(q)
     r_max_sq = float(np.max(r_sq))
     mu = eps_sq / max(2.0 * r_max_sq - eps_sq, 1e-12)
     mu = max(mu, GNC_MU_MIN)
@@ -217,9 +228,10 @@ def solve_gnc_tls(p: RotationProblem) -> RotationSolution:
     iterations = 0
     for iterations in range(1, GNC_MAX_ITERATIONS + 1):
         weights = _weight_update(r_sq, mu, eps_sq)
-        if np.count_nonzero(weights * inv_beta_sq) >= 2:
-            q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq)
-        r_sq = residuals_sq(q)
+        w = weights * inv_beta_sq
+        if np.count_nonzero(w) >= 2:
+            q = _horn(w @ p.table)
+        r_sq = p.residuals_sq(q)
 
         binary = np.max(np.minimum(weights, 1.0 - weights)) < GNC_WEIGHT_TOL
         if mu >= GNC_MU_STOP or binary:

@@ -175,7 +175,8 @@ def solve_scalar_tls(p: ScalarTlsProblem) -> ScalarTlsSolution:
     sse = np.maximum(sweep.s2 - sweep.s1 * sweep.s1 / sweep.w, 0.0)
     costs = sse + (K - sweep.n) * p.cbar_sq
 
-    best = np.lexsort((estimates, -sweep.n, costs))[0]
+    tied = np.flatnonzero(costs == costs.min())
+    best = tied[np.lexsort((estimates[tied], -sweep.n[tied]))[0]]
     return _solution(p, float(estimates[best]), n_candidates)
 
 

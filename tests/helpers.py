@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from tlsreg.certifier import _diag_scalar_targets, _phi_vectors
-from tlsreg.geometry import quat_to_matrix, random_unit_quaternion
+from tlsreg.geometry import left_product_matrix, quat_to_matrix, random_unit_quaternion
 from tlsreg.rotation import check_collinear, horn_weighted
 
 
@@ -28,6 +28,16 @@ def j_term(n_blocks, mu_hat):
     J = np.zeros((4 * n_blocks, 4 * n_blocks))
     J[0:4, 0:4] = mu_hat * np.eye(4)
     return J
+
+
+def dense_rotated_cost_matrix(Q, q_hat):
+    """O^T Q O for the block-diagonal O = diag(L(q_hat), ..., L(q_hat)),
+    formed densely and re-symmetrized."""
+    B = Q.shape[0] // 4
+    O = left_product_matrix(q_hat / np.linalg.norm(q_hat))
+    Qr = Q.reshape(B, 4, B, 4)
+    Q_bar = np.einsum("pa,ipjq,qb->iajb", O, Qr, O, optimize=True).reshape(Q.shape)
+    return 0.5 * (Q_bar + Q_bar.T)
 
 
 def x_bar(rot):

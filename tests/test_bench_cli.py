@@ -342,6 +342,21 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iters", "0"], ["--eta-target", "nan"], ["--eta-target", "-1"],
+         ["--eta-target", "inf"]],
+        ids=["zero-iters", "nan-eta", "negative-eta", "infinite-eta"],
+    )
+    def test_certify_out_of_range_option_exit_code(self, tmp_path, capsys, flags):
+        path = self._certify_problem(tmp_path)
+        out = tmp_path / "cert.json"
+        rc = cli_main(["certify", "--problem", str(path), "--out", str(out), *flags])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_certify_subcommand(self, tmp_path):
         path = self._certify_problem(tmp_path)
         out = tmp_path / "cert.json"

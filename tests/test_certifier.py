@@ -8,6 +8,7 @@ from helpers import (
     build_coupling_inverse,
     build_coupling_matrix,
     dense_affine_projection_oracle,
+    dense_rotated_cost_matrix,
     j_term,
     make_rotation_instance,
     skew,
@@ -183,6 +184,19 @@ class TestRotatedFrame:
         rot = rotate_to_candidate_frame(data, cand)
         assert np.allclose(rot.Q_bar, data.Q, atol=1e-12)
         assert np.array_equal(rot.thetas, np.concatenate([[1.0], cand.thetas]))
+
+    @pytest.mark.parametrize("K", [2, 3, 10, 100])
+    def test_matches_dense_similarity_transform(self, K):
+        rng = np.random.default_rng(100 + K)
+        p = random_rotation_problem(rng, K, cbar_sq=1.1)
+        data = build_cost_matrix(p)
+        for _ in range(3):
+            q = random_unit_quaternion(rng) * rng.uniform(0.5, 2.0)
+            cand = make_candidate(p, q, rng.choice([-1, 1], size=K))
+            Q_bar = rotate_to_candidate_frame(data, cand).Q_bar
+            dense = dense_rotated_cost_matrix(data.Q, q)
+            assert np.max(np.abs(Q_bar - dense)) <= 1e-12 * np.max(np.abs(data.Q))
+            assert np.array_equal(Q_bar, Q_bar.T)
 
     def test_similarity_preserves_spectrum(self):
         p = random_rotation_problem(RNG, 6)
@@ -516,6 +530,15 @@ class TestCertify:
             build_cost_matrix(p), make_candidate(p, sol.rotation, sol.theta)
         )
         assert cert2.candidate_stationary
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_iters": 0}, {"max_iters": -3}, {"eta_target": 0.0}, {"eta_target": -1.0},
+         {"eta_target": float("nan")}, {"eta_target": float("inf")}],
+    )
+    def test_options_out_of_range_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CertifyOptions(**kwargs)
 
     def test_x_vector_layout(self):
         q = np.array([1.0, 2.0, 3.0, 4.0])

@@ -21,12 +21,14 @@ from tlsreg.rotation import (
     GNC_MU_STOP,
     GNC_WEIGHT_TOL,
     RotationProblem,
-    _accumulation_matrix,
+    _horn,
     _surrogate,
     _weight_update,
     binary_cost,
     check_collinear,
     horn_weighted,
+    product_matrices,
+    product_table,
     solve_gnc_tls,
     truncated_cost,
 )
@@ -77,10 +79,81 @@ class TestAccumulationMatrix:
         b = rng.normal(size=(K, 3)) * rng.uniform(0.1, 10.0, size=(K, 1))
         w = rng.uniform(0.0, 5.0, size=K)
         w[rng.choice(K, size=max(1, K // 4), replace=False)] = 0.0
-        M = _accumulation_matrix(a, b, w)
+        M = product_matrices(w @ product_table(a, b))
         ref = reference_accumulation_matrix(a, b, w)
         assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(M, M.T)
+
+
+def three_mask_weight_update(r_sq, mu, eps_sq):
+    """GNC weight update written case by case: 1 below mu/(mu+1) eps_sq,
+    0 above (mu+1)/mu eps_sq, the square-root law in between."""
+    w = np.empty_like(r_sq)
+    lo = mu / (mu + 1.0) * eps_sq
+    hi = (mu + 1.0) / mu * eps_sq
+    w[r_sq <= lo] = 1.0
+    w[r_sq >= hi] = 0.0
+    mid = (r_sq > lo) & (r_sq < hi)
+    w[mid] = np.sqrt(eps_sq * mu * (mu + 1.0) / r_sq[mid]) - mu
+    return np.clip(w, 0.0, 1.0)
+
+
+class TestMeasurementTable:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residuals_match_direct_form(self, seed):
+        rng = np.random.default_rng(seed)
+        K = 50
+        a = rng.normal(size=(K, 3)) * rng.uniform(0.1, 10.0, size=(K, 1))
+        b = rng.normal(size=(K, 3)) * rng.uniform(0.1, 10.0, size=(K, 1))
+        p = RotationProblem(a, b, rng.uniform(0.05, 2.0, size=K), cbar_sq=1.3)
+        for _ in range(10):
+            q = random_unit_quaternion(rng)
+            R = quat_to_matrix(q)
+            direct = ((b - a @ R.T) ** 2).sum(axis=1) / p.beta_bars**2
+            scale = (p.sq_norms / p.beta_bars**2).max()
+            assert np.max(np.abs(p.residuals_sq(q) - direct)) <= 1e-13 * scale
+
+    def test_noise_free_residuals_are_nonnegative(self):
+        for seed in range(20):
+            a, b, q_true, _ = make_instance(np.random.default_rng(seed), 100)
+            p = RotationProblem(a, b, np.full(100, 0.01))
+            r_sq = p.residuals_sq(q_true)
+            assert np.all(r_sq >= 0.0)
+            assert np.max(r_sq) < 1e-9
+
+    def test_table_layout(self):
+        a = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0]])
+        b = np.array([[5.0, 7.0, 11.0], [2.0, -3.0, 0.25]])
+        table = product_table(a, b)
+        for k in range(2):
+            for j in range(3):
+                for i in range(3):
+                    assert table[k, 3 * j + i] == a[k, j] * b[k, i]
+
+
+class TestWeightUpdate:
+    @pytest.mark.parametrize("mu", [GNC_MU_MIN, 1e-3, 0.37, 1.0, 42.0, GNC_MU_STOP])
+    def test_matches_three_mask_form(self, mu):
+        rng = np.random.default_rng(int(mu * 1e6) % 2**32)
+        eps_sq = 1.3
+        lo, hi = mu / (mu + 1.0) * eps_sq, (mu + 1.0) / mu * eps_sq
+        r_sq = np.concatenate([
+            rng.uniform(0.0, 3.0 * hi, size=500), np.exp(rng.uniform(-40.0, 40.0, size=500))
+        ])
+        w = _weight_update(r_sq, mu, eps_sq)
+        assert np.max(np.abs(w - three_mask_weight_update(r_sq, mu, eps_sq))) <= 1e-12
+        # On the two thresholds the square-root law is 1 or 0 only up to
+        # the round-off of sqrt(.) - mu, a few ulps of mu + 1.
+        edges = np.array([0.0, 1e-300, lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
+        w_edges = _weight_update(edges, mu, eps_sq)
+        tol = 1e-12 + 4.0 * np.finfo(float).eps * (mu + 1.0)
+        assert np.max(np.abs(w_edges - three_mask_weight_update(edges, mu, eps_sq))) <= tol
+        assert np.all((w_edges >= 0.0) & (w_edges <= 1.0))
+
+    def test_zero_residual_weighs_exactly_one(self):
+        # pytest turns warnings into errors, so a division warning fails here.
+        w = _weight_update(np.zeros(4), 0.5, 1.0)
+        assert np.array_equal(w, np.ones(4))
 
 
 class TestHornWeighted:
@@ -244,20 +317,16 @@ class TestGncTls:
         p = RotationProblem(a, b, np.full(30, 0.11))
         eps_sq = p.cbar_sq
         inv_beta_sq = 1.0 / p.beta_bars**2
-
-        def residuals_sq(q):
-            return np.sum((p.b_bars - p.a_bars @ quat_to_matrix(q).T) ** 2, axis=1) * inv_beta_sq
-
         q = np.array([0.0, 0.0, 0.0, 1.0])
-        r_sq = residuals_sq(q)
+        r_sq = p.residuals_sq(q)
         mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
         weights = np.ones(p.size)
         for iterations in range(1, GNC_MAX_ITERATIONS + 1):
             before = _surrogate(r_sq, weights, mu, eps_sq)
             weights = _weight_update(r_sq, mu, eps_sq)
             after_weights = _surrogate(r_sq, weights, mu, eps_sq)
-            q = horn_weighted(p.a_bars, p.b_bars, weights * inv_beta_sq)
-            r_sq = residuals_sq(q)
+            q = _horn((weights * inv_beta_sq) @ p.table)
+            r_sq = p.residuals_sq(q)
             after_solve = _surrogate(r_sq, weights, mu, eps_sq)
             assert after_weights <= before + 1e-9
             assert after_solve <= after_weights + 1e-9

@@ -7,6 +7,7 @@ import pytest
 
 from tlsreg.scalar_tls import (
     ScalarTlsProblem,
+    _sweep_intervals,
     consensus_equivalence_check,
     solve_consensus_max,
     solve_scalar_tls,
@@ -45,6 +46,16 @@ def subset_oracle(p: ScalarTlsProblem):
                 best_cost = cost
                 best_estimate = center
     return best_cost, best_estimate, best_size
+
+
+def full_lexsort_pick(p: ScalarTlsProblem):
+    """Estimate of the first interval after sorting every candidate on
+    (cost, -consensus size, estimate), and the candidates' costs."""
+    sweep = _sweep_intervals(p)
+    estimates = sweep.s1 / sweep.w
+    sse = np.maximum(sweep.s2 - sweep.s1 * sweep.s1 / sweep.w, 0.0)
+    costs = sse + (p.measurements.size - sweep.n) * p.cbar_sq
+    return float(estimates[np.lexsort((estimates, -sweep.n, costs))[0]]), costs
 
 
 def random_problem(rng, K, spread=5.0):
@@ -106,6 +117,24 @@ class TestSolveTls:
         p = ScalarTlsProblem([-1.0, -1.0, 1.0, 1.0], [0.5] * 4, cbar_sq=1.0)
         sol = solve_scalar_tls(p)
         assert sol.estimate == pytest.approx(-1.0)
+
+
+    def test_pick_matches_full_lexsort_on_ties(self):
+        # Mirrored integer measurements with power-of-two bounds: every
+        # consensus set has a mirror image of exactly the same cost.
+        rng = np.random.default_rng(61)
+        tied_problems = 0
+        for _ in range(200):
+            m = rng.integers(-20, 21, size=int(rng.integers(1, 15))).astype(float)
+            a = rng.choice([0.5, 1.0, 2.0], size=m.size)
+            p = ScalarTlsProblem(
+                np.concatenate([m, -m]), np.concatenate([a, a]),
+                cbar_sq=float(rng.choice([1.0, 4.0])),
+            )
+            expected, costs = full_lexsort_pick(p)
+            tied_problems += np.count_nonzero(costs == costs.min()) > 1
+            assert solve_scalar_tls(p).estimate == expected
+        assert tied_problems >= 50
 
 
 class TestConsensusMax:
