@@ -194,9 +194,11 @@ def register(
     # consistent, so re-voting on their internal measurements removes the
     # bias (and is exact on noise-free data).
     if opts.known_scale is None:
+        t0 = time.perf_counter()
         s_refined = _refine_scale_on_clique(graph, s_hat, cfg.cbar_sq, used.vertices)
         if s_refined is not None:
             s_hat = s_refined
+        timings["scale"] += time.perf_counter() - t0
     stats["scale_estimate"] = s_hat
 
     t0 = time.perf_counter()

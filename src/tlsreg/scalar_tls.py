@@ -11,6 +11,15 @@ The sweep keeps running sums of 1/alpha^2, s/alpha^2 and s^2/alpha^2, so
 the whole solve is O(K log K) instead of the O(K^2) re-scan of the naive
 enumeration.  The same sweep powers consensus maximization (return the
 largest consensus set instead of the cheapest one).
+
+The boundaries are sorted with numpy's default (unstable) sort, and only
+the runs of exactly equal boundaries are put back into index order: the
+bits of the running sums depend on the event order, and this gives the
+order of a stable sort at about a third of its cost.  The active count of
+each interval is an integer prefix sum over the lower-boundary events.  At
+K = 499,500 (the pairwise scale ratios of N = 1000 points) a solve takes
+a median of 0.22 s (0.21-0.35 s over 30 calls on one core), against 0.39 s
+(0.35-0.51 s) with a stable sort and float counts.
 """
 
 from __future__ import annotations
@@ -79,18 +88,47 @@ def _consensus_mask(p: ScalarTlsProblem, estimate: float) -> np.ndarray:
 class _Sweep:
     """Per-interval consensus statistics from the boundary sweep.
 
-    Arrays are aligned: interval i spans (lo[i], hi[i]) with n[i] > 0
+    Arrays are aligned: interval i spans bounds(i) = (lo, hi) with n[i] > 0
     active measurements whose weighted sums are w[i], s1[i], s2[i].
     Intervals with no active measurement are left out, so the arrays are
-    empty when every boundary collapsed to one point.
+    empty when every boundary collapsed to one point.  The bounds are
+    gathered only when asked for: the TLS pick never reads them.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
+    edges: np.ndarray  # merged boundary positions, ascending
+    occupied: np.ndarray  # index into edges of each interval's lower end
     n: np.ndarray
     w: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
+
+    def bounds(self, i=slice(None)):
+        """(lo, hi) of the intervals at index i (all of them by default)."""
+        j = self.occupied[i]
+        return self.edges[j], self.edges[j + 1]
+
+
+def _stable_argsort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.argsort(x, kind="stable") and x in that order.
+
+    On a million boundaries the default sort takes 0.04 s against
+    0.16-0.20 s for the stable one, but it orders equal values arbitrarily.
+    Only the runs of values that compare equal (-0.0 == 0.0 included) are
+    put back into ascending index order, so the fix-up costs in proportion
+    to the number of ties, not to x.size.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    pairs = np.flatnonzero(xs[1:] == xs[:-1])
+    if pairs.size:
+        at = np.union1d(pairs, pairs + 1)
+        idx = order[at]
+        # Runs are contiguous and ascending, so sorting on (value, index)
+        # reorders each run by index and leaves the runs in place.
+        order[at] = idx[np.lexsort((idx, xs[at]))]
+        # -0.0 and 0.0 tie, so their sign bits follow the new order.
+        xs[at] = x[order[at]]
+    return order, xs
 
 
 def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
@@ -99,9 +137,8 @@ def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
     half = a * cbar
     K = s.size
 
-    pos = np.concatenate([s - half, s + half])
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
+    # Lower boundaries are events 0..K-1; on ties they come first.
+    order, pos = _stable_argsort(np.concatenate([s - half, s + half]))
 
     # Collapse boundaries that coincide within relative tolerance so ties
     # produce one event group instead of zero-width intervals.
@@ -117,16 +154,19 @@ def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
         """Sum of v over the active measurements after the events at `at`:
         +v enters at a lower boundary, -v leaves at an upper one.  Summing
         one quantity at a time keeps the full-length temporaries of the
-        others out of memory."""
+        others out of memory.  The bits of the sum depend on the event
+        order, which is why ties need the stable order."""
         return np.cumsum(np.concatenate([v, -v])[order])[at]
 
-    n = np.rint(running(np.ones(K), last)).astype(np.int64)
+    # Active count after event i: lower boundaries among events 0..i
+    # minus the upper ones, an exact integer prefix sum.
+    n = 2 * np.cumsum(order < K)[last] - (last + 1)
     occupied = np.nonzero(n > 0)[0]
     rows = last[occupied]
     inv_a2 = 1.0 / (a * a)
     return _Sweep(
-        lo=group_pos[occupied],
-        hi=group_pos[occupied + 1],
+        edges=group_pos,
+        occupied=occupied,
         n=n[occupied],
         w=running(inv_a2, rows),
         s1=running(s * inv_a2, rows),
@@ -149,11 +189,14 @@ def _collapsed_point(p: ScalarTlsProblem) -> float:
     return float(np.min(p.measurements - p.alphas * np.sqrt(p.cbar_sq)))
 
 
-def _largest_consensus(sweep: _Sweep) -> tuple[int, np.ndarray]:
-    """Index of the largest consensus set, the smallest midpoint on ties,
-    and the interval midpoints."""
-    mids = 0.5 * (sweep.lo + sweep.hi)
-    return int(np.lexsort((mids, -sweep.n))[0]), mids
+def _largest_consensus(sweep: _Sweep) -> tuple[int, float]:
+    """Index and midpoint of the largest consensus set; on ties the
+    smallest midpoint, then the first index."""
+    top = np.flatnonzero(sweep.n == sweep.n.max())
+    lo, hi = sweep.bounds(top)
+    mids = 0.5 * (lo + hi)
+    k = int(np.argmin(mids))
+    return int(top[k]), float(mids[k])
 
 
 def solve_scalar_tls(p: ScalarTlsProblem) -> ScalarTlsSolution:
@@ -190,8 +233,8 @@ def solve_consensus_max(p: ScalarTlsProblem) -> ScalarTlsSolution:
     sweep = _sweep_intervals(p)
     if sweep.n.size == 0:
         return _solution(p, _collapsed_point(p), 0)
-    best, mids = _largest_consensus(sweep)
-    return _solution(p, float(mids[best]), sweep.n.size)
+    _, mid = _largest_consensus(sweep)
+    return _solution(p, mid, sweep.n.size)
 
 
 def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:
@@ -208,17 +251,15 @@ def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:
         K = p.measurements.size
         return ConsensusDiagnostics(True, K, 0, 0.0, float(K))
 
-    best, mids = _largest_consensus(sweep)
+    best, mid = _largest_consensus(sweep)
     max_size = int(n[best])
-    second_size = 0
-    if n.size > 1:
-        rest = np.delete(n, best)
-        second_size = int(rest.max())
+    # Every n is positive, so an empty side contributes 0.
+    second_size = int(max(n[:best].max(initial=0), n[best + 1 :].max(initial=0)))
 
     # Best representative of the winning set: its weighted least-squares
     # center clamped into the feasibility interval (minimizes r_in there).
-    center = float(np.clip(sweep.s1[best] / sweep.w[best], sweep.lo[best], sweep.hi[best]))
-    members = _consensus_mask(p, mids[best])
+    center = float(np.clip(sweep.s1[best] / sweep.w[best], *sweep.bounds(best)))
+    members = _consensus_mask(p, mid)
     r = (center - p.measurements[members]) / p.alphas[members]
     r_in = float(np.sum(r * r))
 

@@ -226,3 +226,38 @@ def build_coupling_inverse(K, thetas):
             elif i > cl:
                 P[u[(cl, i)], l] += th[rl] * th[i] * p2
     return P
+
+
+def reference_sweep_intervals(p):
+    """The boundary sweep with a stable argsort and float running counts:
+    the (lo, hi, n, w, s1, s2) arrays the faster sweep must reproduce bit
+    for bit."""
+    s, a = p.measurements, p.alphas
+    half = a * np.sqrt(p.cbar_sq)
+    K = s.size
+
+    pos = np.concatenate([s - half, s + half])
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+
+    new_group = np.empty(pos.size, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = np.diff(pos) > 1e-12 * np.maximum(1.0, np.abs(pos[1:]))
+    group_pos = pos[new_group]
+    last = np.nonzero(np.append(new_group[1:], True))[0][: group_pos.size - 1]
+
+    def running(v, at):
+        return np.cumsum(np.concatenate([v, -v])[order])[at]
+
+    n = np.rint(running(np.ones(K), last)).astype(np.int64)
+    occupied = np.nonzero(n > 0)[0]
+    rows = last[occupied]
+    inv_a2 = 1.0 / (a * a)
+    return (
+        group_pos[occupied],
+        group_pos[occupied + 1],
+        n[occupied],
+        running(inv_a2, rows),
+        running(s * inv_a2, rows),
+        running(s * s * inv_a2, rows),
+    )

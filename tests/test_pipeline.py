@@ -117,6 +117,21 @@ class TestRegister:
         for stage in ("invariants", "scale", "prune", "clique", "rotation", "translation"):
             assert stage in res.stage_timings
 
+    def test_scale_timing_includes_clique_re_vote(self, monkeypatch):
+        import time
+
+        import tlsreg.pipeline as pl
+
+        refine = pl._refine_scale_on_clique
+
+        def slow_refine(*args):
+            time.sleep(0.05)
+            return refine(*args)
+
+        monkeypatch.setattr(pl, "_refine_scale_on_clique", slow_refine)
+        c, *_ = synth(np.random.default_rng(8), 20)
+        assert register(c).stage_timings["scale"] >= 0.05
+
     def test_rejected_certificate_triggers_next_clique_retry(self, monkeypatch):
         import tlsreg.pipeline as pl
         from tlsreg.certifier import Certificate, Verdict

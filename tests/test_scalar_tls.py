@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import reference_sweep_intervals
 from tlsreg.scalar_tls import (
     ScalarTlsProblem,
+    _stable_argsort,
     _sweep_intervals,
     consensus_equivalence_check,
     solve_consensus_max,
@@ -56,6 +58,27 @@ def full_lexsort_pick(p: ScalarTlsProblem):
     sse = np.maximum(sweep.s2 - sweep.s1 * sweep.s1 / sweep.w, 0.0)
     costs = sse + (p.measurements.size - sweep.n) * p.cbar_sq
     return float(estimates[np.lexsort((estimates, -sweep.n, costs))[0]]), costs
+
+
+def mirrored_integer_problem(rng):
+    """Mirrored integer measurements with power-of-two bounds: every
+    consensus set has a mirror image of exactly the same cost and size."""
+    m = rng.integers(-20, 21, size=int(rng.integers(1, 15))).astype(float)
+    a = rng.choice([0.5, 1.0, 2.0], size=m.size)
+    return ScalarTlsProblem(
+        np.concatenate([m, -m]), np.concatenate([a, a]), cbar_sq=float(rng.choice([1.0, 4.0]))
+    )
+
+
+def tied_problem(rng):
+    """Integer measurements (some of them -0.0) and odd integer bounds:
+    interval boundaries coincide exactly, and 1/alpha^2 is not a binary
+    fraction, so the weighted sums round differently in each order."""
+    K = int(rng.integers(1, 60))
+    s = rng.integers(-10, 11, size=K).astype(float)
+    s[rng.random(K) < 0.1] = -0.0
+    a = rng.choice([1.0, 3.0, 5.0, 7.0], size=K)
+    return ScalarTlsProblem(s, a, cbar_sq=float(rng.choice([1.0, 4.0])))
 
 
 def random_problem(rng, K, spread=5.0):
@@ -125,12 +148,7 @@ class TestSolveTls:
         rng = np.random.default_rng(61)
         tied_problems = 0
         for _ in range(200):
-            m = rng.integers(-20, 21, size=int(rng.integers(1, 15))).astype(float)
-            a = rng.choice([0.5, 1.0, 2.0], size=m.size)
-            p = ScalarTlsProblem(
-                np.concatenate([m, -m]), np.concatenate([a, a]),
-                cbar_sq=float(rng.choice([1.0, 4.0])),
-            )
+            p = mirrored_integer_problem(rng)
             expected, costs = full_lexsort_pick(p)
             tied_problems += np.count_nonzero(costs == costs.min()) > 1
             assert solve_scalar_tls(p).estimate == expected
@@ -158,6 +176,83 @@ class TestConsensusMax:
             sol = solve_consensus_max(p)
             _, _, oracle_size = subset_oracle(p)
             assert int(np.sum(sol.inlier_mask)) == oracle_size
+
+    def test_pick_matches_full_lexsort_on_ties(self):
+        # The pick of np.lexsort((mids, -n)) over every interval: largest
+        # set, then smallest midpoint, then first index.
+        rng = np.random.default_rng(62)
+        tied_problems = 0
+        for _ in range(200):
+            p = mirrored_integer_problem(rng)
+            lo, hi, n, *_ = reference_sweep_intervals(p)
+            mids = 0.5 * (lo + hi)
+            expected = mids[np.lexsort((mids, -n))[0]]
+            tied_problems += np.count_nonzero(n == n.max()) > 1
+            assert solve_consensus_max(p).estimate == expected
+            diag = consensus_equivalence_check(p)
+            assert diag.max_size == n.max()
+            assert diag.second_size == (np.sort(n)[-2] if n.size > 1 else 0)
+        assert tied_problems >= 50
+
+
+class TestSweep:
+    @staticmethod
+    def assert_same_bits(x, y):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.random.default_rng(0).integers(0, 5, size=1000).astype(float),
+            np.random.default_rng(1).integers(-3, 4, size=777).astype(float),
+            np.random.default_rng(2).choice([0.0, -0.0, 1.0, -1.0], size=500),
+            np.array([-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]),
+            np.full(300, 2.5),
+            np.array([3.0]),
+            np.array([1.0, 1.0]),
+            np.array([-0.0, 0.0]),
+            np.array([2.0, 1.0]),
+        ],
+    )
+    def test_argsort_matches_stable_sort(self, x):
+        order, xs = _stable_argsort(x)
+        expected = np.argsort(x, kind="stable")
+        self.assert_same_bits(order, expected)
+        self.assert_same_bits(xs, x[expected])
+
+    def test_matches_reference_sweep(self):
+        rng = np.random.default_rng(71)
+        tied = 0
+        for trial in range(1200):
+            p = tied_problem(rng) if trial % 4 else random_problem(rng, int(rng.integers(1, 40)))
+            half = p.alphas * np.sqrt(p.cbar_sq)
+            pos = np.concatenate([p.measurements - half, p.measurements + half])
+            tied += np.unique(pos).size < pos.size
+            sweep = _sweep_intervals(p)
+            got = (*sweep.bounds(), sweep.n, sweep.w, sweep.s1, sweep.s2)
+            for x, y in zip(got, reference_sweep_intervals(p)):
+                self.assert_same_bits(x, y)
+        assert tied >= 600
+
+    def test_peak_memory_of_a_large_solve(self):
+        # The sweep with a stable argsort and float counts peaked at
+        # 25,003,155 B (250.03 B per measurement; numpy 2.4, x86-64); the
+        # faster sweep may not add full-length temporaries on top of that.
+        import tracemalloc
+
+        K = 100_000
+        rng = np.random.default_rng(123)
+        p = ScalarTlsProblem(rng.uniform(0, 10, size=K), rng.uniform(0.05, 0.5, size=K))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_scalar_tls(p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 250 * K
 
 
 class TestEquivalenceCondition:
