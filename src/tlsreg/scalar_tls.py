@@ -20,6 +20,12 @@ each interval is an integer prefix sum over the lower-boundary events.  At
 K = 499,500 (the pairwise scale ratios of N = 1000 points) a solve takes
 a median of 0.22 s (0.21-0.35 s over 30 calls on one core), against 0.39 s
 (0.35-0.51 s) with a stable sort and float counts.
+
+`row_consensus_votes` runs consensus maximization on every row of a table
+at once, as registration's per-vertex scale votes do.  It only needs the
+winning count and interval, not the running sums, so it sorts packed
+integer keys along the rows instead: the boundary and the event type in
+one uint64, whose plain sort is the order the sweep needs.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 BOUNDARY_MERGE_REL_TOL = 1e-12
+# Interval boundaries sorted at a time by the row-wise vote (1 MiB of keys).
+# At 1000 x 1998 boundaries one whole-table sort took 62 ms against 36 ms
+# in blocks, and raised registration's peak RSS from 101 MB to 148-158 MB.
+VOTE_BLOCK_KEYS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -235,6 +245,70 @@ def solve_consensus_max(p: ScalarTlsProblem) -> ScalarTlsSolution:
         return _solution(p, _collapsed_point(p), 0)
     _, mid = _largest_consensus(sweep)
     return _solution(p, mid, sweep.n.size)
+
+
+def row_consensus_votes(
+    measurements: np.ndarray, alphas: np.ndarray, cbar_sq: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Consensus maximization over each row of a table of nonnegative measurements.
+
+    Row r votes with the closed intervals [s - cbar*alpha, s + cbar*alpha]
+    of its entries; NaN entries are missing and never vote.  Returns, per
+    row, the largest number of intervals sharing a point and the midpoint
+    of the first interval of the sweep where that many overlap (NaN when
+    the row has no interval).  The estimated quantity is nonnegative, so
+    lower boundaries are clipped at 0.
+
+    Every boundary x >= 0 becomes one integer key: the bits of x, whose
+    unsigned order is the float order, shifted left by one, with the low
+    bit 0 for a lower boundary and 1 for an upper one.  One sort along the
+    rows thus puts lower boundaries first on ties, so touching closed
+    intervals count as overlapping.  The NaN boundaries of a missing entry
+    have keys above every finite one, and both are flagged upper: they sort
+    last, after every real interval has closed, and never open one.  At
+    1000 x 999 measurements the vote takes a median of 39 ms on one core,
+    the row sort about 16 ms of it; on the same 1000 x 1998 boundaries an
+    argsort along the rows takes 38 ms, a stable one 159 ms.
+    """
+    s = np.asarray(measurements, dtype=float)
+    half = np.sqrt(cbar_sq) * np.asarray(alphas, dtype=float)
+    n_rows, m = s.shape
+    counts = np.zeros(n_rows, dtype=np.int64)
+    mids = np.full(n_rows, np.nan)
+    step = max(1, VOTE_BLOCK_KEYS // max(2 * m, 1))
+    # One set of buffers serves every block: boundaries, then their keys in
+    # place, then the active count after each event.
+    key_buf = np.empty((min(step, n_rows), 2 * m), dtype=np.uint64)
+    active_buf = np.empty(key_buf.shape, dtype=np.int64)
+    seen = np.arange(1, 2 * m + 1)
+    for r0 in range(0, n_rows, step):
+        rows = slice(r0, r0 + step)
+        keys = key_buf[: s[rows].shape[0]]
+        lo, hi = keys.view(np.float64)[:, :m], keys.view(np.float64)[:, m:]
+        np.maximum(np.subtract(s[rows], half[rows], out=lo), 0.0, out=lo)
+        np.add(s[rows], half[rows], out=hi)
+        keys <<= 1
+        keys[:, m:] |= 1
+        keys[:, :m] |= np.isnan(s[rows])
+        keys.sort(axis=1)
+        # After event i, (i + 1) events have been seen; each upper one
+        # closed an interval that a lower one opened.
+        active = active_buf[: keys.shape[0]]
+        np.bitwise_and(keys, 1, out=active.view(np.uint64))
+        np.cumsum(active, axis=1, out=active)
+        active *= -2
+        active += seen
+        best = np.argmax(active, axis=1)[:, None]
+        # The row's last event closes an interval, so best + 1 is in range.
+        lo_pos, hi_pos = (
+            (np.take_along_axis(keys, best + k, axis=1)[:, 0] >> 1).view(np.float64)
+            for k in (0, 1)
+        )
+        n = np.take_along_axis(active, best, axis=1)[:, 0]
+        voted = n > 0
+        counts[rows] = np.where(voted, n, 0)
+        mids[rows] = np.where(voted, 0.5 * (lo_pos + hi_pos), np.nan)
+    return counts, mids
 
 
 def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:

@@ -248,6 +248,29 @@ class TestCli:
             assert doc["stage_stats"]["certify_skipped_k"] == k
             assert f"{k} rotation measurements exceed --certify-max-k=3" in out.err
 
+    @pytest.mark.parametrize("scale_flags", [[], ["--known-scale", "1.0"]])
+    def test_register_json_carries_scale_hypotheses(self, tmp_path, scale_flags):
+        prefix = tmp_path / "inst"
+        cli_main(["generate", "--n", "30", "--outlier-rate", "0.4", "--seed", "9",
+                  "--known-scale", "--out", str(prefix)])
+        out = tmp_path / "result.json"
+        rc = cli_main(
+            [
+                "register", "--src", f"{prefix}_src.ply", "--dst", f"{prefix}_dst.ply",
+                "--beta", "0.0554", "--no-certify", *scale_flags, "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        stats = json.loads(out.read_text())["stage_stats"]
+        if scale_flags:
+            assert "scale_hypotheses" not in stats
+        else:
+            tried = stats["scale_hypotheses"]
+            assert tried and all(
+                isinstance(scale, float) and isinstance(size, int) for scale, size in tried
+            )
+            assert max(size for _, size in tried) == stats["clique_size"]
+
     def test_generate_is_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
             cli_main(

@@ -199,6 +199,124 @@ class TestRegister:
             assert 0.0 <= child_budget
             assert now + child_budget <= start + budget + 1e-9
 
+    def test_scale_hypotheses_share_one_clique_budget(self, monkeypatch):
+        # Three hypotheses, the middle one right, and a bound no clique
+        # reaches: all three are searched, every search ends by the deadline
+        # set at the first, and the retry searches the chosen graph.
+        import time as real_time
+        from types import SimpleNamespace
+
+        import tlsreg.clique as cl
+        import tlsreg.pipeline as pl
+        from tlsreg.certifier import Certificate, Verdict
+
+        clock = [real_time.monotonic()]
+        fake_time = SimpleNamespace(
+            monotonic=lambda: clock[0], perf_counter=real_time.perf_counter
+        )
+        monkeypatch.setattr(cl, "time", fake_time)
+        monkeypatch.setattr(pl, "time", fake_time)
+        searches, retried = [], []
+        real_search, real_next, real_prune = cl.max_clique, cl.next_clique, pl.prune_by_scale
+
+        def timed_search(graph, time_budget):
+            searches.append((clock[0], time_budget))
+            clock[0] += 0.25
+            real_time.sleep(0.01)
+            return real_search(graph, 60.0)
+
+        def recording_next(graph, first, time_budget):
+            retried.append(graph)
+            return real_next(graph, first, time_budget)
+
+        def slow_prune(*args):
+            # The budget starts at the first search: pruning for the first
+            # hypothesis does not draw on it.
+            clock[0] += 1.0
+            real_time.sleep(0.02)
+            return real_prune(*args)
+
+        rng = np.random.default_rng(15)
+        c, s, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
+        hypotheses = [0.5 * s, s, 2.0 * s]
+        monkeypatch.setattr(pl, "_scale_hypotheses", lambda graph, cbar_sq: (hypotheses, 31))
+        monkeypatch.setattr(cl, "max_clique", timed_search)
+        monkeypatch.setattr(cl, "next_clique", recording_next)
+        monkeypatch.setattr(pl, "prune_by_scale", slow_prune)
+        monkeypatch.setattr(
+            pl, "certify", lambda data, cand, opts=None: Certificate(
+                1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0
+            )
+        )
+        res = register(
+            c, TlsConfig(), RegistrationOptions(certify_rotation=True, clique_time_budget=10.0)
+        )
+        start, budget = searches[0]
+        assert budget == 10.0
+        assert len(searches) > 3  # one per hypothesis, then the retry's
+        for now, child_budget in searches[1:]:
+            assert 0.0 <= child_budget
+            assert now + child_budget <= start + budget + 1e-9
+        tried = res.stage_stats["scale_hypotheses"]
+        assert [scale for scale, _ in tried] == hypotheses
+        sizes = [size for _, size in tried]
+        assert sizes[1] > max(sizes[0], sizes[2])
+        chosen = real_prune(res.graph, s, 1.0)
+        assert len(retried) == 1 and np.array_equal(retried[0].adj, chosen.adj)
+        assert res.stage_stats["edges_kept"] == chosen.n_edges
+        assert res.stage_timings["prune"] >= 0.06
+        assert res.stage_timings["clique"] >= 0.03
+
+    @pytest.mark.parametrize(
+        "right_first, budget, completed",
+        [(True, 10.0, False), (False, 10.0, False), (True, 20.0, True)],
+    )
+    def test_a_cut_hypothesis_search_leaves_the_stage_incomplete(
+        self, monkeypatch, right_first, budget, completed
+    ):
+        # Two hypotheses and a bound no clique reaches.  Each search takes
+        # 6 s on a fake clock and is cut when it has less time than that:
+        # at a 10 s budget the second search expires.  A cut search may have
+        # missed a larger clique, whichever hypothesis's clique is chosen.
+        import time as real_time
+        from types import SimpleNamespace
+
+        import tlsreg.clique as cl
+        import tlsreg.pipeline as pl
+
+        clock = [real_time.monotonic()]
+        fake_time = SimpleNamespace(
+            monotonic=lambda: clock[0], perf_counter=real_time.perf_counter
+        )
+        monkeypatch.setattr(cl, "time", fake_time)
+        monkeypatch.setattr(pl, "time", fake_time)
+        real_search = cl.max_clique
+
+        def six_second_search(graph, time_budget):
+            clock[0] += 6.0
+            found = real_search(graph, 60.0)
+            cut = time_budget < 6.0
+            return cl.CliqueResult(found.vertices, found.is_certified_maximum and not cut)
+
+        rng = np.random.default_rng(15)
+        c, s, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
+        hypotheses = [s, 2.0 * s] if right_first else [2.0 * s, s]
+        monkeypatch.setattr(pl, "_scale_hypotheses", lambda graph, cbar_sq: (hypotheses, 31))
+        monkeypatch.setattr(cl, "max_clique", six_second_search)
+        res = register(c, TlsConfig(), RegistrationOptions(clique_time_budget=budget))
+        sizes = [size for _, size in res.stage_stats["scale_hypotheses"]]
+        assert len(sizes) == 2 and res.stage_stats["clique_size"] == max(sizes)
+        assert abs(res.transform.scale - s) < 0.05 * s
+        assert res.stage_stats["clique_completed"] is completed
+
+    def test_no_positive_scale_hypothesis_raises(self):
+        # Coincident target points: every TRIM reads 0, and so does every
+        # refined vote.
+        src = np.random.default_rng(16).uniform(0, 1, size=(10, 3))
+        c = CorrespondenceSet(src, np.zeros((10, 3)), np.full(10, 0.05))
+        with pytest.raises(InsufficientInliersError, match="estimated scale is not positive"):
+            register(c)
+
     def test_certify_cap_skips_the_cost_matrix(self, monkeypatch):
         import tlsreg.pipeline as pl
 
@@ -252,6 +370,46 @@ class TestRegister:
             res = register(c, TlsConfig(), RegistrationOptions(known_scale=1.0))
             assert geodesic_rotation_error(res.transform.matrix, R) < 1e-8
             assert np.linalg.norm(res.transform.translation - t) < 1e-8
+
+
+class TestUnknownScaleNinetyPercentOutliers:
+    def test_every_pose_is_right(self):
+        # The unknown90_n1000 benchmark regime on fixed seeds: N=1000, 90%
+        # outliers, true scales on the benchmark's grid over [1, 5], and its
+        # bar for a right pose.  A single vote over all N^2/2 scale ratios
+        # got most of these wrong: the outlier ratios outvote the inliers.
+        wrong = []
+        for i in range(16):
+            s_true = 1.0 + 4.0 * (i % 8 + 0.5) / 8
+            c, gt, _ = generate(
+                SyntheticSpec(
+                    n_points=1000, sigma=0.01, outlier_rate=0.9, seed=13_000 + i,
+                    scale_range=(s_true, s_true),
+                )
+            )
+            tf = register(c).transform
+            rot = math.degrees(geodesic_rotation_error(tf.matrix, gt.rotation.to_matrix()))
+            trans = np.linalg.norm(tf.translation - gt.translation)
+            if not (abs(tf.scale - s_true) < 0.05 * s_true and rot < 3.0 and trans < 0.1):
+                wrong.append((i, tf.scale, s_true, rot, trans))
+        assert wrong == []
+
+    @pytest.mark.parametrize("seed", [40_001, 40_007])
+    def test_a_later_scale_hypothesis_wins_at_95_percent(self, seed):
+        # With 50 inliers among 1000 points, an outlier vertex can outvote
+        # every inlier: the best-voted vertex's scale has a clique of a few
+        # vertices, and a later hypothesis finds the inliers.
+        c, gt, labels = generate(
+            SyntheticSpec(n_points=1000, sigma=0.01, outlier_rate=0.95, seed=seed)
+        )
+        res = register(c)
+        sizes = [size for _, size in res.stage_stats["scale_hypotheses"]]
+        assert sizes.index(max(sizes)) > 0
+        assert res.stage_stats["clique_size"] == max(sizes) == int(labels.sum())
+        tf = res.transform
+        assert abs(tf.scale - gt.scale) < 0.05 * gt.scale
+        assert math.degrees(geodesic_rotation_error(tf.matrix, gt.rotation.to_matrix())) < 3.0
+        assert np.linalg.norm(tf.translation - gt.translation) < 0.1
 
 
 class TestThresholdKnob:

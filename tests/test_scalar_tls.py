@@ -11,6 +11,7 @@ from tlsreg.scalar_tls import (
     _stable_argsort,
     _sweep_intervals,
     consensus_equivalence_check,
+    row_consensus_votes,
     solve_consensus_max,
     solve_scalar_tls,
     tls_cost,
@@ -253,6 +254,135 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 250 * K
+
+
+def row_vote_oracle(s_row, a_row, cbar_sq):
+    """Brute-force vote of one row: the most closed intervals sharing a
+    point, and the midpoint of the first sweep interval with that many.
+    That interval starts at p, the smallest point covered that many times,
+    and ends at the first upper boundary at or past p."""
+    ok = ~np.isnan(s_row)
+    half = np.sqrt(cbar_sq) * a_row[ok]
+    lo = np.maximum(s_row[ok] - half, 0.0)
+    hi = s_row[ok] + half
+    if lo.size == 0:
+        return 0, np.nan
+    cover = np.array([np.count_nonzero((lo <= x) & (x <= hi)) for x in lo])
+    p = lo[cover == cover.max()].min()
+    return int(cover.max()), 0.5 * (p + hi[hi >= p].min())
+
+
+def assert_votes_match_oracle(s, a, cbar_sq):
+    counts, mids = row_consensus_votes(s, a, cbar_sq)
+    expected = [row_vote_oracle(s[r], a[r], cbar_sq) for r in range(s.shape[0])]
+    assert counts.tolist() == [c for c, _ in expected]
+    np.testing.assert_array_equal(mids, [m for _, m in expected])
+
+
+CLOUD_30 = np.random.default_rng(86).uniform(0, 1, size=(30, 3))
+
+
+def integer_vote_table(rng, n_rows, n_cols):
+    """Integer measurements with bounds 0.5, 1 and 2: an upper boundary
+    often equals another interval's lower one.  About 1 in 10 missing."""
+    s = rng.integers(0, 11, size=(n_rows, n_cols)).astype(float)
+    a = rng.choice([0.5, 1.0, 2.0], size=s.shape)
+    s[rng.random(s.shape) < 0.1] = np.nan
+    return s, a
+
+
+class TestRowVotes:
+    def test_touching_intervals_both_count(self):
+        # [0, 2] and [2, 4] share the point 2; [5, 7] stands alone.
+        counts, mids = row_consensus_votes(
+            np.array([[1.0, 3.0, 6.0]]), np.array([[1.0, 1.0, 1.0]])
+        )
+        assert counts.tolist() == [2] and mids.tolist() == [2.0]
+
+    @pytest.mark.parametrize("cbar_sq", [1.0, 4.0])
+    def test_matches_oracle_on_ties(self, cbar_sq):
+        rng = np.random.default_rng(81)
+        touching = 0
+        for _ in range(40):
+            s, a = integer_vote_table(rng, 7, int(rng.integers(1, 25)))
+            half = np.sqrt(cbar_sq) * a
+            touching += np.intersect1d(s - half, s + half).size > 0
+            assert_votes_match_oracle(s, a, cbar_sq)
+        assert touching >= 30
+
+    def test_lower_boundaries_below_zero_are_clipped(self):
+        rng = np.random.default_rng(82)
+        for _ in range(40):
+            s, a = integer_vote_table(rng, 5, int(rng.integers(1, 20)))
+            s = np.where(np.isnan(s), s, s / 4.0)  # many of s - alpha below 0
+            assert_votes_match_oracle(s, 4.0 * a, 1.0)
+        counts, mids = row_consensus_votes(np.array([[0.5, 1.0]]), np.array([[2.0, 2.0]]))
+        assert counts.tolist() == [2] and mids.tolist() == [1.25]  # on [0, 2.5]
+
+    def test_random_tables_match_oracle(self):
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            s = rng.uniform(0, 5, size=(6, int(rng.integers(1, 40))))
+            a = rng.uniform(0.05, 1.0, size=s.shape)
+            s[rng.random(s.shape) < 0.2] = np.nan
+            assert_votes_match_oracle(s, a, float(rng.uniform(0.5, 2.0)))
+
+    @pytest.mark.parametrize(
+        "src, n_skipped, n_bare",
+        [
+            # Vertex 0 lies within the degeneracy cutoff of both others,
+            # which are not within it of each other: no TRIM at vertex 0.
+            (np.array([[0.0, 0.0, 0.0], [0.9e-9, 0.0, 0.0], [-0.9e-9, 0.0, 0.0]]), 2, 1),
+            (np.random.default_rng(85).uniform(0, 1, size=(3, 3)), 0, 0),
+            # Vertices 3, 12 and 13 coincide.
+            (CLOUD_30[[*range(12), 3, 3, *range(14, 30)]], 3, 0),
+        ],
+    )
+    def test_graph_tables_with_coincident_source_points(self, src, n_skipped, n_bare):
+        from tlsreg.geometry import CorrespondenceSet
+        from tlsreg.invariants import build_measurement_graph
+
+        n = src.shape[0]
+        dst = np.random.default_rng(n).uniform(0, 3, size=(n, 3))
+        graph = build_measurement_graph(CorrespondenceSet(src, dst, np.full(n, 0.05)))
+        assert graph.trims.skipped_rows.size == n_skipped
+        s, a = graph.incident_trims()
+        assert np.count_nonzero(np.isnan(s).all(axis=1)) == n_bare
+        i, j = graph.topology.edge_pairs(graph.trims.tim_rows).T
+        assert np.count_nonzero(~np.isnan(s)) == 2 * len(graph.trims)
+        assert np.array_equal(s[i, j], graph.trims.s_meas) and np.array_equal(s[j, i], s[i, j])
+        assert np.array_equal(a[i, j], graph.trims.alpha) and np.array_equal(a[j, i], a[i, j])
+        assert_votes_match_oracle(s, a, 1.0)
+
+    def test_no_clique_exceeds_the_vote_bound(self):
+        # Every member of a size-m clique at any scale has m - 1 incident
+        # TRIMs consistent with that scale, so m <= the bound.
+        from tlsreg.clique import max_clique, prune_by_scale
+        from tlsreg.invariants import build_measurement_graph
+        from tlsreg.pipeline import _scale_hypotheses
+        from tlsreg.synthetic import SyntheticSpec, generate
+
+        reached = 0
+        for seed in range(12):
+            c, gt, _ = generate(
+                SyntheticSpec(n_points=50, outlier_rate=0.3 + 0.05 * (seed % 8), seed=90 + seed)
+            )
+            graph = build_measurement_graph(c)
+            hypotheses, bound = _scale_hypotheses(graph, 1.0)
+            sizes = [
+                len(max_clique(prune_by_scale(graph, scale, 1.0)))
+                for scale in [*hypotheses, gt.scale, *np.linspace(0.5, 6.0, 12)]
+            ]
+            assert max(sizes) <= bound, seed
+            reached += sizes[0] == bound
+        assert reached >= 10
+
+    def test_blocked_rows_match_oracle(self, monkeypatch):
+        import tlsreg.scalar_tls as st
+
+        monkeypatch.setattr(st, "VOTE_BLOCK_KEYS", 64)  # 3 rows of 20 keys a block
+        s, a = integer_vote_table(np.random.default_rng(84), 11, 10)
+        assert_votes_match_oracle(s, a, 1.0)
 
 
 class TestEquivalenceCondition:
