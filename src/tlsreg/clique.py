@@ -59,28 +59,13 @@ class CliqueResult:
         return self.vertices.shape[0]
 
 
-def graph_from_edges(n_vertices: int, edges) -> PrunedGraph:
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
-    if edges.shape[0]:
-        if edges.min() < 0 or edges.max() >= n_vertices:
-            raise ValueError("edge index out of range")
-        adj[edges[:, 0], edges[:, 1]] = True
-        adj[edges[:, 1], edges[:, 0]] = True
-        np.fill_diagonal(adj, False)
-    return PrunedGraph(adj)
-
-
 def prune_by_scale(graph: MeasurementGraph, s_hat: float, cbar_sq: float) -> PrunedGraph:
     """Keep edges whose scale measurement satisfies |s_k - s_hat| <= cbar * alpha_k.
 
     Degenerate (zero-length) edges carry no scale measurement and are
     dropped here regardless.
     """
-    trims = graph.trims
-    keep = trims.consistent_with(s_hat, cbar_sq)
-    edges = graph.topology.edge_pairs(trims.tim_rows[keep])
-    return graph_from_edges(graph.topology.n_vertices, edges)
+    return PrunedGraph(graph.trims.consistent_with(s_hat, cbar_sq))
 
 
 def _drop(adj: np.ndarray, cand: np.ndarray, deg: np.ndarray, keep: np.ndarray):

@@ -6,15 +6,22 @@ are additionally rotation-invariant and measure only the scale.  Noise
 bounds propagate as beta_i + beta_j for a TIM and (beta_i + beta_j) /
 ||a_bar|| for a TRIM.
 
-The TRIMs over all pairs are built straight from pairwise distances, one
-n x n table per cloud, so no per-edge vector is ever stored.  Only the
-rotation stage and the error bounds need TIM vectors, on the few pairs
-inside the selected clique, and TimSet forms them per pair on demand.
+The TRIMs are kept as two symmetric n x n tables, the scale measurement
+and its bound of edge (i, j) at [i, j] and at [j, i], with NaN on the
+diagonal and on degenerate edges.  Every stage reads this one layout: the
+per-vertex scale votes read the rows, pruning compares the whole table
+with a scale, and the rotation stage reads the pairs inside a clique.
+The tables are filled from pairwise distances a block of rows at a time,
+about BLOCK_ENTRIES entries each, so the distance temporaries stay in
+cache and no per-edge vector is ever stored.  Pruning compares in the
+same blocks: at N = 1000, 99% outliers and known scale, one whole-table
+comparison cut registrations per second by a fifth and raised the peak
+memory from 81 to 93 MB.  Only the rotation stage and the error bounds
+need TIM vectors, on the few pairs inside the selected clique, and TimSet
+forms them per pair on demand.
 
 The graph is always complete: only there do mutually consistent inliers
-form a clique, which the maximum-clique pruning stage looks for.  Its
-edges (i, j), i < j, are numbered in np.triu_indices row-major order, the
-"condensed" edge index.
+form a clique, which the maximum-clique pruning stage looks for.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ BLOCK_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class GraphTopology:
-    """The complete graph over vertices 0..n_vertices-1, edges by condensed index."""
+    """The complete graph over vertices 0..n_vertices-1."""
 
     n_vertices: int
 
@@ -44,18 +51,6 @@ class GraphTopology:
     @property
     def n_edges(self) -> int:
         return self.n_vertices * (self.n_vertices - 1) // 2
-
-    def edge_index(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Condensed index of each edge (i, j), i < j."""
-        return self.n_vertices * i - i * (i + 1) // 2 + j - i - 1
-
-    def edge_pairs(self, edges: np.ndarray) -> np.ndarray:
-        """(P, 2) vertex pairs (i, j), i < j, of condensed edge indices."""
-        edges = np.asarray(edges, dtype=np.int64)
-        v = np.arange(self.n_vertices, dtype=np.int64)
-        row_start = self.edge_index(v, v + 1)
-        i = np.searchsorted(row_start, edges, side="right") - 1
-        return np.column_stack([i, edges - row_start[i] + i + 1])
 
 
 @dataclass(frozen=True)
@@ -85,27 +80,41 @@ class TimSet:
         )
 
 
+def scale_consistent(s_meas, alpha, s_hat: float, cbar_sq: float) -> np.ndarray:
+    """Mask of the TRIMs that agree with scale s_hat: |s - s_hat| <= cbar * alpha.
+
+    NaN compares False, so a missing TRIM never agrees.
+    """
+    return np.abs(s_meas - s_hat) <= math.sqrt(cbar_sq) * alpha
+
+
 @dataclass(frozen=True)
 class TrimSet:
-    """Scale measurements for the non-degenerate edges.
+    """Scale measurements of every edge, as symmetric (N, N) tables.
 
-    tim_rows holds each TRIM's condensed edge index, ascending; edges whose
-    source difference is shorter than the degeneracy cutoff are skipped
-    and recorded in skipped_rows.
+    s_meas and alpha hold edge (i, j)'s TRIM at [i, j] and at [j, i].  They
+    hold NaN on the diagonal and on the edges whose source difference is
+    no longer than the degeneracy cutoff; skipped_rows lists the latter.
     """
 
-    tim_rows: np.ndarray  # (M,) condensed edge indices
-    s_meas: np.ndarray  # (M,) ||b_bar|| / ||a_bar||
-    alpha: np.ndarray  # (M,) beta_bar / ||a_bar||
-    skipped_rows: np.ndarray  # condensed indices of edges with degenerate a_bar
+    s_meas: np.ndarray  # (N, N) ||b_bar|| / ||a_bar||
+    alpha: np.ndarray  # (N, N) beta_bar / ||a_bar||
+    skipped_rows: np.ndarray  # (P, 2) degenerate pairs (i, j), i < j
 
     def __len__(self) -> int:
-        return self.tim_rows.shape[0]
+        n = self.s_meas.shape[0]
+        return n * (n - 1) // 2 - len(self.skipped_rows)
 
-    def consistent_with(self, s_hat: float, cbar_sq: float, rows=slice(None)) -> np.ndarray:
-        """Mask of the TRIMs (all, or those at rows) that agree with scale
-        s_hat: |s_k - s_hat| <= cbar * alpha_k."""
-        return np.abs(self.s_meas[rows] - s_hat) <= math.sqrt(cbar_sq) * self.alpha[rows]
+    def consistent_with(self, s_hat: float, cbar_sq: float) -> np.ndarray:
+        """(N, N) bool adjacency of the edges whose TRIM agrees with s_hat,
+        compared a block of about BLOCK_ENTRIES entries at a time."""
+        n = self.s_meas.shape[0]
+        adj = np.empty((n, n), dtype=bool)
+        step = max(1, BLOCK_ENTRIES // max(n, 1))
+        for r0 in range(0, n, step):
+            rows = slice(r0, r0 + step)
+            adj[rows] = scale_consistent(self.s_meas[rows], self.alpha[rows], s_hat, cbar_sq)
+        return adj
 
 
 @dataclass(frozen=True)
@@ -114,36 +123,19 @@ class MeasurementGraph:
     tims: TimSet
     trims: TrimSet
 
-    def incident_trims(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N, N) tables of the TRIMs at each vertex: s_meas and alpha of
-        edge (i, j) at [i, j] and at [j, i], NaN where the edge has none
-        (the diagonal and the degenerate edges)."""
-        n = self.topology.n_vertices
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)  # row-major = condensed order
-        tables = []
-        for values in (self.trims.s_meas, self.trims.alpha):
-            full = np.full(self.topology.n_edges, np.nan)
-            full[self.trims.tim_rows] = values
-            table = np.full((n, n), np.nan)
-            table[upper] = full
-            table.T[upper] = full
-            tables.append(table)
-        return tables[0], tables[1]
+    def trims_within(self, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pairs, s_meas, alpha) of the TRIMs with both ends in vertices.
 
-    def trims_within(self, vertices) -> tuple[np.ndarray, np.ndarray]:
-        """TRIM rows, and their vertex pairs, of the edges with both ends in vertices.
-
-        Enumerates only the vertices' own pairs, in TRIM order.
+        The pairs (i, j), i < j, of the sorted unique vertices, in row-major
+        order, skipping the degenerate ones; only the vertices' own pairs
+        are read.
         """
         v = np.unique(np.asarray(vertices, dtype=np.int64))
         i, j = np.triu_indices(v.size, k=1)
-        pairs = np.column_stack([v[i], v[j]])
-        edges = self.topology.edge_index(pairs[:, 0], pairs[:, 1])
-        tim_rows = self.trims.tim_rows
-        rows = np.searchsorted(tim_rows, edges)
-        hit = rows < tim_rows.size
-        hit[hit] = tim_rows[rows[hit]] == edges[hit]
-        return rows[hit], pairs[hit]
+        s_meas = self.trims.s_meas[v[i], v[j]]
+        hit = ~np.isnan(s_meas)
+        i, j = v[i[hit]], v[j[hit]]
+        return np.column_stack([i, j]), s_meas[hit], self.trims.alpha[i, j]
 
 
 def degenerate_edge_cutoff(c: CorrespondenceSet) -> float:
@@ -173,44 +165,34 @@ def _squared_distances(points: np.ndarray, rows: slice) -> np.ndarray:
     return sq
 
 
-def _edge_values(c: CorrespondenceSet):
-    """||a_bar||, ||b_bar|| and beta_bar of every edge, in condensed order.
-
-    Walks the n x n tables a block of rows at a time, each block about
-    BLOCK_ENTRIES entries so it stays in cache, and keeps its upper part.
-    """
-    n = len(c)
-    a_norm, b_norm, beta_bar = (np.empty(n * (n - 1) // 2) for _ in range(3))
-    beta = c.noise_bounds
-    idx = np.arange(n)
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    end = 0
-    for r0 in range(0, n, step):
-        rows = slice(r0, min(n, r0 + step))
-        upper = idx[rows, None] < idx[None, r0:]  # row-major = condensed order
-        start, end = end, end + np.count_nonzero(upper)
-        a_norm[start:end] = _squared_distances(c.source, rows)[upper]
-        b_norm[start:end] = _squared_distances(c.target, rows)[upper]
-        beta_bar[start:end] = (beta[rows, None] + beta[None, r0:])[upper]
-    return np.sqrt(a_norm, out=a_norm), np.sqrt(b_norm, out=b_norm), beta_bar
-
-
 def build_measurement_graph(c: CorrespondenceSet) -> MeasurementGraph:
     """TRIMs over the complete graph of the correspondences; TIMs on demand.
 
     Edges with ||a_bar|| at or below degenerate_edge_cutoff carry no scale
-    information (coincident source points) and are skipped.
+    information (coincident source points) and get NaN.  Each block of
+    rows computes the upper rectangle [rows, r0:] of the tables and writes
+    it and its transpose; the rectangle's lower corner is symmetric bit
+    for bit, as each squared difference is.
     """
-    g = GraphTopology.complete(len(c))
-    a_norm, b_norm, beta_bar = _edge_values(c)
-    ok = a_norm > degenerate_edge_cutoff(c)
-    rows = np.flatnonzero(ok)
-    if rows.size < ok.size:
-        a_norm, b_norm, beta_bar = a_norm[rows], b_norm[rows], beta_bar[rows]
-    trims = TrimSet(
-        tim_rows=rows,
-        s_meas=b_norm / a_norm,
-        alpha=beta_bar / a_norm,
-        skipped_rows=np.flatnonzero(~ok),
+    n = len(c)
+    s_meas, alpha = np.empty((n, n)), np.empty((n, n))
+    cutoff = degenerate_edge_cutoff(c)
+    beta = c.noise_bounds
+    skipped = []
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    for r0 in range(0, n, step):
+        rows = slice(r0, min(n, r0 + step))
+        a_norm = np.sqrt(_squared_distances(c.source, rows))
+        bad = ~(a_norm > cutoff)
+        a_norm[bad] = np.nan
+        i, j = np.nonzero(bad)  # vertices r0 + i and r0 + j
+        skipped.append(np.column_stack([i, j])[i < j] + r0)
+        b_norm = np.sqrt(_squared_distances(c.target, rows))
+        beta_bar = beta[rows, None] + beta[None, r0:]
+        for table, top in ((s_meas, b_norm / a_norm), (alpha, beta_bar / a_norm)):
+            table[rows, r0:] = top
+            table[r0:, rows] = top.T
+    trims = TrimSet(s_meas, alpha, np.concatenate(skipped))
+    return MeasurementGraph(
+        GraphTopology.complete(n), TimSet(c.source, c.target, c.noise_bounds), trims
     )
-    return MeasurementGraph(g, TimSet(c.source, c.target, c.noise_bounds), trims)

@@ -9,10 +9,10 @@ with a hypothesis are pruned and the maximum clique of the survivors is
 its inlier candidate set; the largest clique over the hypotheses wins,
 and the search stops as soon as a clique reaches the bound the votes put
 on any clique.  A single vote over all N^2/2 TRIMs let the outlier
-ratios outvote the inliers at 90% outliers.  At N = 1000 the votes and
-hypotheses take a median of 63 ms (60-67 ms, quartiles over 48 solves on
-one core), where that single vote took 0.24 s.  At known scale the given
-scale is the one hypothesis.
+ratios outvote the inliers at 90% outliers.  The votes read the graph's
+(N, N) TRIM tables as they are; at N = 1000 the votes and hypotheses take
+a median of 41 ms (39-44 ms, quartiles over 48 solves on one core).  At
+known scale the given scale is the one hypothesis.
 
 The scale is then re-voted exactly on the clique's measurements; rotation
 is solved on them by graduated non-convexity (optionally certified);
@@ -33,7 +33,7 @@ from . import clique
 from .certifier import Certificate, build_cost_matrix, certify, make_candidate
 from .clique import CliqueResult, prune_by_scale
 from .geometry import CorrespondenceSet, RigidTransform, TlsConfig, UnitQuaternion
-from .invariants import MeasurementGraph, build_measurement_graph
+from .invariants import MeasurementGraph, build_measurement_graph, scale_consistent
 from .rotation import RotationProblem, solve_gnc_tls
 from .scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls
 
@@ -106,19 +106,19 @@ class ErrorBounds:
 
 
 def _clique_consistent(graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices):
-    """TRIM rows consistent with s_hat whose endpoints are both in the clique,
-    and their vertex pairs."""
-    rows, pairs = graph.trims_within(clique_vertices)
-    keep = graph.trims.consistent_with(s_hat, cbar_sq, rows)
-    return rows[keep], pairs[keep]
+    """(pairs, s_meas, alpha) of the TRIMs consistent with s_hat whose
+    endpoints are both in the clique."""
+    pairs, s_meas, alpha = graph.trims_within(clique_vertices)
+    keep = scale_consistent(s_meas, alpha, s_hat, cbar_sq)
+    return pairs[keep], s_meas[keep], alpha[keep]
 
 
 def _clique_rotation_problem(
     graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices
 ) -> RotationProblem:
     """Rotation input: scale-consistent edges with both endpoints in the clique."""
-    rows, pairs = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
-    if rows.size < 2:
+    pairs, _, _ = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
+    if len(pairs) < 2:
         raise InsufficientInliersError(
             "fewer than two scale-consistent measurements inside the clique"
         )
@@ -130,11 +130,10 @@ def _clique_rotation_problem(
 
 def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
     """Scale re-vote restricted to scale-consistent clique-internal edges."""
-    rows, _ = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
-    if rows.size == 0:
+    _, s_meas, alpha = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
+    if s_meas.size == 0:
         return None
-    trims = graph.trims
-    sol = solve_scalar_tls(ScalarTlsProblem(trims.s_meas[rows], trims.alpha[rows], cbar_sq))
+    sol = solve_scalar_tls(ScalarTlsProblem(s_meas, alpha, cbar_sq))
     return sol.estimate if sol.estimate > 0 else None
 
 
@@ -149,7 +148,7 @@ def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[flo
     m vertices have a vote count >= m - 1: every member of a size-m clique
     at any scale has m - 1 incident TRIMs consistent with that scale.
     """
-    s_tab, a_tab = graph.incident_trims()
+    s_tab, a_tab = graph.trims.s_meas, graph.trims.alpha
     counts, mids = row_consensus_votes(s_tab, a_tab, cbar_sq)
     bound = int(np.count_nonzero(-np.sort(-counts) >= np.arange(counts.size)))
     scales = []
@@ -394,9 +393,7 @@ def compute_error_bounds(result: RegistrationResult, c: CorrespondenceSet) -> Er
         raise InsufficientInliersError("bounds need at least 3 selected inliers")
     rng = np.random.default_rng(U_TUPLE_SEED)
 
-    rows, sel_pairs = graph.trims_within(inliers)
-    alphas = graph.trims.alpha[rows]
-    s_meas = graph.trims.s_meas[rows]
+    sel_pairs, s_meas, alphas = graph.trims_within(inliers)
     sel_tims, sel_btims, _ = graph.tims.at(sel_pairs)
     if alphas.size == 0:
         raise InsufficientInliersError("no scale measurements among selected inliers")

@@ -271,7 +271,8 @@ def row_consensus_votes(
     argsort along the rows takes 38 ms, a stable one 159 ms.
     """
     s = np.asarray(measurements, dtype=float)
-    half = np.sqrt(cbar_sq) * np.asarray(alphas, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    cbar = np.sqrt(cbar_sq)
     n_rows, m = s.shape
     counts = np.zeros(n_rows, dtype=np.int64)
     mids = np.full(n_rows, np.nan)
@@ -285,8 +286,9 @@ def row_consensus_votes(
         rows = slice(r0, r0 + step)
         keys = key_buf[: s[rows].shape[0]]
         lo, hi = keys.view(np.float64)[:, :m], keys.view(np.float64)[:, m:]
-        np.maximum(np.subtract(s[rows], half[rows], out=lo), 0.0, out=lo)
-        np.add(s[rows], half[rows], out=hi)
+        half = cbar * alphas[rows]
+        np.maximum(np.subtract(s[rows], half, out=lo), 0.0, out=lo)
+        np.add(s[rows], half, out=hi)
         keys <<= 1
         keys[:, m:] |= 1
         keys[:, :m] |= np.isnan(s[rows])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from tlsreg.certifier import _diag_scalar_targets, _phi_vectors
+from tlsreg.clique import PrunedGraph
 from tlsreg.geometry import left_product_matrix, quat_to_matrix, random_unit_quaternion
 from tlsreg.rotation import check_collinear, horn_weighted
 
@@ -14,6 +15,28 @@ def skew(v):
     """Cross-product matrix: skew(v) @ u == cross(v, u)."""
     x, y, z = np.asarray(v, dtype=float)
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def graph_from_edges(n_vertices, edges):
+    """PrunedGraph with the undirected edges (i, j) and no self-loops."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
+    if edges.shape[0]:
+        if edges.min() < 0 or edges.max() >= n_vertices:
+            raise ValueError("edge index out of range")
+        adj[edges[:, 0], edges[:, 1]] = True
+        adj[edges[:, 1], edges[:, 0]] = True
+        np.fill_diagonal(adj, False)
+    return PrunedGraph(adj)
+
+
+def upper_trims(trims):
+    """(s_meas, alpha) of the TRIMs at the pairs i < j, in row-major order,
+    skipping the NaN of the degenerate pairs."""
+    i, j = np.triu_indices(trims.s_meas.shape[0], k=1)
+    s_meas = trims.s_meas[i, j]
+    ok = ~np.isnan(s_meas)
+    return s_meas[ok], trims.alpha[i[ok], j[ok]]
 
 
 def quat_from_axis_angle(axis, angle):

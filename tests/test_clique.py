@@ -1,23 +1,25 @@
 """Scale pruning and exact maximum-clique search."""
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tlsreg.clique as cl
+from helpers import graph_from_edges
 from tlsreg.clique import (
     _degeneracy_order,
     _greedy_clique,
     _peel,
-    graph_from_edges,
     max_clique,
     next_clique,
     prune_by_scale,
 )
 from tlsreg.geometry import CorrespondenceSet, quat_to_matrix, random_unit_quaternion
-from tlsreg.invariants import build_measurement_graph
+from tlsreg import invariants
+from tlsreg.invariants import build_measurement_graph, degenerate_edge_cutoff
 
 RNG = np.random.default_rng(11)
 
@@ -106,6 +108,11 @@ class TestMaxClique:
     def test_empty_graph(self):
         r = max_clique(graph_from_edges(0, np.empty((0, 2))))
         assert len(r) == 0 and r.is_certified_maximum
+
+    def test_out_of_range_edge_rejected(self):
+        for edges in ([(0, 4)], [(-1, 2)]):
+            with pytest.raises(ValueError, match="out of range"):
+                graph_from_edges(4, edges)
 
     def test_edgeless_graph(self):
         r = max_clique(graph_from_edges(4, np.empty((0, 2))))
@@ -215,9 +222,42 @@ class TestPruneByScale:
                 hit += 1
         assert hit >= 95
 
+    @pytest.mark.parametrize("block_entries", [invariants.BLOCK_ENTRIES, 100])
+    def test_matches_brute_force_over_pairs(self, block_entries, monkeypatch):
+        # 100 entries walk the 23 x 23 tables 4 rows at a time, the last
+        # block 3 rows.
+        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", block_entries)
+        n = 23
+
+        def norm(p, i, j):
+            # Squares and sums in coordinate order, as the tables do.
+            d = [p[j, k] - p[i, k] for k in range(3)]
+            return math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            src = rng.uniform(0, 1, size=(n, 3))
+            src[11] = src[5]  # one coincident source pair
+            dst = 2.0 * src @ quat_to_matrix(random_unit_quaternion(rng)).T
+            dst[rng.choice(n, size=8, replace=False)] = rng.uniform(0, 2, size=(8, 3))
+            c = CorrespondenceSet(src, dst, rng.uniform(0.005, 0.02, n))
+            cbar_sq = float(rng.uniform(0.5, 4.0))
+            s_hat = 2.0 * float(rng.uniform(0.99, 1.01))
+            expected = np.zeros((n, n), dtype=bool)
+            cutoff = degenerate_edge_cutoff(c)
+            for i, j in itertools.combinations(range(n), 2):
+                a = norm(src, i, j)
+                if a > cutoff:
+                    alpha = (c.noise_bounds[i] + c.noise_bounds[j]) / a
+                    if abs(norm(dst, i, j) / a - s_hat) <= math.sqrt(cbar_sq) * alpha:
+                        expected[i, j] = expected[j, i] = True
+            pruned = prune_by_scale(build_measurement_graph(c), s_hat, cbar_sq)
+            assert np.array_equal(pruned.adj, expected)
+            assert not expected[5, 11] and 0 < pruned.n_edges < n * (n - 1) // 2
+
     def test_wildly_wrong_scale_empties_graph(self):
         g = self.make_graph(10, outlier_idx=[])
-        s_bad = 2.0 + 10 * float(np.max(g.trims.alpha))
+        s_bad = 2.0 + 10 * float(np.nanmax(g.trims.alpha))
         pruned = prune_by_scale(g, s_bad, cbar_sq=1.0)
         assert pruned.n_edges == 0
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import upper_trims
 from tlsreg import invariants
 from tlsreg.geometry import CorrespondenceSet, quat_to_matrix, random_unit_quaternion
 from tlsreg.invariants import GraphTopology, build_measurement_graph, degenerate_edge_cutoff
@@ -21,22 +22,16 @@ def make_pair(n, scale, q, t, sigma=0.0, betas=None, rng=RNG):
 
 
 def all_pairs(n):
-    """Every pair (i, j), i < j, in condensed (np.triu_indices) order."""
+    """Every pair (i, j), i < j, in row-major (np.triu_indices) order."""
     return np.column_stack(np.triu_indices(n, k=1))
 
 
 class TestTopology:
     def test_complete_edge_count(self):
         assert GraphTopology.complete(100).n_edges == 4950
-
-    def test_condensed_index_round_trip(self):
         for n in (0, 1, 2, 3, 7, 100):
             g = GraphTopology.complete(n)
-            pairs = all_pairs(n)
-            assert g.n_vertices == n and g.n_edges == pairs.shape[0]
-            edges = np.arange(g.n_edges)
-            assert np.array_equal(g.edge_index(pairs[:, 0], pairs[:, 1]), edges)
-            assert np.array_equal(g.edge_pairs(edges).reshape(-1, 2), pairs)
+            assert g.n_vertices == n and g.n_edges == all_pairs(n).shape[0]
 
 
 class TestBuildTims:
@@ -85,25 +80,30 @@ class TestBuildTrims:
     def test_noiseless_scale_two(self):
         src = np.array([[0.0, 0, 0], [1.0, 0, 0]])
         c = CorrespondenceSet(src, 2.0 * src, [0.1, 0.1])
-        assert build_measurement_graph(c).trims.s_meas[0] == pytest.approx(2.0)
+        assert build_measurement_graph(c).trims.s_meas[0, 1] == pytest.approx(2.0)
 
     def test_alpha_definition(self):
         src = np.array([[0.0, 0, 0], [1.0, 0, 0]])
         c = CorrespondenceSet(src, src, [0.04, 0.06])
-        assert build_measurement_graph(c).trims.alpha[0] == pytest.approx(0.1)
+        assert build_measurement_graph(c).trims.alpha[0, 1] == pytest.approx(0.1)
 
     def test_all_inlier_trims_equal_true_scale(self):
         q = random_unit_quaternion(RNG)
         c = make_pair(25, 3.5, q, np.array([1.0, 2.0, 3.0]))
         trims = build_measurement_graph(c).trims
-        assert np.allclose(trims.s_meas, 3.5, atol=1e-10)
+        s_meas, _ = upper_trims(trims)
+        assert s_meas.size == len(trims) == 25 * 24 // 2
+        assert np.allclose(s_meas, 3.5, atol=1e-10)
 
     def test_degenerate_edges_skipped(self):
         src = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
         c = CorrespondenceSet(src, src, np.full(3, 0.1))
         trims = build_measurement_graph(c).trims
-        assert trims.skipped_rows.tolist() == [0]  # edge (0, 1)
-        assert trims.tim_rows.tolist() == [1, 2]
+        assert trims.skipped_rows.tolist() == [[0, 1]]
+        for table in (trims.s_meas, trims.alpha):
+            assert np.isnan(table).tolist() == [[True, True, False],
+                                                [True, True, False],
+                                                [False, False, True]]
         assert len(trims) == 2
 
     @pytest.mark.parametrize("block_entries", [invariants.BLOCK_ENTRIES, 100])
@@ -123,11 +123,17 @@ class TestBuildTrims:
         b_norm = np.linalg.norm(dst[j] - dst[i], axis=1)
         beta_bar = c.noise_bounds[i] + c.noise_bounds[j]
         ok = a_norm > degenerate_edge_cutoff(c)
-        assert np.flatnonzero(~ok).tolist() == [GraphTopology.complete(n).edge_index(4, 17)]
-        assert np.array_equal(trims.skipped_rows, np.flatnonzero(~ok))
-        assert np.array_equal(trims.tim_rows, np.flatnonzero(ok))
-        assert np.array_equal(trims.s_meas, b_norm[ok] / a_norm[ok])
-        assert np.array_equal(trims.alpha, beta_bar[ok] / a_norm[ok])
+        assert all_pairs(n)[~ok].tolist() == [[4, 17]]
+        assert trims.skipped_rows.tolist() == [[4, 17]]
+        off_diagonal = ~np.eye(n, dtype=bool)
+        for table, values in ((trims.s_meas, b_norm[ok] / a_norm[ok]),
+                              (trims.alpha, beta_bar[ok] / a_norm[ok])):
+            expected = np.full((n, n), np.nan)
+            expected[i[ok], j[ok]] = values
+            expected[j[ok], i[ok]] = values
+            assert np.array_equal(table, expected, equal_nan=True)
+            assert np.argwhere(np.isnan(table) & off_diagonal).tolist() == [[4, 17], [17, 4]]
+            assert np.isnan(np.diag(table)).all()
 
 
 class TestTrimsWithin:
@@ -141,20 +147,22 @@ class TestTrimsWithin:
 
         member = np.zeros(n, dtype=bool)
         member[vertices] = True
-        pairs = g.topology.edge_pairs(g.trims.tim_rows)
-        expected = np.flatnonzero(member[pairs[:, 0]] & member[pairs[:, 1]])
+        i, j = all_pairs(n).T
+        keep = member[i] & member[j] & ~np.isnan(g.trims.s_meas[i, j])
+        i, j = i[keep], j[keep]
 
-        rows, got_pairs = g.trims_within(vertices)
-        assert np.array_equal(rows, expected)
-        assert np.array_equal(got_pairs, pairs[expected])
-        assert rows.size == 6 * 5 // 2 - 1
+        pairs, s_meas, alpha = g.trims_within(vertices)
+        assert np.array_equal(pairs, np.column_stack([i, j]))
+        assert np.array_equal(s_meas, g.trims.s_meas[i, j])
+        assert np.array_equal(alpha, g.trims.alpha[i, j])
+        assert len(pairs) == 6 * 5 // 2 - 1
 
     def test_empty_and_single_vertex(self):
         src = RNG.uniform(0, 1, size=(5, 3))
         g = build_measurement_graph(CorrespondenceSet(src, src, np.full(5, 0.1)))
         for vertices in ([], [3]):
-            rows, pairs = g.trims_within(vertices)
-            assert rows.size == 0 and pairs.shape == (0, 2)
+            pairs, s_meas, alpha = g.trims_within(vertices)
+            assert pairs.shape == (0, 2) and s_meas.size == alpha.size == 0
 
 
 class TestInvariances:
@@ -166,7 +174,29 @@ class TestInvariances:
         pre = quat_to_matrix(random_unit_quaternion(RNG))
         c2 = CorrespondenceSet(c.source @ pre.T, c.target @ pre.T, c.noise_bounds)
         trims2 = build_measurement_graph(c2).trims
-        assert np.allclose(trims.s_meas, trims2.s_meas, atol=1e-10)
+        assert np.allclose(upper_trims(trims)[0], upper_trims(trims2)[0], atol=1e-10)
+
+    @pytest.mark.parametrize("block_entries", [invariants.BLOCK_ENTRIES, 100])
+    def test_permuting_correspondences_permutes_the_tables(self, block_entries, monkeypatch):
+        # Relabelling the correspondences by p relabels every TRIM, bit for
+        # bit: vertex k of the permuted set is vertex p[k] of the original.
+        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(17)
+        n = 45
+        src = rng.uniform(-1, 1, size=(n, 3))
+        src[30] = src[8]  # one coincident pair
+        c = CorrespondenceSet(src, rng.uniform(-3, 3, size=(n, 3)), rng.uniform(0.01, 0.1, n))
+        trims = build_measurement_graph(c).trims
+        for _ in range(5):
+            p = rng.permutation(n)
+            permuted = build_measurement_graph(
+                CorrespondenceSet(c.source[p], c.target[p], c.noise_bounds[p])
+            ).trims
+            for table, original in ((permuted.s_meas, trims.s_meas),
+                                    (permuted.alpha, trims.alpha)):
+                assert np.array_equal(table, original[p][:, p], equal_nan=True)
+            skipped = np.sort(p[permuted.skipped_rows], axis=1)
+            assert skipped.tolist() == trims.skipped_rows.tolist() == [[8, 30]]
 
     def test_noise_bound_soundness(self):
         # For bounded noise ||eps_i|| <= beta_i, every inlier pair satisfies
@@ -183,6 +213,8 @@ class TestInvariances:
             eps *= (rng.uniform(0, 1, size=n) * betas / np.linalg.norm(eps, axis=1))[:, None]
             dst = s * src @ quat_to_matrix(q).T + rng.normal(size=3) + eps
             c = CorrespondenceSet(src, dst, betas)
-            g = build_measurement_graph(c)
-            assert np.all(np.abs(g.trims.s_meas - s) <= g.trims.alpha * (1 + 1e-9))
-            count += len(g.trims)
+            trims = build_measurement_graph(c).trims
+            s_meas, alpha = upper_trims(trims)
+            assert s_meas.size == len(trims)
+            assert np.all(np.abs(s_meas - s) <= alpha * (1 + 1e-9))
+            count += s_meas.size
