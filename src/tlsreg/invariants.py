@@ -6,19 +6,23 @@ are additionally rotation-invariant and measure only the scale.  Noise
 bounds propagate as beta_i + beta_j for a TIM and (beta_i + beta_j) /
 ||a_bar|| for a TRIM.
 
-The TRIMs are kept as two symmetric n x n tables, the scale measurement
-and its bound of edge (i, j) at [i, j] and at [j, i], with NaN on the
-diagonal and on degenerate edges.  Every stage reads this one layout: the
-per-vertex scale votes read the rows, pruning compares the whole table
-with a scale, and the rotation stage reads the pairs inside a clique.
-The tables are filled from pairwise distances a block of rows at a time,
-about BLOCK_ENTRIES entries each, so the distance temporaries stay in
-cache and no per-edge vector is ever stored.  Pruning compares in the
-same blocks: at N = 1000, 99% outliers and known scale, one whole-table
-comparison cut registrations per second by a fifth and raised the peak
-memory from 81 to 93 MB.  Only the rotation stage and the error bounds
-need TIM vectors, on the few pairs inside the selected clique, and TimSet
-forms them per pair on demand.
+No TRIM is stored.  TrimSet keeps the points and the degeneracy cutoff
+and computes any TRIM where it is read, in one symmetric layout: edge
+(i, j)'s value sits at [i, j] and at [j, i], NaN on the diagonal and on
+degenerate edges.  Pruning computes the upper rectangle [rows, r0:] of a
+block of rows, compares it with the scale and writes the bool block and
+its transpose; the per-vertex scale votes compute full rows a block at a
+time; a scale hypothesis is refined on one row; and the rotation stage
+reads the pairs inside a clique.  A block holds about BLOCK_ENTRIES
+entries in buffers reused from block to block, so its temporaries stay
+in cache and touch no fresh memory.  Each value is the same bit for bit
+wherever it is computed: the coordinates are squared and summed in order,
+and a difference squares to the same value in both directions.  At
+N = 1000, 99% outliers and known scale, pruning takes a median of 15 ms
+(14-15 ms over 48 calls on one core), where filling two stored (N, N)
+float64 tables (16 MB) took 35 ms and comparing them 5 ms more.  Only the
+rotation stage and the error bounds need TIM vectors, on the few pairs
+inside the selected clique, and TimSet forms them per pair on demand.
 
 The graph is always complete: only there do mutually consistent inliers
 form a clique, which the maximum-clique pruning stage looks for.
@@ -28,13 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import CorrespondenceSet
 
 DEGENERATE_EDGE_REL_TOL = 1e-9
-# Entries of the pairwise-distance table built at a time (512 KiB of float64).
+# TRIMs computed at a time, one block of rows (512 KiB of float64 a buffer).
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -88,32 +93,99 @@ def scale_consistent(s_meas, alpha, s_hat: float, cbar_sq: float) -> np.ndarray:
     return np.abs(s_meas - s_hat) <= math.sqrt(cbar_sq) * alpha
 
 
+def _block_rows(n: int) -> int:
+    """Rows of an n-column table that make about BLOCK_ENTRIES entries."""
+    return max(1, BLOCK_ENTRIES // max(n, 1))
+
+
+def _row_blocks(n: int):
+    """Slices of _block_rows(n) consecutive rows covering 0..n-1."""
+    step = _block_rows(n)
+    for r0 in range(0, n, step):
+        yield slice(r0, min(n, r0 + step))
+
+
 @dataclass(frozen=True)
 class TrimSet:
-    """Scale measurements of every edge, as symmetric (N, N) tables.
+    """Scale measurements of every edge, computed from the points where read.
 
-    s_meas and alpha hold edge (i, j)'s TRIM at [i, j] and at [j, i].  They
-    hold NaN on the diagonal and on the edges whose source difference is
-    no longer than the degeneracy cutoff; skipped_rows lists the latter.
+    Edge (i, j) measures ||b_j - b_i|| / ||a_j - a_i|| with bound
+    (beta_i + beta_j) / ||a_j - a_i||, the same value as edge (j, i).  It
+    is NaN on the diagonal and wherever the source difference is no longer
+    than cutoff; skipped_rows lists the latter, from a pass over the
+    source distances on first use.
     """
 
-    s_meas: np.ndarray  # (N, N) ||b_bar|| / ||a_bar||
-    alpha: np.ndarray  # (N, N) beta_bar / ||a_bar||
-    skipped_rows: np.ndarray  # (P, 2) degenerate pairs (i, j), i < j
+    source: np.ndarray  # (N, 3)
+    target: np.ndarray  # (N, 3)
+    noise_bounds: np.ndarray  # (N,)
+    cutoff: float
 
     def __len__(self) -> int:
-        n = self.s_meas.shape[0]
+        n = self.source.shape[0]
         return n * (n - 1) // 2 - len(self.skipped_rows)
 
+    def at(self, i, j, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(s_meas, alpha) of the edges (i, j).
+
+        i and j index the vertices (integers, index arrays or slices, with
+        None to lay out a table) and broadcast together to an array.  out,
+        when given, holds four arrays of that shape: s_meas, alpha and two
+        temporaries.
+        """
+        s_meas, alpha, a_norm, scratch = out or (None,) * 4
+        a_norm = _norms(self.source, i, j, a_norm, scratch)
+        np.copyto(a_norm, np.nan, where=~(a_norm > self.cutoff))
+        s_meas = _norms(self.target, i, j, s_meas, scratch)
+        s_meas /= a_norm
+        alpha = np.add(self.noise_bounds[i], self.noise_bounds[j], out=alpha)
+        alpha /= a_norm
+        return s_meas, alpha
+
+    def blocks(self, upper: bool = False):
+        """(rows, s_meas, alpha) for blocks of consecutive rows, in order.
+
+        Each block holds the TRIMs of the vertices in rows against every
+        vertex, or with upper against rows.start..N-1 only.  The arrays are
+        buffers that the next block overwrites.
+        """
+        n = self.source.shape[0]
+        buffers = np.empty((4, _block_rows(n) * n))
+        for rows in _row_blocks(n):
+            r0 = rows.start if upper else 0
+            shape = (rows.stop - rows.start, n - r0)
+            out = [b[: shape[0] * shape[1]].reshape(shape) for b in buffers]
+            yield (rows, *self.at(np.s_[rows, None], np.s_[None, r0:], out))
+
+    @cached_property
+    def skipped_rows(self) -> np.ndarray:
+        """(P, 2) degenerate pairs (i, j), i < j, in row-major order."""
+        pieces = [np.empty((0, 2), dtype=np.int64)]
+        for rows in _row_blocks(self.source.shape[0]):
+            r0 = rows.start
+            bad = ~(_norms(self.source, np.s_[rows, None], np.s_[None, r0:]) > self.cutoff)
+            i, j = np.nonzero(bad)  # vertices r0 + i and r0 + j
+            pieces.append(np.column_stack([i, j])[i < j] + r0)
+        return np.concatenate(pieces)
+
     def consistent_with(self, s_hat: float, cbar_sq: float) -> np.ndarray:
-        """(N, N) bool adjacency of the edges whose TRIM agrees with s_hat,
-        compared a block of about BLOCK_ENTRIES entries at a time."""
-        n = self.s_meas.shape[0]
+        """(N, N) bool adjacency of the edges whose TRIM agrees with s_hat.
+
+        Each block compares the upper rectangle [rows, r0:] and writes it
+        and its transpose; the rectangle's lower corner is symmetric bit
+        for bit, as each squared difference is.
+        """
+        n = self.source.shape[0]
         adj = np.empty((n, n), dtype=bool)
-        step = max(1, BLOCK_ENTRIES // max(n, 1))
-        for r0 in range(0, n, step):
-            rows = slice(r0, r0 + step)
-            adj[rows] = scale_consistent(self.s_meas[rows], self.alpha[rows], s_hat, cbar_sq)
+        cbar = math.sqrt(cbar_sq)
+        for rows, s_meas, alpha in self.blocks(upper=True):
+            r0 = rows.start
+            # scale_consistent, in the block's own buffers.
+            s_meas -= s_hat
+            np.abs(s_meas, out=s_meas)
+            alpha *= cbar
+            np.less_equal(s_meas, alpha, out=adj[rows, r0:])
+            adj[r0:, rows] = adj[rows, r0:].T
         return adj
 
 
@@ -127,15 +199,14 @@ class MeasurementGraph:
         """(pairs, s_meas, alpha) of the TRIMs with both ends in vertices.
 
         The pairs (i, j), i < j, of the sorted unique vertices, in row-major
-        order, skipping the degenerate ones; only the vertices' own pairs
-        are read.
+        order, skipping the degenerate ones; only these pairs are computed.
         """
         v = np.unique(np.asarray(vertices, dtype=np.int64))
         i, j = np.triu_indices(v.size, k=1)
-        s_meas = self.trims.s_meas[v[i], v[j]]
+        i, j = v[i], v[j]
+        s_meas, alpha = self.trims.at(i, j)
         hit = ~np.isnan(s_meas)
-        i, j = v[i[hit]], v[j[hit]]
-        return np.column_stack([i, j]), s_meas[hit], self.trims.alpha[i, j]
+        return np.column_stack([i[hit], j[hit]]), s_meas[hit], alpha[hit]
 
 
 def degenerate_edge_cutoff(c: CorrespondenceSet) -> float:
@@ -148,51 +219,32 @@ def degenerate_edge_cutoff(c: CorrespondenceSet) -> float:
     return DEGENERATE_EDGE_REL_TOL * max(extent, 1.0)
 
 
-def _squared_distances(points: np.ndarray, rows: slice) -> np.ndarray:
-    """||p_j - p_i||^2 for i in rows and j >= rows.start, as a table.
+def _norms(points: np.ndarray, i, j, out=None, scratch=None) -> np.ndarray:
+    """||p_j - p_i|| for the vertex indices i and j, broadcast together.
 
-    Squares and sums the coordinates in order, so its square root equals
-    np.linalg.norm of the stacked differences bit for bit.
+    Squares and sums the coordinates in order, so the value equals
+    np.linalg.norm of the difference bit for bit, and is the same for
+    (j, i) as for (i, j).  out and scratch, when given, receive the result
+    and a temporary.
     """
-    sq = None
-    for col in points.T:
-        d = col[None, rows.start :] - col[rows, None]
+    # Contiguous coordinate rows broadcast faster than strided columns.
+    x, y, z = np.ascontiguousarray(points.T)
+    out = np.subtract(x[j], x[i], out=out)
+    out *= out
+    for col in (y, z):
+        d = np.subtract(col[j], col[i], out=scratch)
         d *= d
-        if sq is None:
-            sq = d
-        else:
-            sq += d
-    return sq
+        out += d
+    return np.sqrt(out, out=out)
 
 
 def build_measurement_graph(c: CorrespondenceSet) -> MeasurementGraph:
-    """TRIMs over the complete graph of the correspondences; TIMs on demand.
+    """The complete graph of the correspondences; TIMs and TRIMs on demand.
 
     Edges with ||a_bar|| at or below degenerate_edge_cutoff carry no scale
-    information (coincident source points) and get NaN.  Each block of
-    rows computes the upper rectangle [rows, r0:] of the tables and writes
-    it and its transpose; the rectangle's lower corner is symmetric bit
-    for bit, as each squared difference is.
+    information (coincident source points) and get NaN TRIMs.
     """
-    n = len(c)
-    s_meas, alpha = np.empty((n, n)), np.empty((n, n))
-    cutoff = degenerate_edge_cutoff(c)
-    beta = c.noise_bounds
-    skipped = []
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    for r0 in range(0, n, step):
-        rows = slice(r0, min(n, r0 + step))
-        a_norm = np.sqrt(_squared_distances(c.source, rows))
-        bad = ~(a_norm > cutoff)
-        a_norm[bad] = np.nan
-        i, j = np.nonzero(bad)  # vertices r0 + i and r0 + j
-        skipped.append(np.column_stack([i, j])[i < j] + r0)
-        b_norm = np.sqrt(_squared_distances(c.target, rows))
-        beta_bar = beta[rows, None] + beta[None, r0:]
-        for table, top in ((s_meas, b_norm / a_norm), (alpha, beta_bar / a_norm)):
-            table[rows, r0:] = top
-            table[r0:, rows] = top.T
-    trims = TrimSet(s_meas, alpha, np.concatenate(skipped))
+    trims = TrimSet(c.source, c.target, c.noise_bounds, degenerate_edge_cutoff(c))
     return MeasurementGraph(
-        GraphTopology.complete(n), TimSet(c.source, c.target, c.noise_bounds), trims
+        GraphTopology.complete(len(c)), TimSet(c.source, c.target, c.noise_bounds), trims
     )

@@ -9,10 +9,13 @@ with a hypothesis are pruned and the maximum clique of the survivors is
 its inlier candidate set; the largest clique over the hypotheses wins,
 and the search stops as soon as a clique reaches the bound the votes put
 on any clique.  A single vote over all N^2/2 TRIMs let the outlier
-ratios outvote the inliers at 90% outliers.  The votes read the graph's
-(N, N) TRIM tables as they are; at N = 1000 the votes and hypotheses take
-a median of 41 ms (39-44 ms, quartiles over 48 solves on one core).  At
-known scale the given scale is the one hypothesis.
+ratios outvote the inliers at 90% outliers.  No TRIM table is stored: the
+votes compute the TRIM rows from the points a block at a time and vote
+each block as it comes.  At N = 1000 the votes and hypotheses take a
+median of 57 ms (52-61 ms, quartiles over 48 solves on one core), about
+22 ms of it computing the rows.  Measured alongside, stored (N, N) tables
+took 35 ms to fill and 47 ms to vote on.  At known scale the given scale
+is the one hypothesis.
 
 The scale is then re-voted exactly on the clique's measurements; rotation
 is solved on them by graduated non-convexity (optionally certified);
@@ -33,7 +36,12 @@ from . import clique
 from .certifier import Certificate, build_cost_matrix, certify, make_candidate
 from .clique import CliqueResult, prune_by_scale
 from .geometry import CorrespondenceSet, RigidTransform, TlsConfig, UnitQuaternion
-from .invariants import MeasurementGraph, build_measurement_graph, scale_consistent
+from .invariants import (
+    MeasurementGraph,
+    TrimSet,
+    build_measurement_graph,
+    scale_consistent,
+)
 from .rotation import RotationProblem, solve_gnc_tls
 from .scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls
 
@@ -137,6 +145,23 @@ def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
     return sol.estimate if sol.estimate > 0 else None
 
 
+def _vertex_votes(trims: TrimSet, cbar_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's consensus vote over its own TRIMs: count and midpoint.
+
+    The rows of TRIMs are computed and voted a block at a time.
+    """
+    n = trims.source.shape[0]
+    counts, mids = np.empty(n, dtype=np.int64), np.empty(n)
+    work = None
+    for rows, s_meas, alpha in trims.blocks():
+        if work is None:  # sized by the first block, the largest
+            work = np.empty((len(s_meas), 2 * n), dtype=np.uint64)
+        counts[rows], mids[rows] = row_consensus_votes(
+            s_meas, alpha, cbar_sq, work=work[: len(s_meas)]
+        )
+    return counts, mids
+
+
 def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[float], int]:
     """Positive scale hypotheses from per-vertex votes, best-voted first,
     and a bound on the clique size at any scale.
@@ -147,9 +172,12 @@ def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[flo
     (relative) from every kept one.  The bound is the largest m such that
     m vertices have a vote count >= m - 1: every member of a size-m clique
     at any scale has m - 1 incident TRIMs consistent with that scale.
+    Raises InsufficientInliersError when no vertex voted, that is, when
+    no TRIM is finite.
     """
-    s_tab, a_tab = graph.trims.s_meas, graph.trims.alpha
-    counts, mids = row_consensus_votes(s_tab, a_tab, cbar_sq)
+    counts, mids = _vertex_votes(graph.trims, cbar_sq)
+    if not counts.any():
+        raise InsufficientInliersError("no usable scale measurements")
     bound = int(np.count_nonzero(-np.sort(-counts) >= np.arange(counts.size)))
     scales = []
 
@@ -163,8 +191,9 @@ def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[flo
         # near a kept scale would prune the same graph again.
         if near_kept(mids[v]):
             continue
-        row = ~np.isnan(s_tab[v])
-        sol = solve_scalar_tls(ScalarTlsProblem(s_tab[v, row], a_tab[v, row], cbar_sq))
+        s_row, a_row = graph.trims.at(v, slice(None))
+        row = ~np.isnan(s_row)
+        sol = solve_scalar_tls(ScalarTlsProblem(s_row[row], a_row[row], cbar_sq))
         if sol.estimate > 0 and not near_kept(sol.estimate):
             scales.append(sol.estimate)
     return scales, bound
@@ -218,8 +247,6 @@ def register(
         # One hypothesis: there is nothing to stop early for.
         hypotheses, clique_bound = [float(opts.known_scale)], 0
     else:
-        if len(graph.trims) == 0:
-            raise InsufficientInliersError("no usable scale measurements")
         hypotheses, clique_bound = _scale_hypotheses(graph, cfg.cbar_sq)
         if not hypotheses:
             raise InsufficientInliersError("estimated scale is not positive")

@@ -22,10 +22,11 @@ a median of 0.22 s (0.21-0.35 s over 30 calls on one core), against 0.39 s
 (0.35-0.51 s) with a stable sort and float counts.
 
 `row_consensus_votes` runs consensus maximization on every row of a table
-at once, as registration's per-vertex scale votes do.  It only needs the
-winning count and interval, not the running sums, so it sorts packed
-integer keys along the rows instead: the boundary and the event type in
-one uint64, whose plain sort is the order the sweep needs.
+at once; registration's per-vertex scale votes hand it the TRIM rows one
+block at a time.  It only needs the winning count and interval, not the
+running sums, so it sorts packed integer keys along the rows instead: the
+boundary and the event type in one uint64, whose plain sort is the order
+the sweep needs.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 BOUNDARY_MERGE_REL_TOL = 1e-12
-# Interval boundaries sorted at a time by the row-wise vote (1 MiB of keys).
-# At 1000 x 1998 boundaries one whole-table sort took 62 ms against 36 ms
-# in blocks, and raised registration's peak RSS from 101 MB to 148-158 MB.
-VOTE_BLOCK_KEYS = 1 << 17
+# Keys of a missing entry's upper and lower boundary in the row-wise vote:
+# odd and even, and above every finite boundary's key.
+MISSING_UPPER_KEY = np.uint64(2**64 - 3)
+MISSING_LOWER_KEY = np.uint64(2**64 - 2)
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,10 @@ def solve_consensus_max(p: ScalarTlsProblem) -> ScalarTlsSolution:
 
 
 def row_consensus_votes(
-    measurements: np.ndarray, alphas: np.ndarray, cbar_sq: float = 1.0
+    measurements: np.ndarray,
+    alphas: np.ndarray,
+    cbar_sq: float = 1.0,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Consensus maximization over each row of a table of nonnegative measurements.
 
@@ -263,54 +267,52 @@ def row_consensus_votes(
     unsigned order is the float order, shifted left by one, with the low
     bit 0 for a lower boundary and 1 for an upper one.  One sort along the
     rows thus puts lower boundaries first on ties, so touching closed
-    intervals count as overlapping.  The NaN boundaries of a missing entry
-    have keys above every finite one, and both are flagged upper: they sort
-    last, after every real interval has closed, and never open one.  At
-    1000 x 999 measurements the vote takes a median of 39 ms on one core,
-    the row sort about 16 ms of it; on the same 1000 x 1998 boundaries an
-    argsort along the rows takes 38 ms, a stable one 159 ms.
+    intervals count as overlapping.  A missing entry's keys become
+    MISSING_UPPER_KEY and MISSING_LOWER_KEY, above every finite key: its
+    interval closes after every real one has, and opens again last, so it
+    never adds to a count.  Each row then holds M upper events.  Just
+    before its u-th one, at sorted position p, p events have been seen, u
+    of them upper, so p - 2u intervals are open; the count only falls at
+    an upper event, so it peaks just before one.
+
+    work, when given, is an (R, 2M) uint64 buffer for the R x M table's
+    keys.  A caller that votes a large table one block of rows at a time
+    passes the same buffer for every block, so a whole vote allocates it
+    once, whatever the allocator does with freed blocks.  Registration
+    votes blocks of 65 x 1000 TRIMs this way: at N = 1000 its 16 blocks
+    take a median of 37-39 ms on one core, the row sorts about 14 ms of
+    it, where a running count over all 2M events took 42-44 ms (an
+    argsort along the rows took 38 ms on the whole 1000 x 1998 boundary
+    table, a stable one 159 ms).
     """
     s = np.asarray(measurements, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
-    cbar = np.sqrt(cbar_sq)
     n_rows, m = s.shape
-    counts = np.zeros(n_rows, dtype=np.int64)
-    mids = np.full(n_rows, np.nan)
-    step = max(1, VOTE_BLOCK_KEYS // max(2 * m, 1))
-    # One set of buffers serves every block: boundaries, then their keys in
-    # place, then the active count after each event.
-    key_buf = np.empty((min(step, n_rows), 2 * m), dtype=np.uint64)
-    active_buf = np.empty(key_buf.shape, dtype=np.int64)
-    seen = np.arange(1, 2 * m + 1)
-    for r0 in range(0, n_rows, step):
-        rows = slice(r0, r0 + step)
-        keys = key_buf[: s[rows].shape[0]]
-        lo, hi = keys.view(np.float64)[:, :m], keys.view(np.float64)[:, m:]
-        half = cbar * alphas[rows]
-        np.maximum(np.subtract(s[rows], half, out=lo), 0.0, out=lo)
-        np.add(s[rows], half, out=hi)
-        keys <<= 1
-        keys[:, m:] |= 1
-        keys[:, :m] |= np.isnan(s[rows])
-        keys.sort(axis=1)
-        # After event i, (i + 1) events have been seen; each upper one
-        # closed an interval that a lower one opened.
-        active = active_buf[: keys.shape[0]]
-        np.bitwise_and(keys, 1, out=active.view(np.uint64))
-        np.cumsum(active, axis=1, out=active)
-        active *= -2
-        active += seen
-        best = np.argmax(active, axis=1)[:, None]
-        # The row's last event closes an interval, so best + 1 is in range.
-        lo_pos, hi_pos = (
-            (np.take_along_axis(keys, best + k, axis=1)[:, 0] >> 1).view(np.float64)
-            for k in (0, 1)
-        )
-        n = np.take_along_axis(active, best, axis=1)[:, 0]
-        voted = n > 0
-        counts[rows] = np.where(voted, n, 0)
-        mids[rows] = np.where(voted, 0.5 * (lo_pos + hi_pos), np.nan)
-    return counts, mids
+    keys = np.empty((n_rows, 2 * m), dtype=np.uint64) if work is None else work
+    lo, hi = keys.view(np.float64)[:, :m], keys.view(np.float64)[:, m:]
+    half = np.multiply(np.sqrt(cbar_sq), alphas, out=hi)
+    np.maximum(np.subtract(s, half, out=lo), 0.0, out=lo)
+    hi += s
+    keys <<= 1
+    keys[:, m:] |= 1
+    missing = np.isnan(s)
+    np.copyto(keys[:, :m], MISSING_LOWER_KEY, where=missing)
+    np.copyto(keys[:, m:], MISSING_UPPER_KEY, where=missing)
+    keys.sort(axis=1)
+    # Sorted positions of each row's upper events, and the count just
+    # before each; the first peak's interval ends at that upper event.
+    up = np.flatnonzero((keys & 1).astype(bool)).reshape(n_rows, m)
+    up -= np.arange(0, keys.size, 2 * m)[:, None]
+    open_before = up - np.arange(0, 2 * m, 2)
+    u = np.argmax(open_before, axis=1)[:, None]
+    n = np.take_along_axis(open_before, u, axis=1)[:, 0]
+    p = np.take_along_axis(up, u, axis=1)
+    lo_pos, hi_pos = (
+        (np.take_along_axis(keys, p + k, axis=1)[:, 0] >> 1).view(np.float64)
+        for k in (-1, 0)
+    )
+    voted = n > 0
+    return np.where(voted, n, 0), np.where(voted, 0.5 * (lo_pos + hi_pos), np.nan)
 
 
 def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:

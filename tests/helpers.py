@@ -30,13 +30,23 @@ def graph_from_edges(n_vertices, edges):
     return PrunedGraph(adj)
 
 
+def trim_tables(trims):
+    """The symmetric (N, N) s_meas and alpha tables, assembled from the
+    blocks of rows that TrimSet.blocks computes."""
+    n = trims.source.shape[0]
+    s_meas, alpha = np.empty((n, n)), np.empty((n, n))
+    for rows, s_block, a_block in trims.blocks():
+        s_meas[rows], alpha[rows] = s_block, a_block
+    return s_meas, alpha
+
+
 def upper_trims(trims):
     """(s_meas, alpha) of the TRIMs at the pairs i < j, in row-major order,
     skipping the NaN of the degenerate pairs."""
-    i, j = np.triu_indices(trims.s_meas.shape[0], k=1)
-    s_meas = trims.s_meas[i, j]
+    i, j = np.triu_indices(trims.source.shape[0], k=1)
+    s_meas, alpha = trims.at(i, j)
     ok = ~np.isnan(s_meas)
-    return s_meas[ok], trims.alpha[i[ok], j[ok]]
+    return s_meas[ok], alpha[ok]
 
 
 def quat_from_axis_angle(axis, angle):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import tlsreg.clique as cl
-from helpers import graph_from_edges
+from helpers import graph_from_edges, trim_tables
 from tlsreg.clique import (
     _degeneracy_order,
     _greedy_clique,
@@ -257,7 +257,7 @@ class TestPruneByScale:
 
     def test_wildly_wrong_scale_empties_graph(self):
         g = self.make_graph(10, outlier_idx=[])
-        s_bad = 2.0 + 10 * float(np.nanmax(g.trims.alpha))
+        s_bad = 2.0 + 10 * float(np.nanmax(trim_tables(g.trims)[1]))
         pruned = prune_by_scale(g, s_bad, cbar_sq=1.0)
         assert pruned.n_edges == 0
 

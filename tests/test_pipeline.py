@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,43 @@ class TestDegenerateInputs:
         res = register(c2)
         assert abs(res.transform.scale - s) < 1e-9
         assert geodesic_rotation_error(res.transform.matrix, R) < 1e-8
+
+
+    def test_coincident_source_points_leave_no_scale_measurement(self):
+        # Every source difference is zero, so no TRIM is finite and no
+        # vertex votes for a scale.
+        src = np.tile([0.3, -1.0, 2.0], (12, 1))
+        dst = np.random.default_rng(22).uniform(0, 1, size=(12, 3))
+        c = CorrespondenceSet(src, dst, np.full(12, 0.05))
+        with pytest.raises(InsufficientInliersError, match="no usable scale measurements"):
+            register(c)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("known_scale", [True, False])
+    def test_register_stores_no_pairwise_table(self, known_scale):
+        # At N = 1000 one (N, N) float64 table takes 8 MB.  The TRIMs are
+        # computed a block at a time where they are read, and the result
+        # keeps only the points and the clique.
+        n = 1000
+        c, *_ = generate(
+            SyntheticSpec(
+                n_points=n, sigma=0.01, outlier_rate=0.99 if known_scale else 0.9,
+                seed=14_000, known_scale=known_scale,
+            )
+        )
+        opts = RegistrationOptions(known_scale=1.0 if known_scale else None)
+        tracemalloc.start()
+        try:
+            res = register(c, TlsConfig(), opts)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+        assert held < 2_000_000
+        # The degenerate-pair list costs a pass over the points; register
+        # never asks for it.
+        assert "skipped_rows" not in vars(res.graph.trims)
 
 
 class TestEstimateTranslation:

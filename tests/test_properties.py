@@ -1,15 +1,21 @@
-"""Property-based checks of the core solver invariants."""
+"""Property checks of the core solvers and of the registration cascade."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlsreg.geometry import (
+    CorrespondenceSet,
+    TlsConfig,
     left_product_matrix,
     quat_to_matrix,
+    random_unit_quaternion,
     right_product_matrix,
 )
+from tlsreg.pipeline import RegistrationOptions, register
 from tlsreg.scalar_tls import ScalarTlsProblem, solve_scalar_tls, tls_cost
+from tlsreg.synthetic import SyntheticSpec, generate
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 positive = st.floats(0.05, 5.0, allow_nan=False, allow_infinity=False)
@@ -76,3 +82,53 @@ class TestQuaternionProperties:
     @settings(max_examples=100, deadline=None)
     def test_double_cover(self, q):
         assert np.allclose(quat_to_matrix(q), quat_to_matrix(-q), atol=1e-12)
+
+
+def register_instance(seed, known_scale):
+    """An N = 80, 50%-outlier instance and its registration."""
+    c, _, _ = generate(
+        SyntheticSpec(
+            n_points=80, sigma=0.01, outlier_rate=0.5, seed=seed, known_scale=known_scale
+        )
+    )
+    opts = RegistrationOptions(known_scale=1.0 if known_scale else None)
+    return c, opts, register(c, TlsConfig(), opts)
+
+
+class TestRegisterProperties:
+    # Fixed seeds: each case runs the whole cascade twice.
+    @pytest.mark.parametrize("known_scale", [True, False])
+    @pytest.mark.parametrize("seed", [15_000, 15_001, 15_002])
+    def test_rigid_motion_of_both_clouds(self, seed, known_scale):
+        # Moving the source by (R1, t1) and the target by (R2, t2) keeps the
+        # inliers and maps the pose (s, R, t) to (s, R2 R R1^T, R2 t + t2 -
+        # s R2 R R1^T t1).
+        c, opts, res = register_instance(seed, known_scale)
+        rng = np.random.default_rng(seed)
+        R1, R2 = (quat_to_matrix(random_unit_quaternion(rng)) for _ in range(2))
+        t1, t2 = rng.uniform(-10, 10, size=(2, 3))
+        moved = CorrespondenceSet(c.source @ R1.T + t1, c.target @ R2.T + t2, c.noise_bounds)
+        got = register(moved, TlsConfig(), opts)
+
+        assert np.array_equal(got.inlier_indices, res.inlier_indices)
+        s, R, t = res.transform.scale, res.transform.matrix, res.transform.translation
+        R_moved = R2 @ R @ R1.T
+        assert abs(got.transform.scale - s) <= 1e-9
+        assert np.abs(got.transform.matrix - R_moved).max() <= 1e-9
+        t_moved = R2 @ t + t2 - s * R_moved @ t1
+        assert np.abs(got.transform.translation - t_moved).max() <= 1e-9
+
+    @pytest.mark.parametrize("known_scale", [True, False])
+    @pytest.mark.parametrize("units", [1000.0, 1 / 25.4])
+    def test_change_of_units(self, units, known_scale):
+        # Points and noise bounds in other units: the same inliers, scale
+        # and rotation, and the translation in the new units.
+        c, opts, res = register_instance(15_003, known_scale)
+        scaled = CorrespondenceSet(units * c.source, units * c.target, units * c.noise_bounds)
+        got = register(scaled, TlsConfig(), opts)
+
+        assert np.array_equal(got.inlier_indices, res.inlier_indices)
+        assert abs(got.transform.scale - res.transform.scale) <= 1e-9
+        assert np.abs(got.transform.matrix - res.transform.matrix).max() <= 1e-9
+        t_scaled = units * res.transform.translation
+        assert np.abs(got.transform.translation - t_scaled).max() <= 1e-9 * units

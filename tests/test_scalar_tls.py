@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import reference_sweep_intervals
+from helpers import reference_sweep_intervals, trim_tables
 from tlsreg.scalar_tls import (
     ScalarTlsProblem,
     _stable_argsort,
@@ -346,7 +346,7 @@ class TestRowVotes:
         dst = np.random.default_rng(n).uniform(0, 3, size=(n, 3))
         graph = build_measurement_graph(CorrespondenceSet(src, dst, np.full(n, 0.05)))
         assert len(graph.trims.skipped_rows) == n_skipped
-        s, a = graph.trims.s_meas, graph.trims.alpha
+        s, a = trim_tables(graph.trims)
         assert np.count_nonzero(np.isnan(s).all(axis=1)) == n_bare
         assert np.count_nonzero(~np.isnan(s)) == 2 * len(graph.trims)
         i, j = graph.trims.skipped_rows.T
@@ -378,10 +378,23 @@ class TestRowVotes:
         assert reached >= 10
 
     def test_blocked_rows_match_oracle(self, monkeypatch):
-        import tlsreg.scalar_tls as st
+        # Registration votes the TRIM rows a block at a time, reusing one
+        # work buffer; 64 entries make blocks of 3 rows of 20, the last 2.
+        from tlsreg import invariants
+        from tlsreg.geometry import CorrespondenceSet
+        from tlsreg.pipeline import _vertex_votes
 
-        monkeypatch.setattr(st, "VOTE_BLOCK_KEYS", 64)  # 3 rows of 20 keys a block
-        s, a = integer_vote_table(np.random.default_rng(84), 11, 10)
+        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", 64)
+        rng = np.random.default_rng(84)
+        src = rng.integers(0, 3, size=(20, 3)).astype(float)  # ties and coincident points
+        c = CorrespondenceSet(src, 2.0 * src + rng.integers(0, 2, size=(20, 3)), np.full(20, 0.25))
+        trims = invariants.build_measurement_graph(c).trims
+        counts, mids = _vertex_votes(trims, 1.0)
+        s, a = trim_tables(trims)
+        assert np.isnan(s).sum() > 20
+        whole_counts, whole_mids = row_consensus_votes(s, a, 1.0)
+        assert counts.tolist() == whole_counts.tolist()
+        assert np.array_equal(mids, whole_mids, equal_nan=True)
         assert_votes_match_oracle(s, a, 1.0)
 
 
