@@ -6,8 +6,8 @@ are additionally rotation-invariant and measure only the scale.  Noise
 bounds propagate as beta_i + beta_j for a TIM and (beta_i + beta_j) /
 ||a_bar|| for a TRIM.
 
-No TRIM is stored.  TrimSet keeps the points and the degeneracy cutoff
-and computes any TRIM where it is read, in one symmetric layout: edge
+No TRIM is stored.  TrimSet keeps the TIMs' points and the degeneracy
+cutoff and computes any TRIM where it is read, in one symmetric layout: edge
 (i, j)'s value sits at [i, j] and at [j, i], NaN on the diagonal and on
 degenerate edges.  Pruning computes the upper rectangle [rows, r0:] of a
 block of rows, compares it with the scale and writes the bool block and
@@ -85,12 +85,17 @@ class TimSet:
         )
 
 
-def scale_consistent(s_meas, alpha, s_hat: float, cbar_sq: float) -> np.ndarray:
+def scale_consistent(s_meas, alpha, s_hat: float, cbar_sq: float, out=None) -> np.ndarray:
     """Mask of the TRIMs that agree with scale s_hat: |s - s_hat| <= cbar * alpha.
 
-    NaN compares False, so a missing TRIM never agrees.
+    NaN compares False, so a missing TRIM never agrees.  With out given,
+    the mask is written there and s_meas and alpha are overwritten as
+    scratch, so a block of TRIMs compares without temporaries.
     """
-    return np.abs(s_meas - s_hat) <= math.sqrt(cbar_sq) * alpha
+    dev, tol = (None, None) if out is None else (s_meas, alpha)
+    dev = np.abs(np.subtract(s_meas, s_hat, out=dev), out=dev)
+    tol = np.multiply(math.sqrt(cbar_sq), alpha, out=tol)
+    return np.less_equal(dev, tol, out=out)
 
 
 def _block_rows(n: int) -> int:
@@ -107,7 +112,7 @@ def _row_blocks(n: int):
 
 @dataclass(frozen=True)
 class TrimSet:
-    """Scale measurements of every edge, computed from the points where read.
+    """Scale measurements of every edge, computed from the TIMs' points where read.
 
     Edge (i, j) measures ||b_j - b_i|| / ||a_j - a_i|| with bound
     (beta_i + beta_j) / ||a_j - a_i||, the same value as edge (j, i).  It
@@ -116,29 +121,26 @@ class TrimSet:
     source distances on first use.
     """
 
-    source: np.ndarray  # (N, 3)
-    target: np.ndarray  # (N, 3)
-    noise_bounds: np.ndarray  # (N,)
+    tims: TimSet
     cutoff: float
 
     def __len__(self) -> int:
-        n = self.source.shape[0]
-        return n * (n - 1) // 2 - len(self.skipped_rows)
+        return len(self.tims) - len(self.skipped_rows)
 
     def at(self, i, j, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(s_meas, alpha) of the edges (i, j).
 
         i and j index the vertices (integers, index arrays or slices, with
-        None to lay out a table) and broadcast together to an array.  out,
-        when given, holds four arrays of that shape: s_meas, alpha and two
-        temporaries.
+        None to lay out a table) and broadcast together.  out, when given,
+        holds four arrays of their shape: s_meas, alpha and two temporaries.
         """
         s_meas, alpha, a_norm, scratch = out or (None,) * 4
-        a_norm = _norms(self.source, i, j, a_norm, scratch)
+        t = self.tims
+        a_norm = _norms(t.source, i, j, a_norm, scratch)
         np.copyto(a_norm, np.nan, where=~(a_norm > self.cutoff))
-        s_meas = _norms(self.target, i, j, s_meas, scratch)
+        s_meas = _norms(t.target, i, j, s_meas, scratch)
         s_meas /= a_norm
-        alpha = np.add(self.noise_bounds[i], self.noise_bounds[j], out=alpha)
+        alpha = np.add(t.noise_bounds[i], t.noise_bounds[j], out=alpha)
         alpha /= a_norm
         return s_meas, alpha
 
@@ -149,8 +151,8 @@ class TrimSet:
         vertex, or with upper against rows.start..N-1 only.  The arrays are
         buffers that the next block overwrites.
         """
-        n = self.source.shape[0]
-        buffers = np.empty((4, _block_rows(n) * n))
+        n = len(self.tims.source)
+        buffers = np.empty((4, min(n, _block_rows(n)) * n))
         for rows in _row_blocks(n):
             r0 = rows.start if upper else 0
             shape = (rows.stop - rows.start, n - r0)
@@ -161,9 +163,10 @@ class TrimSet:
     def skipped_rows(self) -> np.ndarray:
         """(P, 2) degenerate pairs (i, j), i < j, in row-major order."""
         pieces = [np.empty((0, 2), dtype=np.int64)]
-        for rows in _row_blocks(self.source.shape[0]):
+        source = self.tims.source
+        for rows in _row_blocks(len(source)):
             r0 = rows.start
-            bad = ~(_norms(self.source, np.s_[rows, None], np.s_[None, r0:]) > self.cutoff)
+            bad = ~(_norms(source, np.s_[rows, None], np.s_[None, r0:]) > self.cutoff)
             i, j = np.nonzero(bad)  # vertices r0 + i and r0 + j
             pieces.append(np.column_stack([i, j])[i < j] + r0)
         return np.concatenate(pieces)
@@ -175,16 +178,11 @@ class TrimSet:
         and its transpose; the rectangle's lower corner is symmetric bit
         for bit, as each squared difference is.
         """
-        n = self.source.shape[0]
+        n = len(self.tims.source)
         adj = np.empty((n, n), dtype=bool)
-        cbar = math.sqrt(cbar_sq)
         for rows, s_meas, alpha in self.blocks(upper=True):
             r0 = rows.start
-            # scale_consistent, in the block's own buffers.
-            s_meas -= s_hat
-            np.abs(s_meas, out=s_meas)
-            alpha *= cbar
-            np.less_equal(s_meas, alpha, out=adj[rows, r0:])
+            scale_consistent(s_meas, alpha, s_hat, cbar_sq, out=adj[rows, r0:])
             adj[r0:, rows] = adj[rows, r0:].T
         return adj
 
@@ -229,7 +227,7 @@ def _norms(points: np.ndarray, i, j, out=None, scratch=None) -> np.ndarray:
     """
     # Contiguous coordinate rows broadcast faster than strided columns.
     x, y, z = np.ascontiguousarray(points.T)
-    out = np.subtract(x[j], x[i], out=out)
+    out = np.asarray(np.subtract(x[j], x[i], out=out))  # 0-d for two integers
     out *= out
     for col in (y, z):
         d = np.subtract(col[j], col[i], out=scratch)
@@ -244,7 +242,7 @@ def build_measurement_graph(c: CorrespondenceSet) -> MeasurementGraph:
     Edges with ||a_bar|| at or below degenerate_edge_cutoff carry no scale
     information (coincident source points) and get NaN TRIMs.
     """
-    trims = TrimSet(c.source, c.target, c.noise_bounds, degenerate_edge_cutoff(c))
+    tims = TimSet(c.source, c.target, c.noise_bounds)
     return MeasurementGraph(
-        GraphTopology.complete(len(c)), TimSet(c.source, c.target, c.noise_bounds), trims
+        GraphTopology.complete(len(c)), tims, TrimSet(tims, degenerate_edge_cutoff(c))
     )

@@ -150,15 +150,10 @@ def _vertex_votes(trims: TrimSet, cbar_sq: float) -> tuple[np.ndarray, np.ndarra
 
     The rows of TRIMs are computed and voted a block at a time.
     """
-    n = trims.source.shape[0]
+    n = len(trims.tims.source)
     counts, mids = np.empty(n, dtype=np.int64), np.empty(n)
-    work = None
     for rows, s_meas, alpha in trims.blocks():
-        if work is None:  # sized by the first block, the largest
-            work = np.empty((len(s_meas), 2 * n), dtype=np.uint64)
-        counts[rows], mids[rows] = row_consensus_votes(
-            s_meas, alpha, cbar_sq, work=work[: len(s_meas)]
-        )
+        counts[rows], mids[rows] = row_consensus_votes(s_meas, alpha, cbar_sq)
     return counts, mids
 
 

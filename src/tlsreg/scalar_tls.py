@@ -252,7 +252,6 @@ def row_consensus_votes(
     measurements: np.ndarray,
     alphas: np.ndarray,
     cbar_sq: float = 1.0,
-    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Consensus maximization over each row of a table of nonnegative measurements.
 
@@ -275,20 +274,16 @@ def row_consensus_votes(
     of them upper, so p - 2u intervals are open; the count only falls at
     an upper event, so it peaks just before one.
 
-    work, when given, is an (R, 2M) uint64 buffer for the R x M table's
-    keys.  A caller that votes a large table one block of rows at a time
-    passes the same buffer for every block, so a whole vote allocates it
-    once, whatever the allocator does with freed blocks.  Registration
-    votes blocks of 65 x 1000 TRIMs this way: at N = 1000 its 16 blocks
-    take a median of 37-39 ms on one core, the row sorts about 14 ms of
-    it, where a running count over all 2M events took 42-44 ms (an
-    argsort along the rows took 38 ms on the whole 1000 x 1998 boundary
-    table, a stable one 159 ms).
+    Registration votes blocks of 65 x 1000 TRIMs this way: at N = 1000 its
+    16 blocks take a median of 37-39 ms on one core, the row sorts about
+    14 ms of it, where a running count over all 2M events took 42-44 ms
+    (an argsort along the rows took 38 ms on the whole 1000 x 1998
+    boundary table, a stable one 159 ms).
     """
     s = np.asarray(measurements, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     n_rows, m = s.shape
-    keys = np.empty((n_rows, 2 * m), dtype=np.uint64) if work is None else work
+    keys = np.empty((n_rows, 2 * m), dtype=np.uint64)
     lo, hi = keys.view(np.float64)[:, :m], keys.view(np.float64)[:, m:]
     half = np.multiply(np.sqrt(cbar_sq), alphas, out=hi)
     np.maximum(np.subtract(s, half, out=lo), 0.0, out=lo)

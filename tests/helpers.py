@@ -33,7 +33,7 @@ def graph_from_edges(n_vertices, edges):
 def trim_tables(trims):
     """The symmetric (N, N) s_meas and alpha tables, assembled from the
     blocks of rows that TrimSet.blocks computes."""
-    n = trims.source.shape[0]
+    n = len(trims.tims.source)
     s_meas, alpha = np.empty((n, n)), np.empty((n, n))
     for rows, s_block, a_block in trims.blocks():
         s_meas[rows], alpha[rows] = s_block, a_block
@@ -43,7 +43,7 @@ def trim_tables(trims):
 def upper_trims(trims):
     """(s_meas, alpha) of the TRIMs at the pairs i < j, in row-major order,
     skipping the NaN of the degenerate pairs."""
-    i, j = np.triu_indices(trims.source.shape[0], k=1)
+    i, j = np.triu_indices(len(trims.tims.source), k=1)
     s_meas, alpha = trims.at(i, j)
     ok = ~np.isnan(s_meas)
     return s_meas[ok], alpha[ok]

@@ -80,8 +80,11 @@ class TestBuildTrims:
     def test_noiseless_scale_two(self):
         src = np.array([[0.0, 0, 0], [1.0, 0, 0]])
         c = CorrespondenceSet(src, 2.0 * src, [0.1, 0.1])
-        s_meas, _ = build_measurement_graph(c).trims.at([0], [1])
+        trims = build_measurement_graph(c).trims
+        s_meas, _ = trims.at([0], [1])
         assert s_meas == pytest.approx(2.0)
+        s_meas, alpha = trims.at(0, 1)
+        assert (s_meas, alpha) == (pytest.approx(2.0), pytest.approx(0.2))
 
     def test_alpha_definition(self):
         src = np.array([[0.0, 0, 0], [1.0, 0, 0]])
