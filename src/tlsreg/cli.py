@@ -44,18 +44,22 @@ EXIT_IO_ERROR = 3
 
 
 def _cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        n_points=args.n,
-        sigma=args.sigma,
-        outlier_rate=args.outlier_rate,
-        seed=args.seed,
-        known_scale=args.known_scale,
-        all_to_all=args.all_to_all,
-        overlap_fraction=args.overlap,
-        beta=args.beta,
-        use_reference_cloud=args.reference_cloud,
-    )
-    c, gt, labels = generate(spec)
+    try:
+        spec = SyntheticSpec(
+            n_points=args.n,
+            sigma=args.sigma,
+            outlier_rate=args.outlier_rate,
+            seed=args.seed,
+            known_scale=args.known_scale,
+            all_to_all=args.all_to_all,
+            overlap_fraction=args.overlap,
+            beta=args.beta,
+            use_reference_cloud=args.reference_cloud,
+        )
+        c, gt, labels = generate(spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_ascii_ply(f"{prefix}_src.ply", c.source)
@@ -167,13 +171,7 @@ def _cmd_certify(args) -> int:
 
 def run_bench_trial(params: dict) -> dict:
     """One benchmark trial; importable so worker processes can run it."""
-    spec = SyntheticSpec(
-        n_points=params["n"],
-        sigma=params["sigma"],
-        outlier_rate=params["rate"],
-        seed=params["seed"],
-        known_scale=params["known_scale"],
-    )
+    spec = params["spec"]
     c, gt, labels = generate(spec)
     record = {
         "seed": spec.seed,
@@ -186,7 +184,7 @@ def run_bench_trial(params: dict) -> dict:
         if params["method"] == "ransac":
             rr = ransac_baseline(
                 c, max_iters=params["ransac_iters"],
-                known_scale=1.0 if params["known_scale"] else None,
+                known_scale=1.0 if spec.known_scale else None,
                 seed=spec.seed,
             )
             transform = rr.transform
@@ -196,7 +194,7 @@ def run_bench_trial(params: dict) -> dict:
                 c,
                 TlsConfig(),
                 RegistrationOptions(
-                    known_scale=1.0 if params["known_scale"] else None,
+                    known_scale=1.0 if spec.known_scale else None,
                     certify_rotation=params["certify"],
                 ),
             )
@@ -229,22 +227,30 @@ def _worker_count(requested: int | None) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rates = [float(r) for r in args.rates.split(",")]
-    jobs = []
-    for rate in rates:
-        for trial in range(args.trials):
-            jobs.append(
-                {
-                    "n": args.n,
-                    "sigma": args.sigma,
-                    "rate": rate,
-                    "seed": args.seed0 + trial,
-                    "known_scale": args.known_scale,
-                    "certify": args.certify,
-                    "method": args.method,
-                    "ransac_iters": args.ransac_iters,
-                }
+    # Every trial's instance is validated before any trial runs.
+    try:
+        rates = [float(r) for r in args.rates.split(",")]
+        if args.trials < 1:
+            raise ValueError("--trials must be at least 1")
+        specs = [
+            SyntheticSpec(
+                n_points=args.n,
+                sigma=args.sigma,
+                outlier_rate=rate,
+                seed=args.seed0 + trial,
+                known_scale=args.known_scale,
             )
+            for rate in rates
+            for trial in range(args.trials)
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
+    jobs = [
+        {"spec": spec, "certify": args.certify, "method": args.method,
+         "ransac_iters": args.ransac_iters}
+        for spec in specs
+    ]
     workers = _worker_count(args.workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

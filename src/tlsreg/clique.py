@@ -42,10 +42,6 @@ class PrunedGraph:
     adj: np.ndarray  # (n, n) bool
 
     @property
-    def n_vertices(self) -> int:
-        return self.adj.shape[0]
-
-    @property
     def n_edges(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
 

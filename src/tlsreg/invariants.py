@@ -53,10 +53,6 @@ class GraphTopology:
     def complete(cls, n: int) -> "GraphTopology":
         return cls(n)
 
-    @property
-    def n_edges(self) -> int:
-        return self.n_vertices * (self.n_vertices - 1) // 2
-
 
 @dataclass(frozen=True)
 class TimSet:
@@ -123,9 +119,6 @@ class TrimSet:
 
     tims: TimSet
     cutoff: float
-
-    def __len__(self) -> int:
-        return len(self.tims) - len(self.skipped_rows)
 
     def at(self, i, j, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(s_meas, alpha) of the edges (i, j).

@@ -113,19 +113,13 @@ class ErrorBounds:
     tighter: TighterBounds
 
 
-def _clique_consistent(graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices):
-    """(pairs, s_meas, alpha) of the TRIMs consistent with s_hat whose
-    endpoints are both in the clique."""
-    pairs, s_meas, alpha = graph.trims_within(clique_vertices)
-    keep = scale_consistent(s_meas, alpha, s_hat, cbar_sq)
-    return pairs[keep], s_meas[keep], alpha[keep]
-
-
 def _clique_rotation_problem(
-    graph: MeasurementGraph, s_hat: float, cbar_sq: float, clique_vertices
+    graph: MeasurementGraph, within, s_hat: float, cbar_sq: float
 ) -> RotationProblem:
-    """Rotation input: scale-consistent edges with both endpoints in the clique."""
-    pairs, _, _ = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
+    """Rotation input: the clique's TRIM pairs (`within`, from
+    graph.trims_within) whose TRIM agrees with s_hat."""
+    pairs, s_meas, alpha = within
+    pairs = pairs[scale_consistent(s_meas, alpha, s_hat, cbar_sq)]
     if len(pairs) < 2:
         raise InsufficientInliersError(
             "fewer than two scale-consistent measurements inside the clique"
@@ -136,12 +130,13 @@ def _clique_rotation_problem(
     )
 
 
-def _refine_scale_on_clique(graph, s_hat, cbar_sq, clique_vertices):
-    """Scale re-vote restricted to scale-consistent clique-internal edges."""
-    _, s_meas, alpha = _clique_consistent(graph, s_hat, cbar_sq, clique_vertices)
-    if s_meas.size == 0:
+def _refine_scale_on_clique(within, s_hat: float, cbar_sq: float):
+    """Scale re-vote on the clique's TRIMs (`within`) that agree with s_hat."""
+    _, s_meas, alpha = within
+    keep = scale_consistent(s_meas, alpha, s_hat, cbar_sq)
+    if not keep.any():
         return None
-    sol = solve_scalar_tls(ScalarTlsProblem(s_meas, alpha, cbar_sq))
+    sol = solve_scalar_tls(ScalarTlsProblem(s_meas[keep], alpha[keep], cbar_sq))
     return sol.estimate if sol.estimate > 0 else None
 
 
@@ -282,17 +277,19 @@ def register(
     # Chance-consistent outlier measurements can get absorbed into a
     # vertex's scale vote and bias it; the clique members are mutually
     # consistent, so re-voting on their internal measurements removes the
-    # bias (and is exact on noise-free data).
+    # bias (and is exact on noise-free data).  The clique's TRIMs are
+    # computed once, for the re-vote and the rotation input.
+    t0 = time.perf_counter()
+    within = graph.trims_within(used.vertices)
     if opts.known_scale is None:
-        t0 = time.perf_counter()
-        s_refined = _refine_scale_on_clique(graph, s_hat, cfg.cbar_sq, used.vertices)
+        s_refined = _refine_scale_on_clique(within, s_hat, cfg.cbar_sq)
         if s_refined is not None:
             s_hat = s_refined
-        timings["scale"] += time.perf_counter() - t0
+    timings["scale"] += time.perf_counter() - t0
     stats["scale_estimate"] = s_hat
 
     t0 = time.perf_counter()
-    problem = _clique_rotation_problem(graph, s_hat, cfg.cbar_sq, used.vertices)
+    problem = _clique_rotation_problem(graph, within, s_hat, cfg.cbar_sq)
     rot_sol = solve_gnc_tls(problem)
     certificate = _certify_within_cap(problem, rot_sol, opts, stats)
     if certificate is not None and not certificate.certified:
@@ -300,7 +297,8 @@ def register(
         retry = clique.next_clique(pruned, used, time_left())
         if len(retry) >= 3:
             used = retry
-            problem = _clique_rotation_problem(graph, s_hat, cfg.cbar_sq, used.vertices)
+            within = graph.trims_within(used.vertices)
+            problem = _clique_rotation_problem(graph, within, s_hat, cfg.cbar_sq)
             rot_sol = solve_gnc_tls(problem)
             certificate = _certify_within_cap(problem, rot_sol, opts, stats)
     timings["rotation"] = time.perf_counter() - t0

@@ -182,21 +182,10 @@ def horn_weighted(a_bars, b_bars, weights) -> np.ndarray:
     return _horn(w @ product_table(a, b))
 
 
-def truncated_cost(p: RotationProblem, q) -> float:
-    """Exact truncated objective at a rotation."""
-    return float(np.sum(np.minimum(p.residuals_sq(q), p.cbar_sq)))
-
-
 def binary_cost(p: RotationProblem, q, theta) -> float:
     """Objective of the binary-indicator form: inliers pay their weighted
     squared residual, outliers pay the truncation constant."""
     return float(np.sum(np.where(np.asarray(theta) > 0, p.residuals_sq(q), p.cbar_sq)))
-
-
-def _surrogate(r_sq, weights, mu, eps_sq) -> float:
-    # Annealed objective: weighted residuals plus the penalty whose
-    # minimizer over w in [0, 1] reproduces the closed-form update below.
-    return float(np.sum(weights * r_sq + mu * (1.0 - weights) / (mu + weights) * eps_sq))
 
 
 def _weight_update(r_sq, mu, eps_sq) -> np.ndarray:

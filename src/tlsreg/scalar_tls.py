@@ -12,14 +12,15 @@ the whole solve is O(K log K) instead of the O(K^2) re-scan of the naive
 enumeration.  The same sweep powers consensus maximization (return the
 largest consensus set instead of the cheapest one).
 
-The boundaries are sorted with numpy's default (unstable) sort, and only
-the runs of exactly equal boundaries are put back into index order: the
-bits of the running sums depend on the event order, and this gives the
-order of a stable sort at about a third of its cost.  The active count of
-each interval is an integer prefix sum over the lower-boundary events.  At
-K = 499,500 (the pairwise scale ratios of N = 1000 points) a solve takes
-a median of 0.22 s (0.21-0.35 s over 30 calls on one core), against 0.39 s
-(0.35-0.51 s) with a stable sort and float counts.
+The boundaries are sorted with numpy's stable sort, because the bits of
+the running sums depend on the event order: lower boundaries come first
+on ties, each kind in index order.  The active count of each interval is
+an integer prefix sum over the lower-boundary events.  Registration
+solves at most a few thousand measurements at a time: one vertex's TRIMs
+(N - 1 of them) and a clique's pairs (4,950 in a 100-vertex clique).  At
+K = 4,950 a solve takes a median of 1.9 ms (30 calls on one core); an
+unstable sort plus a fix-up of the runs of equal boundaries took 0.9 ms,
+a difference lost in the spread of the ~100 ms registration call.
 
 `row_consensus_votes` runs consensus maximization on every row of a table
 at once; registration's per-vertex scale votes hand it the TRIM rows one
@@ -59,8 +60,8 @@ class ScalarTlsProblem:
             raise ValueError("inputs must be finite")
         if not np.all(a > 0):
             raise ValueError("alphas must be positive")
-        if not self.cbar_sq > 0:
-            raise ValueError("cbar_sq must be positive")
+        if not (self.cbar_sq > 0 and np.isfinite(self.cbar_sq)):
+            raise ValueError("cbar_sq must be positive and finite")
         object.__setattr__(self, "measurements", s)
         object.__setattr__(self, "alphas", a)
 
@@ -119,37 +120,17 @@ class _Sweep:
         return self.edges[j], self.edges[j + 1]
 
 
-def _stable_argsort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.argsort(x, kind="stable") and x in that order.
-
-    On a million boundaries the default sort takes 0.04 s against
-    0.16-0.20 s for the stable one, but it orders equal values arbitrarily.
-    Only the runs of values that compare equal (-0.0 == 0.0 included) are
-    put back into ascending index order, so the fix-up costs in proportion
-    to the number of ties, not to x.size.
-    """
-    order = np.argsort(x)
-    xs = x[order]
-    pairs = np.flatnonzero(xs[1:] == xs[:-1])
-    if pairs.size:
-        at = np.union1d(pairs, pairs + 1)
-        idx = order[at]
-        # Runs are contiguous and ascending, so sorting on (value, index)
-        # reorders each run by index and leaves the runs in place.
-        order[at] = idx[np.lexsort((idx, xs[at]))]
-        # -0.0 and 0.0 tie, so their sign bits follow the new order.
-        xs[at] = x[order[at]]
-    return order, xs
-
-
 def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
     s, a = p.measurements, p.alphas
     cbar = np.sqrt(p.cbar_sq)
     half = a * cbar
     K = s.size
 
-    # Lower boundaries are events 0..K-1; on ties they come first.
-    order, pos = _stable_argsort(np.concatenate([s - half, s + half]))
+    # Lower boundaries are events 0..K-1; the stable sort puts them first
+    # on ties.
+    pos = np.concatenate([s - half, s + half])
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
 
     # Collapse boundaries that coincide within relative tolerance so ties
     # produce one event group instead of zero-width intervals.

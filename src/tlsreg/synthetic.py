@@ -14,6 +14,7 @@ from any language with a Philox implementation.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,14 @@ class SyntheticSpec:
             raise ValueError("n_points must be positive")
         if not 0.0 <= self.outlier_rate < 1.0:
             raise ValueError("outlier_rate must be in [0, 1)")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         if not 0.0 < self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in (0, 1]")
+        if not 0 < self.noise_bound < math.inf:
+            raise ValueError("noise bound (beta) must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def noise_bound(self) -> float:

@@ -100,6 +100,23 @@ def make_rotation_instance(rng, K, outlier_fraction=0.0, sigma=0.0, beta=0.055):
     return a, b, q_true, labels
 
 
+def truncated_cost(p, q):
+    """Exact truncated rotation objective of RotationProblem p at q."""
+    return float(np.sum(np.minimum(p.residuals_sq(q), p.cbar_sq)))
+
+
+def gnc_surrogate(r_sq, weights, mu, eps_sq):
+    """GNC's annealed objective: weighted residuals plus the penalty whose
+    minimizer over w in [0, 1] is the solver's closed-form weight update."""
+    return float(np.sum(weights * r_sq + mu * (1.0 - weights) / (mu + weights) * eps_sq))
+
+
+def finite_trim_count(trims):
+    """Number of pairs i < j with a finite TRIM: every pair but the
+    degenerate ones."""
+    return len(trims.tims) - len(trims.skipped_rows)
+
+
 def brute_force_rotation_optimum(a, b, beta_bars, cbar_sq):
     """Global minimum of the truncated rotation cost by enumerating every
     indicator assignment and solving the inlier subproblem in closed form."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tlsreg
-from helpers import upper_trims
+from helpers import finite_trim_count, upper_trims
 from tlsreg.geometry import geodesic_rotation_error, quat_to_matrix
 from tlsreg.invariants import build_measurement_graph
 from tlsreg.plyio import (
@@ -58,7 +58,7 @@ class TestGenerator:
             c, gt, labels = generate(SyntheticSpec(n_points=16, sigma=0.02, seed=seed))
             g = build_measurement_graph(c)
             s_meas, alpha = upper_trims(g.trims)
-            assert s_meas.size == len(g.trims)
+            assert s_meas.size == finite_trim_count(g.trims)
             assert np.all(np.abs(s_meas - gt.scale) <= alpha * (1 + 1e-9))
             checked += s_meas.size
 
@@ -380,6 +380,25 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench", "--rates", "0.5,abc"], ["bench", "--rates", "1.5"],
+         ["bench", "--rates", "0.5", "--trials", "0"], ["generate", "--n", "0"],
+         ["generate", "--n", "12", "--outlier-rate", "1.5"],
+         ["generate", "--n", "12", "--overlap", "0"],
+         ["generate", "--n", "12", "--beta", "nan"],
+         ["generate", "--n", "12", "--seed", "-1"]],
+        ids=["bench-malformed-rate", "bench-rate-above-one", "bench-zero-trials",
+             "generate-zero-points", "generate-rate-above-one", "generate-zero-overlap",
+             "generate-nan-beta", "generate-negative-seed"],
+    )
+    def test_generate_and_bench_out_of_range_option_exit_code(self, tmp_path, capsys, argv):
+        rc = cli_main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
     def test_certify_subcommand(self, tmp_path):
         path = self._certify_problem(tmp_path)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import trim_tables, upper_trims
+from helpers import finite_trim_count, trim_tables, upper_trims
 from tlsreg import invariants
 from tlsreg.geometry import CorrespondenceSet, quat_to_matrix, random_unit_quaternion
-from tlsreg.invariants import GraphTopology, build_measurement_graph, degenerate_edge_cutoff
+from tlsreg.invariants import (
+    GraphTopology,
+    TimSet,
+    build_measurement_graph,
+    degenerate_edge_cutoff,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -28,10 +33,11 @@ def all_pairs(n):
 
 class TestTopology:
     def test_complete_edge_count(self):
-        assert GraphTopology.complete(100).n_edges == 4950
         for n in (0, 1, 2, 3, 7, 100):
-            g = GraphTopology.complete(n)
-            assert g.n_vertices == n and g.n_edges == all_pairs(n).shape[0]
+            assert GraphTopology.complete(n).n_vertices == n
+            points = np.zeros((n, 3))
+            assert len(TimSet(points, points, np.ones(n))) == all_pairs(n).shape[0]
+        assert all_pairs(100).shape[0] == 4950
 
 
 class TestBuildTims:
@@ -97,7 +103,7 @@ class TestBuildTrims:
         c = make_pair(25, 3.5, q, np.array([1.0, 2.0, 3.0]))
         trims = build_measurement_graph(c).trims
         s_meas, _ = upper_trims(trims)
-        assert s_meas.size == len(trims) == 25 * 24 // 2
+        assert s_meas.size == finite_trim_count(trims) == 25 * 24 // 2
         assert np.allclose(s_meas, 3.5, atol=1e-10)
 
     def test_degenerate_edges_skipped(self):
@@ -109,7 +115,7 @@ class TestBuildTrims:
             assert np.isnan(table).tolist() == [[True, True, False],
                                                 [True, True, False],
                                                 [False, False, True]]
-        assert len(trims) == 2
+        assert finite_trim_count(trims) == 2
 
     @pytest.mark.parametrize("block_entries", [invariants.BLOCK_ENTRIES, 100])
     def test_equal_to_explicit_difference_norms(self, block_entries, monkeypatch):
@@ -221,6 +227,6 @@ class TestInvariances:
             c = CorrespondenceSet(src, dst, betas)
             trims = build_measurement_graph(c).trims
             s_meas, alpha = upper_trims(trims)
-            assert s_meas.size == len(trims)
+            assert s_meas.size == finite_trim_count(trims)
             assert np.all(np.abs(s_meas - s) <= alpha * (1 + 1e-9))
             count += s_meas.size

@@ -159,6 +159,35 @@ class TestRegister:
         assert len(calls) == 2
         assert res.certificate is not None and not res.certificate.certified
 
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_clique_trims_computed_once_per_clique(self, monkeypatch, retry):
+        # The re-vote and the rotation input share one trims_within result;
+        # only the retry's new clique computes its own.
+        import tlsreg.pipeline as pl
+        from tlsreg.certifier import Certificate, Verdict
+        from tlsreg.invariants import MeasurementGraph
+
+        calls = []
+        trims_within = MeasurementGraph.trims_within
+
+        def counted(graph, vertices):
+            calls.append(np.unique(vertices).tolist())
+            return trims_within(graph, vertices)
+
+        def always_reject(data, cand, opts=None):
+            return Certificate(1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0)
+
+        monkeypatch.setattr(MeasurementGraph, "trims_within", counted)
+        if retry:
+            monkeypatch.setattr(pl, "certify", always_reject)
+        rng = np.random.default_rng(15)
+        c, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
+        res = register(c, TlsConfig(), RegistrationOptions(certify_rotation=retry))
+        assert len(calls) == (2 if retry else 1)
+        assert calls[-1] == res.clique.vertices.tolist()
+        if retry:
+            assert calls[0] != calls[1]
+
     def test_clique_budget_bounds_the_whole_stage(self, monkeypatch):
         # A fake clock that moves only while a search runs: every search,
         # the retry's included, must end by the deadline set at the first.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tlsreg.geometry import (
     CorrespondenceSet,
     TlsConfig,
+    geodesic_rotation_error,
     left_product_matrix,
     quat_to_matrix,
     random_unit_quaternion,
@@ -84,14 +85,20 @@ class TestQuaternionProperties:
         assert np.allclose(quat_to_matrix(q), quat_to_matrix(-q), atol=1e-12)
 
 
-def register_instance(seed, known_scale):
-    """An N = 80, 50%-outlier instance and its registration."""
-    c, _, _ = generate(
+def make_instance(seed, known_scale):
+    """An N = 80, 50%-outlier instance: correspondences, ground truth,
+    inlier labels and the matching options."""
+    c, gt, labels = generate(
         SyntheticSpec(
             n_points=80, sigma=0.01, outlier_rate=0.5, seed=seed, known_scale=known_scale
         )
     )
-    opts = RegistrationOptions(known_scale=1.0 if known_scale else None)
+    return c, gt, labels, RegistrationOptions(known_scale=1.0 if known_scale else None)
+
+
+def register_instance(seed, known_scale):
+    """An N = 80, 50%-outlier instance and its registration."""
+    c, _, _, opts = make_instance(seed, known_scale)
     return c, opts, register(c, TlsConfig(), opts)
 
 
@@ -132,3 +139,40 @@ class TestRegisterProperties:
         assert np.abs(got.transform.matrix - res.transform.matrix).max() <= 1e-9
         t_scaled = units * res.transform.translation
         assert np.abs(got.transform.translation - t_scaled).max() <= 1e-9 * units
+
+    @pytest.mark.parametrize("known_scale", [True, False])
+    @pytest.mark.parametrize("seed", [15_004, 15_005, 15_006])
+    def test_permuting_the_correspondences(self, seed, known_scale):
+        # Listing the correspondences in another order gives the same
+        # inliers, mapped through the permutation, and the same pose.
+        c, opts, res = register_instance(seed, known_scale)
+        perm = np.random.default_rng(seed).permutation(len(c))
+        shuffled = CorrespondenceSet(c.source[perm], c.target[perm], c.noise_bounds[perm])
+        got = register(shuffled, TlsConfig(), opts)
+
+        assert np.array_equal(np.sort(perm[got.inlier_indices]), res.inlier_indices)
+        assert abs(got.transform.scale - res.transform.scale) <= 1e-12
+        assert np.abs(got.transform.matrix - res.transform.matrix).max() <= 1e-12
+        assert np.abs(got.transform.translation - res.transform.translation).max() <= 1e-12
+
+    @pytest.mark.parametrize("known_scale", [True, False])
+    @pytest.mark.parametrize("seed", [15_007, 15_008, 15_009])
+    def test_duplicated_inlier_rows(self, seed, known_scale):
+        # A copy of a row coincides with it, so their TRIM is missing (NaN)
+        # and no edge joins them: the clique never holds both copies, and
+        # the pose stays right.
+        c, gt, labels, opts = make_instance(seed, known_scale)
+        rows = np.random.default_rng(seed).choice(np.flatnonzero(labels), 5, replace=False)
+        copies = np.arange(len(c), len(c) + rows.size)
+        doubled = CorrespondenceSet(
+            np.concatenate([c.source, c.source[rows]]),
+            np.concatenate([c.target, c.target[rows]]),
+            np.concatenate([c.noise_bounds, c.noise_bounds[rows]]),
+        )
+        res = register(doubled, TlsConfig(), opts)
+
+        members = set(res.clique.vertices.tolist())
+        assert not any(r in members and d in members for r, d in zip(rows, copies))
+        rot = np.degrees(geodesic_rotation_error(res.transform.matrix, gt.rotation.to_matrix()))
+        assert rot < 3.0
+        assert np.linalg.norm(res.transform.translation - gt.translation) < 0.1

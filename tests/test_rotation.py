@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import quat_from_axis_angle
+from helpers import gnc_surrogate, quat_from_axis_angle, truncated_cost
 from tlsreg.geometry import (
     geodesic_rotation_error,
     left_product_matrix,
@@ -22,7 +22,6 @@ from tlsreg.rotation import (
     GNC_WEIGHT_TOL,
     RotationProblem,
     _horn,
-    _surrogate,
     _weight_update,
     binary_cost,
     check_collinear,
@@ -30,7 +29,6 @@ from tlsreg.rotation import (
     product_matrices,
     product_table,
     solve_gnc_tls,
-    truncated_cost,
 )
 
 RNG = np.random.default_rng(2024)
@@ -322,12 +320,12 @@ class TestGncTls:
         mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
         weights = np.ones(p.size)
         for iterations in range(1, GNC_MAX_ITERATIONS + 1):
-            before = _surrogate(r_sq, weights, mu, eps_sq)
+            before = gnc_surrogate(r_sq, weights, mu, eps_sq)
             weights = _weight_update(r_sq, mu, eps_sq)
-            after_weights = _surrogate(r_sq, weights, mu, eps_sq)
+            after_weights = gnc_surrogate(r_sq, weights, mu, eps_sq)
             q = _horn((weights * inv_beta_sq) @ p.table)
             r_sq = p.residuals_sq(q)
-            after_solve = _surrogate(r_sq, weights, mu, eps_sq)
+            after_solve = gnc_surrogate(r_sq, weights, mu, eps_sq)
             assert after_weights <= before + 1e-9
             assert after_solve <= after_weights + 1e-9
             if mu >= GNC_MU_STOP or np.max(np.minimum(weights, 1.0 - weights)) < GNC_WEIGHT_TOL:
