@@ -31,6 +31,7 @@ from .pipeline import (
     InsufficientInliersError,
     RegistrationOptions,
     RegistrationResult,
+    RegistrationTrace,
     compute_error_bounds,
     estimate_translation,
     register,
@@ -71,6 +72,7 @@ __all__ = [
     "InsufficientInliersError",
     "RegistrationOptions",
     "RegistrationResult",
+    "RegistrationTrace",
     "compute_error_bounds",
     "estimate_translation",
     "register",

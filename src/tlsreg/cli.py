@@ -7,6 +7,7 @@ Benchmark workers come from --workers, capped at the CPU count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -81,24 +82,11 @@ def _cmd_generate(args) -> int:
 
 
 def _result_payload(res) -> dict:
-    payload = {
+    return {
         "transform": transform_to_dict(res.transform),
         "inlier_indices": res.inlier_indices.tolist(),
-        "stage_timings": {k: float(v) for k, v in res.stage_timings.items()},
-        "stage_stats": {
-            k: (v.item() if hasattr(v, "item") else v) for k, v in res.stage_stats.items()
-        },
+        "trace": dataclasses.asdict(res.trace),
     }
-    if res.certificate is not None:
-        payload["certificate"] = {
-            "eta": res.certificate.eta,
-            "verdict": res.certificate.verdict.value,
-            "iterations": res.certificate.iterations_used,
-        }
-    elif "certify_skipped_k" in res.stage_stats:
-        k = res.stage_stats["certify_skipped_k"]
-        payload["certificate"] = {"skipped": f"{k} measurements exceed certify-max-k"}
-    return payload
 
 
 def _emit_result(payload: dict, out) -> None:
@@ -128,9 +116,9 @@ def _cmd_register(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     res = register(c, cfg, opts)
-    if "certify_skipped_k" in res.stage_stats:
+    if res.trace.certify_skipped_k is not None:
         print(
-            f"warning: {res.stage_stats['certify_skipped_k']} rotation measurements exceed "
+            f"warning: {res.trace.certify_skipped_k} rotation measurements exceed "
             f"--certify-max-k={args.certify_max_k}; skipping certification",
             file=sys.stderr,
         )
@@ -179,7 +167,7 @@ def run_bench_trial(params: dict) -> dict:
         "method": params["method"],
     }
     t0 = time.perf_counter()
-    stage_timings = None
+    trace = None
     try:
         if params["method"] == "ransac":
             rr = ransac_baseline(
@@ -202,7 +190,7 @@ def run_bench_trial(params: dict) -> dict:
             certified = (
                 bool(res.certificate.certified) if res.certificate is not None else None
             )
-            stage_timings = {k: float(v) for k, v in res.stage_timings.items()}
+            trace = dataclasses.asdict(res.trace)
     except InsufficientInliersError:
         record.update(failed=True, runtime_s=time.perf_counter() - t0)
         return record
@@ -215,7 +203,7 @@ def run_bench_trial(params: dict) -> dict:
         scale_error=float(abs(transform.scale - gt.scale)),
         certified=certified,
         runtime_s=time.perf_counter() - t0,
-        stage_timings=stage_timings,
+        trace=trace,
     )
     return record
 
@@ -232,6 +220,8 @@ def _cmd_bench(args) -> int:
         rates = [float(r) for r in args.rates.split(",")]
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")
+        if args.ransac_iters < 1:
+            raise ValueError("--ransac-iters must be at least 1")
         specs = [
             SyntheticSpec(
                 n_points=args.n,

@@ -42,7 +42,7 @@ from .invariants import (
     build_measurement_graph,
     scale_consistent,
 )
-from .rotation import RotationProblem, solve_gnc_tls
+from .rotation import RotationProblem, RotationSolution, solve_gnc_tls
 from .scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls
 
 # Scale hypotheses at unknown scale: the votes of this many best-voted
@@ -78,12 +78,55 @@ class RegistrationOptions:
 
 
 @dataclass(frozen=True)
+class RegistrationTrace:
+    """What each stage of one `register` call found, and its time.
+
+    Every field holds a plain Python value; one that does not apply to the
+    call is None, or 0.0 for a time.  The `*_s` fields are wall times in
+    seconds over disjoint spans of the call.
+    """
+
+    invariants_s: float
+    # The per-vertex votes and the scale hypotheses; 0.0 at known scale.
+    vote_s: float
+    prune_s: float
+    clique_s: float
+    # The clique's measurements and, at unknown scale, the scale re-vote.
+    revote_s: float
+    # The rotation input and GNC, over both cliques when retried.
+    gnc_s: float
+    certify_s: float
+    # The next-clique search after a rejected certificate, and the new
+    # clique's measurements.
+    retry_s: float
+    translation_s: float
+    # Edges of the chosen hypothesis's pruned graph.
+    edges_kept: int
+    # (scale, clique size) per hypothesis searched; one pair at known scale.
+    scale_hypotheses: tuple[tuple[float, int], ...]
+    scale_estimate: float
+    clique_size: int
+    # False when any search was cut by clique_time_budget.
+    clique_completed: bool
+    gnc_iterations: int
+    gnc_converged: bool
+    rotation_degenerate: bool
+    rotation_edges: int
+    # True when a rejected certificate sent the cascade to the next clique.
+    retried: bool
+    certificate_verdict: str | None
+    certificate_eta: float | None
+    certificate_iterations: int | None
+    # The rotation measurements, when over certify_max_k.
+    certify_skipped_k: int | None
+
+
+@dataclass(frozen=True)
 class RegistrationResult:
     transform: RigidTransform
     inlier_indices: np.ndarray
     certificate: Certificate | None
-    stage_timings: dict
-    stage_stats: dict
+    trace: RegistrationTrace
     clique: CliqueResult
     graph: MeasurementGraph
 
@@ -189,15 +232,32 @@ def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[flo
     return scales, bound
 
 
-def _certify_within_cap(problem, rot_sol, opts: RegistrationOptions, stats: dict):
-    """Certificate of the GNC rotation; None when not requested or over the cap."""
-    if not opts.certify_rotation:
-        return None
-    if problem.size > opts.certify_max_k:
-        stats["certify_skipped_k"] = problem.size
-        return None
-    cand = make_candidate(problem, rot_sol.rotation, rot_sol.theta)
-    return certify(build_cost_matrix(problem), cand)
+@dataclass(frozen=True)
+class _Rotation:
+    """GNC's rotation on one clique, its certificate and their times."""
+
+    solution: RotationSolution
+    certificate: Certificate | None
+    certify_skipped_k: int | None
+    gnc_s: float
+    certify_s: float
+
+
+def _solve_rotation(graph, within, s_hat, cfg: TlsConfig, opts: RegistrationOptions):
+    """GNC on the clique's measurements (`within`) that agree with s_hat,
+    then its certificate when one is asked for.  Above certify_max_k
+    measurements certification is skipped and their count kept."""
+    t0 = time.perf_counter()
+    problem = _clique_rotation_problem(graph, within, s_hat, cfg.cbar_sq)
+    sol = solve_gnc_tls(problem)
+    t1 = time.perf_counter()
+    certificate = skipped_k = None
+    if opts.certify_rotation and problem.size > opts.certify_max_k:
+        skipped_k = problem.size
+    elif opts.certify_rotation:
+        cand = make_candidate(problem, sol.rotation, sol.theta)
+        certificate = certify(build_cost_matrix(problem), cand)
+    return _Rotation(sol, certificate, skipped_k, t1 - t0, time.perf_counter() - t1)
 
 
 def estimate_translation(source, target, s_hat, R_hat, betas, cbar_sq):
@@ -226,21 +286,20 @@ def register(
     if len(c) < 3:
         raise InsufficientInliersError("need at least 3 correspondences")
 
-    timings = {}
-    stats = {}
     t0 = time.perf_counter()
     graph = build_measurement_graph(c)
-    timings["invariants"] = time.perf_counter() - t0
+    invariants_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
+    vote_s = 0.0
     if opts.known_scale is not None:
         # One hypothesis: there is nothing to stop early for.
         hypotheses, clique_bound = [float(opts.known_scale)], 0
     else:
+        t0 = time.perf_counter()
         hypotheses, clique_bound = _scale_hypotheses(graph, cfg.cbar_sq)
         if not hypotheses:
             raise InsufficientInliersError("estimated scale is not positive")
-    timings["scale"] = time.perf_counter() - t0
+        vote_s = time.perf_counter() - t0
 
     # One budget bounds every search of the stage, each hypothesis's and the
     # retry's; it starts at the first search.
@@ -249,7 +308,7 @@ def register(
     def time_left():
         return max(0.0, opts.clique_time_budget - (time.monotonic() - start))
 
-    timings["prune"] = timings["clique"] = 0.0
+    prune_s = clique_s = 0.0
     tried, best, completed = [], None, True
     for scale in hypotheses:
         t0 = time.perf_counter()
@@ -258,9 +317,9 @@ def register(
         if start is None:
             start = time.monotonic()
         found = clique.max_clique(pruned, time_left())
-        timings["prune"] += t1 - t0
-        timings["clique"] += time.perf_counter() - t1
-        tried.append([scale, len(found)])
+        prune_s += t1 - t0
+        clique_s += time.perf_counter() - t1
+        tried.append((float(scale), len(found)))
         # A search cut short may have missed a clique larger than the best.
         completed = completed and found.is_certified_maximum
         if best is None or len(found) > len(best[2]):
@@ -268,9 +327,6 @@ def register(
         if len(best[2]) >= clique_bound:
             break
     s_hat, pruned, used = best
-    stats["edges_kept"] = pruned.n_edges
-    if opts.known_scale is None:
-        stats["scale_hypotheses"] = tried
     if len(used) < 3:
         raise InsufficientInliersError("maximum clique smaller than 3 vertices")
 
@@ -285,29 +341,22 @@ def register(
         s_refined = _refine_scale_on_clique(within, s_hat, cfg.cbar_sq)
         if s_refined is not None:
             s_hat = s_refined
-    timings["scale"] += time.perf_counter() - t0
-    stats["scale_estimate"] = s_hat
+    revote_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    problem = _clique_rotation_problem(graph, within, s_hat, cfg.cbar_sq)
-    rot_sol = solve_gnc_tls(problem)
-    certificate = _certify_within_cap(problem, rot_sol, opts, stats)
-    if certificate is not None and not certificate.certified:
+    rot = _solve_rotation(graph, within, s_hat, cfg, opts)
+    gnc_s, certify_s, retry_s, retried = rot.gnc_s, rot.certify_s, 0.0, False
+    if rot.certificate is not None and not rot.certificate.certified:
         # The paper's cascade retries once, on the next-largest clique.
+        t0 = time.perf_counter()
         retry = clique.next_clique(pruned, used, time_left())
         if len(retry) >= 3:
-            used = retry
+            used, retried = retry, True
             within = graph.trims_within(used.vertices)
-            problem = _clique_rotation_problem(graph, within, s_hat, cfg.cbar_sq)
-            rot_sol = solve_gnc_tls(problem)
-            certificate = _certify_within_cap(problem, rot_sol, opts, stats)
-    timings["rotation"] = time.perf_counter() - t0
-    stats["clique_size"] = len(used)
-    stats["clique_completed"] = bool(completed and used.is_certified_maximum)
-    stats["gnc_iterations"] = rot_sol.gnc_iterations
-    stats["rotation_edges"] = rot_sol.theta.shape[0]
-    if rot_sol.degenerate:
-        stats["degenerate_rotation_geometry"] = True
+        retry_s = time.perf_counter() - t0
+        if retried:
+            rot = _solve_rotation(graph, within, s_hat, cfg, opts)
+            gnc_s, certify_s = gnc_s + rot.gnc_s, certify_s + rot.certify_s
+    rot_sol, certificate = rot.solution, rot.certificate
 
     t0 = time.perf_counter()
     R_hat = rot_sol.matrix
@@ -315,8 +364,33 @@ def register(
     t_vec, axis_masks, joint_mask = estimate_translation(
         c.source[members], c.target[members], s_hat, R_hat, c.noise_bounds[members], cfg.cbar_sq
     )
-    timings["translation"] = time.perf_counter() - t0
+    translation_s = time.perf_counter() - t0
 
+    trace = RegistrationTrace(
+        invariants_s=invariants_s,
+        vote_s=vote_s,
+        prune_s=prune_s,
+        clique_s=clique_s,
+        revote_s=revote_s,
+        gnc_s=gnc_s,
+        certify_s=certify_s,
+        retry_s=retry_s,
+        translation_s=translation_s,
+        edges_kept=pruned.n_edges,
+        scale_hypotheses=tuple(tried),
+        scale_estimate=float(s_hat),
+        clique_size=len(used),
+        clique_completed=bool(completed and used.is_certified_maximum),
+        gnc_iterations=rot_sol.gnc_iterations,
+        gnc_converged=bool(rot_sol.converged),
+        rotation_degenerate=bool(rot_sol.degenerate),
+        rotation_edges=rot_sol.theta.shape[0],
+        retried=retried,
+        certificate_verdict=None if certificate is None else certificate.verdict.value,
+        certificate_eta=None if certificate is None else float(certificate.eta),
+        certificate_iterations=None if certificate is None else certificate.iterations_used,
+        certify_skipped_k=rot.certify_skipped_k,
+    )
     transform = RigidTransform(
         scale=s_hat, rotation=UnitQuaternion(rot_sol.rotation), translation=t_vec
     )
@@ -325,12 +399,10 @@ def register(
         transform=transform,
         inlier_indices=np.asarray(inliers, dtype=np.int64),
         certificate=certificate,
-        stage_timings=timings,
-        stage_stats=stats,
+        trace=trace,
         clique=used,
         graph=graph,
     )
-
 
 TRANSLATION_BOUND_FACTOR = 9.0 + 3.0 * math.sqrt(3.0)
 U_TUPLE_CAP = 500

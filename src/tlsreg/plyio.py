@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-RESULT_SCHEMA_VERSION = "1"
+RESULT_SCHEMA_VERSION = "2"
 
 
 class PlyError(ValueError):

@@ -67,6 +67,8 @@ def ransac_baseline(
     n = len(c)
     if n < 3:
         raise ValueError("need at least 3 correspondences")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
 
     best_mask = np.zeros(n, dtype=bool)

@@ -1,5 +1,6 @@
 """Generator protocol, RANSAC baseline, file formats, and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import pytest
 
 import tlsreg
 from helpers import finite_trim_count, upper_trims
-from tlsreg.geometry import geodesic_rotation_error, quat_to_matrix
+from tlsreg.geometry import TlsConfig, geodesic_rotation_error, quat_to_matrix
 from tlsreg.invariants import build_measurement_graph
+from tlsreg.pipeline import RegistrationOptions, RegistrationTrace, register
 from tlsreg.plyio import (
     PlyError,
     read_ascii_ply,
@@ -97,6 +99,14 @@ class TestRansac:
         rr = ransac_baseline(c, seed=1)
         assert geodesic_rotation_error(rr.transform.matrix, gt.rotation.to_matrix()) < 1e-6
         assert abs(rr.transform.scale - gt.scale) < 1e-6
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, max_iters):
+        # No hypothesis is drawn: a pose fitted to every row would pass as
+        # the sampler's answer.
+        c, _, _ = generate(SyntheticSpec(n_points=20, outlier_rate=0.5, seed=8))
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            ransac_baseline(c, max_iters=max_iters)
 
     def test_fifty_percent_outliers(self):
         ok = 0
@@ -203,13 +213,14 @@ class TestCli:
         )
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
+        assert set(doc) == {"schema_version", "transform", "inlier_indices", "trace"}
         meta = json.loads(Path(f"{prefix}_meta.json").read_text())
         gt_q = np.array(meta["ground_truth"]["quaternion_xyzw"])
         est_q = np.array(doc["transform"]["quaternion_xyzw"])
         err = geodesic_rotation_error(quat_to_matrix(gt_q), quat_to_matrix(est_q))
         assert math.degrees(err) < 1.0
-        assert doc["certificate"]["verdict"] == "certified"
+        assert doc["trace"]["certificate_verdict"] == "certified"
 
     @pytest.mark.parametrize(
         "flags, certificate",
@@ -237,17 +248,14 @@ class TestCli:
         )
         assert rc == 0 and len(calls) == 1
         out = capsys.readouterr()
-        doc = json.loads(out.out)
-        assert doc["schema_version"] == "1"
-        if certificate is None:
-            assert "certificate" not in doc
-        else:
-            assert certificate in doc["certificate"]
+        trace = json.loads(out.out)["trace"]
+        assert (trace["certificate_verdict"] is not None) is (certificate == "verdict")
         if certificate == "skipped":
-            k = doc["stage_stats"]["rotation_edges"]
-            assert doc["certificate"] == {"skipped": f"{k} measurements exceed certify-max-k"}
-            assert doc["stage_stats"]["certify_skipped_k"] == k
+            k = trace["rotation_edges"]
+            assert trace["certify_skipped_k"] == k
             assert f"{k} rotation measurements exceed --certify-max-k=3" in out.err
+        else:
+            assert trace["certify_skipped_k"] is None and out.err == ""
 
     @pytest.mark.parametrize("scale_flags", [[], ["--known-scale", "1.0"]])
     def test_register_json_carries_scale_hypotheses(self, tmp_path, scale_flags):
@@ -262,15 +270,14 @@ class TestCli:
             ]
         )
         assert rc == 0
-        stats = json.loads(out.read_text())["stage_stats"]
+        trace = json.loads(out.read_text())["trace"]
+        tried = trace["scale_hypotheses"]
+        assert tried and all(
+            isinstance(scale, float) and isinstance(size, int) for scale, size in tried
+        )
+        assert max(size for _, size in tried) == trace["clique_size"]
         if scale_flags:
-            assert "scale_hypotheses" not in stats
-        else:
-            tried = stats["scale_hypotheses"]
-            assert tried and all(
-                isinstance(scale, float) and isinstance(size, int) for scale, size in tried
-            )
-            assert max(size for _, size in tried) == stats["clique_size"]
+            assert tried == [[1.0, trace["clique_size"]]] and trace["vote_s"] == 0.0
 
     def test_generate_is_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -384,12 +391,15 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [["bench", "--rates", "0.5,abc"], ["bench", "--rates", "1.5"],
-         ["bench", "--rates", "0.5", "--trials", "0"], ["generate", "--n", "0"],
+         ["bench", "--rates", "0.5", "--trials", "0"],
+         ["bench", "--rates", "0.5", "--method", "ransac", "--ransac-iters", "0"],
+         ["generate", "--n", "0"],
          ["generate", "--n", "12", "--outlier-rate", "1.5"],
          ["generate", "--n", "12", "--overlap", "0"],
          ["generate", "--n", "12", "--beta", "nan"],
          ["generate", "--n", "12", "--seed", "-1"]],
         ids=["bench-malformed-rate", "bench-rate-above-one", "bench-zero-trials",
+             "bench-zero-ransac-iters",
              "generate-zero-points", "generate-rate-above-one", "generate-zero-overlap",
              "generate-nan-beta", "generate-negative-seed"],
     )
@@ -485,14 +495,56 @@ class TestCli:
             assert math.degrees(agg["rotation_error_rad"]["median"]) < 1.0
             assert agg["translation_error"]["median"] < 0.05
 
-    def test_bench_records_carry_stage_timings(self, tmp_path):
-        out = tmp_path / "b.json"
-        cli_main(
-            [
-                "bench", "--rates", "0.5", "--n", "40", "--trials", "2",
-                "--known-scale", "--workers", "1", "--out", str(out),
-            ]
-        )
-        doc = json.loads(out.read_text())
-        for rec in doc["records"]:
-            assert set(rec["stage_timings"]) >= {"scale", "clique", "rotation", "translation"}
+    def test_bench_records_carry_the_trace(self, tmp_path):
+        names = {f.name for f in dataclasses.fields(RegistrationTrace)}
+        for method in ("tls", "ransac"):
+            out = tmp_path / f"{method}.json"
+            cli_main(
+                [
+                    "bench", "--rates", "0.5", "--n", "40", "--trials", "2", "--known-scale",
+                    "--method", method, "--workers", "1", "--out", str(out),
+                ]
+            )
+            for rec in json.loads(out.read_text())["records"]:
+                if method == "tls":
+                    assert set(rec["trace"]) == names
+                else:
+                    assert rec["trace"] is None
+
+    def test_the_trace_is_one_record_everywhere(self, tmp_path):
+        # One instance registered by the library, by `tlsreg register` and
+        # by `tlsreg bench`: the same trace fields, holding the same values
+        # but the times.
+        def untimed(trace):
+            # Read back as the CLI writes it: JSON has lists, not tuples.
+            doc = json.loads(json.dumps(trace))
+            return {k: v for k, v in doc.items() if not k.endswith("_s")}
+
+        def plain(v):
+            return v is None or type(v) in (bool, int, float, str) or (
+                type(v) is tuple and all(map(plain, v))
+            )
+
+        c, _, _ = generate(SyntheticSpec(n_points=30, outlier_rate=0.4, seed=9))
+        lib = register(c, TlsConfig(), RegistrationOptions(certify_rotation=True)).trace
+        lib = dataclasses.asdict(lib)
+        assert all(map(plain, lib.values()))
+        assert lib["certificate_verdict"] == "certified"
+
+        prefix, out = tmp_path / "inst", tmp_path / "result.json"
+        cli_main(["generate", "--n", "30", "--outlier-rate", "0.4", "--seed", "9",
+                  "--out", str(prefix)])
+        beta = json.loads(Path(f"{prefix}_meta.json").read_text())["noise_bound"]
+        assert np.all(c.noise_bounds == beta)
+        cli_main(["register", "--src", f"{prefix}_src.ply", "--dst", f"{prefix}_dst.ply",
+                  "--beta", repr(beta), "--out", str(out)])
+        cli_trace = json.loads(out.read_text())["trace"]
+
+        bench_out = tmp_path / "bench.json"
+        cli_main(["bench", "--rates", "0.4", "--n", "30", "--trials", "1", "--seed0", "9",
+                  "--certify", "--workers", "1", "--out", str(bench_out)])
+        bench_trace = json.loads(bench_out.read_text())["records"][0]["trace"]
+
+        names = {f.name for f in dataclasses.fields(RegistrationTrace)}
+        assert set(cli_trace) == set(bench_trace) == set(lib) == names
+        assert untimed(cli_trace) == untimed(bench_trace) == untimed(lib)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tlsreg.geometry import (
 from tlsreg.pipeline import (
     InsufficientInliersError,
     RegistrationOptions,
+    RegistrationTrace,
     _base_point_tuples,
     _min_u_singular_value,
     compute_error_bounds,
@@ -111,12 +113,21 @@ class TestRegister:
         res = register(c, TlsConfig(), RegistrationOptions(known_scale=1.0))
         assert set(res.inlier_indices.tolist()) <= set(res.clique.vertices.tolist())
 
-    def test_stage_timings_present(self):
-        rng = np.random.default_rng(8)
-        c, *_ = synth(rng, 20)
+    def test_trace_times_fit_in_the_call(self):
+        # The stage times are disjoint spans of the call; with no
+        # certificate asked for, nothing retries.
+        import time
+
+        c, *_ = synth(np.random.default_rng(8), 20)
+        t0 = time.perf_counter()
         res = register(c)
-        for stage in ("invariants", "scale", "prune", "clique", "rotation", "translation"):
-            assert stage in res.stage_timings
+        wall = time.perf_counter() - t0
+        times = [getattr(res.trace, f.name) for f in fields(RegistrationTrace)
+                 if f.name.endswith("_s")]
+        assert len(times) == 9 and min(times) >= 0.0 and res.trace.vote_s > 0.0
+        assert sum(times) <= wall
+        assert res.trace.retried is False and res.trace.retry_s == 0.0
+        assert res.trace.certificate_verdict is None and res.trace.certify_skipped_k is None
 
     def test_scale_timing_includes_clique_re_vote(self, monkeypatch):
         import time
@@ -131,7 +142,7 @@ class TestRegister:
 
         monkeypatch.setattr(pl, "_refine_scale_on_clique", slow_refine)
         c, *_ = synth(np.random.default_rng(8), 20)
-        assert register(c).stage_timings["scale"] >= 0.05
+        assert register(c).trace.revote_s >= 0.05
 
     def test_rejected_certificate_triggers_next_clique_retry(self, monkeypatch):
         import tlsreg.pipeline as pl
@@ -158,6 +169,8 @@ class TestRegister:
         # next-largest clique
         assert len(calls) == 2
         assert res.certificate is not None and not res.certificate.certified
+        assert res.trace.retried is True and res.trace.retry_s > 0.0
+        assert res.trace.certificate_verdict == "budget_exhausted"
 
     @pytest.mark.parametrize("retry", [False, True])
     def test_clique_trims_computed_once_per_clique(self, monkeypatch, retry):
@@ -287,15 +300,15 @@ class TestRegister:
         for now, child_budget in searches[1:]:
             assert 0.0 <= child_budget
             assert now + child_budget <= start + budget + 1e-9
-        tried = res.stage_stats["scale_hypotheses"]
+        tried = res.trace.scale_hypotheses
         assert [scale for scale, _ in tried] == hypotheses
         sizes = [size for _, size in tried]
         assert sizes[1] > max(sizes[0], sizes[2])
         chosen = real_prune(res.graph, s, 1.0)
         assert len(retried) == 1 and np.array_equal(retried[0].adj, chosen.adj)
-        assert res.stage_stats["edges_kept"] == chosen.n_edges
-        assert res.stage_timings["prune"] >= 0.06
-        assert res.stage_timings["clique"] >= 0.03
+        assert res.trace.edges_kept == chosen.n_edges
+        assert res.trace.prune_s >= 0.06
+        assert res.trace.clique_s >= 0.03
 
     @pytest.mark.parametrize(
         "right_first, budget, completed",
@@ -334,10 +347,10 @@ class TestRegister:
         monkeypatch.setattr(pl, "_scale_hypotheses", lambda graph, cbar_sq: (hypotheses, 31))
         monkeypatch.setattr(cl, "max_clique", six_second_search)
         res = register(c, TlsConfig(), RegistrationOptions(clique_time_budget=budget))
-        sizes = [size for _, size in res.stage_stats["scale_hypotheses"]]
-        assert len(sizes) == 2 and res.stage_stats["clique_size"] == max(sizes)
+        sizes = [size for _, size in res.trace.scale_hypotheses]
+        assert len(sizes) == 2 and res.trace.clique_size == max(sizes)
         assert abs(res.transform.scale - s) < 0.05 * s
-        assert res.stage_stats["clique_completed"] is completed
+        assert res.trace.clique_completed is completed
 
     def test_no_positive_scale_hypothesis_raises(self):
         # Coincident target points: every TRIM reads 0, and so does every
@@ -360,8 +373,9 @@ class TestRegister:
             c, TlsConfig(), RegistrationOptions(certify_rotation=True, certify_max_k=10)
         )
         assert res.certificate is None
-        k = res.stage_stats["rotation_edges"]
-        assert k > 10 and res.stage_stats["certify_skipped_k"] == k
+        k = res.trace.rotation_edges
+        assert k > 10 and res.trace.certify_skipped_k == k
+        assert res.trace.certificate_verdict is None
         assert abs(res.transform.scale - s) < 1e-9
 
     def test_clique_completed_reports_budget_expiry(self):
@@ -373,10 +387,10 @@ class TestRegister:
         res = register(
             c, TlsConfig(), RegistrationOptions(known_scale=1.0, clique_time_budget=1e-4)
         )
-        assert res.stage_stats["clique_completed"] is False
+        assert res.trace.clique_completed is False
         assert not res.clique.is_certified_maximum
         c, *_ = synth(np.random.default_rng(0), 40)
-        assert register(c).stage_stats["clique_completed"] is True
+        assert register(c).trace.clique_completed is True
 
     def test_adversarial_outliers_with_inlier_majority(self):
         # Noiseless inliers vs a mutually consistent adversarial structure:
@@ -433,9 +447,9 @@ class TestUnknownScaleNinetyPercentOutliers:
             SyntheticSpec(n_points=1000, sigma=0.01, outlier_rate=0.95, seed=seed)
         )
         res = register(c)
-        sizes = [size for _, size in res.stage_stats["scale_hypotheses"]]
+        sizes = [size for _, size in res.trace.scale_hypotheses]
         assert sizes.index(max(sizes)) > 0
-        assert res.stage_stats["clique_size"] == max(sizes) == int(labels.sum())
+        assert res.trace.clique_size == max(sizes) == int(labels.sum())
         tf = res.transform
         assert abs(tf.scale - gt.scale) < 0.05 * gt.scale
         assert math.degrees(geodesic_rotation_error(tf.matrix, gt.rotation.to_matrix())) < 3.0

@@ -14,6 +14,7 @@ from tlsreg.geometry import (
     random_unit_quaternion,
     right_product_matrix,
 )
+from tlsreg.invariants import degenerate_edge_cutoff
 from tlsreg.pipeline import RegistrationOptions, register
 from tlsreg.scalar_tls import ScalarTlsProblem, solve_scalar_tls, tls_cost
 from tlsreg.synthetic import SyntheticSpec, generate
@@ -158,21 +159,23 @@ class TestRegisterProperties:
     @pytest.mark.parametrize("known_scale", [True, False])
     @pytest.mark.parametrize("seed", [15_007, 15_008, 15_009])
     def test_duplicated_inlier_rows(self, seed, known_scale):
-        # A copy of a row coincides with it, so their TRIM is missing (NaN)
-        # and no edge joins them: the clique never holds both copies, and
-        # the pose stays right.
+        # A copy of a row coincides with it, or its source point lies half
+        # the degenerate-edge cutoff away: either way their TRIM is missing
+        # (NaN) and no edge joins them, so the clique never holds both
+        # copies, and the pose stays right.
         c, gt, labels, opts = make_instance(seed, known_scale)
         rows = np.random.default_rng(seed).choice(np.flatnonzero(labels), 5, replace=False)
         copies = np.arange(len(c), len(c) + rows.size)
-        doubled = CorrespondenceSet(
-            np.concatenate([c.source, c.source[rows]]),
-            np.concatenate([c.target, c.target[rows]]),
-            np.concatenate([c.noise_bounds, c.noise_bounds[rows]]),
-        )
-        res = register(doubled, TlsConfig(), opts)
+        for shift in (0.0, 0.5 * degenerate_edge_cutoff(c)):
+            doubled = CorrespondenceSet(
+                np.concatenate([c.source, c.source[rows] + [shift, 0.0, 0.0]]),
+                np.concatenate([c.target, c.target[rows]]),
+                np.concatenate([c.noise_bounds, c.noise_bounds[rows]]),
+            )
+            res = register(doubled, TlsConfig(), opts)
 
-        members = set(res.clique.vertices.tolist())
-        assert not any(r in members and d in members for r, d in zip(rows, copies))
-        rot = np.degrees(geodesic_rotation_error(res.transform.matrix, gt.rotation.to_matrix()))
-        assert rot < 3.0
-        assert np.linalg.norm(res.transform.translation - gt.translation) < 0.1
+            members = set(res.clique.vertices.tolist())
+            assert not any(r in members and d in members for r, d in zip(rows, copies))
+            rot = geodesic_rotation_error(res.transform.matrix, gt.rotation.to_matrix())
+            assert np.degrees(rot) < 3.0
+            assert np.linalg.norm(res.transform.translation - gt.translation) < 0.1
