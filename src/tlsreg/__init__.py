@@ -22,7 +22,6 @@ from .geometry import (
     RigidTransform,
     TlsConfig,
     UnitQuaternion,
-    beta_from_sigma,
     geodesic_rotation_error,
 )
 from .invariants import GraphTopology, MeasurementGraph, build_measurement_graph
@@ -63,7 +62,6 @@ __all__ = [
     "RigidTransform",
     "TlsConfig",
     "UnitQuaternion",
-    "beta_from_sigma",
     "geodesic_rotation_error",
     "GraphTopology",
     "MeasurementGraph",

@@ -50,7 +50,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .geometry import quat_to_matrix
+from .geometry import quat_normalize, quat_to_matrix
 from .rotation import RotationProblem, binary_cost, product_matrices, product_table
 
 # Stall exit: the splitting gives up once the best eta has fallen by less
@@ -157,9 +157,10 @@ def x_vector(q, thetas) -> np.ndarray:
 def make_candidate(p: RotationProblem, q, thetas) -> CandidateSolution:
     """Candidate with its cost evaluated in the binary-indicator form."""
     q = np.asarray(q, dtype=float)
-    thetas = np.asarray(thetas, dtype=np.int64)
+    thetas = np.asarray(thetas)
     if thetas.shape != (p.size,) or not np.all(np.abs(thetas) == 1):
         raise ValueError("thetas must be +-1 of length K")
+    thetas = thetas.astype(np.int64)
     return CandidateSolution(q_hat=q, thetas=thetas, mu_hat=binary_cost(p, q, thetas))
 
 
@@ -405,7 +406,8 @@ def certify(
         raise ValueError("candidate cost must be finite")
 
     rot = rotate_to_candidate_frame(data, cand)
-    check = qcqp_cost(data, cand.q_hat, cand.thetas)
+    # mu_hat is the cost at the rotation of q_hat, so compare at unit norm.
+    check = qcqp_cost(data, quat_normalize(cand.q_hat), cand.thetas)
     if abs(check - cand.mu_hat) > 1e-9 * max(1.0, abs(check)):
         raise ValueError("candidate mu_hat does not match x^T Q x")
 

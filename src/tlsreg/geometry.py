@@ -105,43 +105,6 @@ def geodesic_rotation_error(Ra, Rb) -> float:
     return float(math.atan2(s, c))
 
 
-def chi2_cdf_3dof(x: float) -> float:
-    """CDF of the chi-squared distribution with three degrees of freedom.
-
-    Closed form via the regularized lower incomplete gamma function at
-    a = 3/2: P(x) = erf(sqrt(x/2)) - sqrt(2 x / pi) * exp(-x/2).
-    """
-    if x <= 0:
-        return 0.0
-    t = 0.5 * x
-    return math.erf(math.sqrt(t)) - math.sqrt(2.0 * x / math.pi) * math.exp(-t)
-
-
-def chi2_quantile_3dof(p: float) -> float:
-    """Inverse of chi2_cdf_3dof by bisection."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("probability must be in (0, 1)")
-    lo, hi = 0.0, 1.0
-    while chi2_cdf_3dof(hi) < p:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValueError("quantile out of range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf_3dof(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def beta_from_sigma(sigma: float, p: float) -> float:
-    """Inlier bound beta with P(||eps||^2 <= beta^2) = p for eps ~ N(0, sigma^2 I3)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return sigma * math.sqrt(chi2_quantile_3dof(p))
-
-
 class UnitQuaternion:
     """Unit-norm quaternion [x, y, z, w]; renormalized on construction."""
 

@@ -173,13 +173,11 @@ def _clique_rotation_problem(
     )
 
 
-def _refine_scale_on_clique(within, s_hat: float, cbar_sq: float):
-    """Scale re-vote on the clique's TRIMs (`within`) that agree with s_hat."""
+def _refine_scale_on_clique(within, cbar_sq: float):
+    """Scale re-vote on all the clique's TRIMs (`within`, from trims_within):
+    pruning at the hypothesis already made each of them agree with it."""
     _, s_meas, alpha = within
-    keep = scale_consistent(s_meas, alpha, s_hat, cbar_sq)
-    if not keep.any():
-        return None
-    sol = solve_scalar_tls(ScalarTlsProblem(s_meas[keep], alpha[keep], cbar_sq))
+    sol = solve_scalar_tls(ScalarTlsProblem(s_meas, alpha, cbar_sq))
     return sol.estimate if sol.estimate > 0 else None
 
 
@@ -338,7 +336,7 @@ def register(
     t0 = time.perf_counter()
     within = graph.trims_within(used.vertices)
     if opts.known_scale is None:
-        s_refined = _refine_scale_on_clique(within, s_hat, cfg.cbar_sq)
+        s_refined = _refine_scale_on_clique(within, cfg.cbar_sq)
         if s_refined is not None:
             s_hat = s_refined
     revote_s = time.perf_counter() - t0
@@ -493,13 +491,13 @@ def compute_error_bounds(result: RegistrationResult, c: CorrespondenceSet) -> Er
     eta_s = 2.0 * float(np.max(alphas))
 
     # Unit direction table over the selected vertices for the U tuples.
+    # trims_within skips the degenerate pairs, so every norm is positive.
     m = inliers.size
     pos = np.zeros(len(c), dtype=np.int64)
     pos[inliers] = np.arange(m)
     norms = np.linalg.norm(sel_tims, axis=1)
-    ok = norms > 0
-    i, j = pos[sel_pairs[ok, 0]], pos[sel_pairs[ok, 1]]
-    u = sel_tims[ok] / norms[ok, None]
+    i, j = pos[sel_pairs[:, 0]], pos[sel_pairs[:, 1]]
+    u = sel_tims / norms[:, None]
     units = np.full((m, m, 3), np.nan)
     units[i, j] = u
     units[j, i] = -u
@@ -543,10 +541,9 @@ def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, a_norms) -> 
     # Rotation: over a candidate true-inlier triple T the bound is
     # sum_T zeta_R^2 / (2 s_hat (sigma1^2 + sigma2^2)) for the normalized
     # direction matrix of T; enumerate triples when affordable.
-    ok = a_norms > 0
     res_norm = np.linalg.norm(sel_btims - s_hat * sel_tims @ R_hat.T, axis=1)
-    zeta_R = np.where(ok, res_norm / np.maximum(a_norms, 1e-300) + alphas, np.inf)
-    units = np.where(ok[:, None], sel_tims / np.maximum(a_norms, 1e-300)[:, None], 0.0)
+    zeta_R = res_norm / a_norms + alphas
+    units = sel_tims / a_norms[:, None]
 
     def rot_rhs(idx):
         """Bound for each row of idx, a (T, n) array of measurement indices."""
@@ -557,14 +554,13 @@ def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, a_norms) -> 
         with np.errstate(divide="ignore"):
             return np.where(denom > 0, num / (2.0 * s_hat * denom), math.inf)
 
-    cand_idx = np.nonzero(ok)[0]
-    if cand_idx.size < 3:
-        rotation_bound = math.inf
-    elif worst_case:
-        triples = np.array(list(combinations(cand_idx.tolist(), 3)))
+    if worst_case:
+        triples = np.array(list(combinations(range(alphas.size), 3)))
         rotation_bound = max(0.0, float(rot_rhs(triples).max()))
+    elif alphas.size < 3:
+        rotation_bound = math.inf
     else:
-        rotation_bound = float(rot_rhs(cand_idx[None, :])[0])
+        rotation_bound = float(rot_rhs(np.arange(alphas.size)[None, :])[0])
 
     # Translation: per-axis bound chains the scale and rotation terms with
     # the per-point zeta; worst case again via third-largest.

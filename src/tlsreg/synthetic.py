@@ -23,10 +23,14 @@ from .geometry import (
     CorrespondenceSet,
     RigidTransform,
     UnitQuaternion,
+    random_unit_quaternion,
 )
 
 NOISELESS_BETA_FLOOR = 1e-2
 BETA_SIGMA_FACTOR = 5.54  # one-in-a-million tail of the 3-dof chi law
+# Smallest beta / sigma accepted: a Gaussian draw then lands within beta
+# with probability >= 1.08e-3, so the resampling in _bounded_noise ends.
+MIN_BETA_OVER_SIGMA = 0.16
 TRANSLATION_NORM_MAX = 1.0
 OUTLIER_RADIUS = 5.0
 
@@ -55,6 +59,8 @@ class SyntheticSpec:
             raise ValueError("overlap_fraction must be in (0, 1]")
         if not 0 < self.noise_bound < math.inf:
             raise ValueError("noise bound (beta) must be positive and finite")
+        if self.noise_bound < MIN_BETA_OVER_SIGMA * self.sigma:
+            raise ValueError(f"noise bound (beta) must be at least {MIN_BETA_OVER_SIGMA} * sigma")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -92,8 +98,7 @@ def _random_transform(rng, spec: SyntheticSpec) -> RigidTransform:
         s = 1.0
     else:
         s = float(rng.uniform(*spec.scale_range))
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
+    q = random_unit_quaternion(rng)
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     t = direction * rng.uniform(0.0, TRANSLATION_NORM_MAX)

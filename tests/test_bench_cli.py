@@ -23,8 +23,18 @@ from tlsreg.plyio import (
     write_labels,
 )
 from tlsreg.ransac import absolute_orientation, ransac_baseline
-from tlsreg.synthetic import SyntheticSpec, generate, load_reference_cloud
+from tlsreg.synthetic import (
+    BETA_SIGMA_FACTOR,
+    MIN_BETA_OVER_SIGMA,
+    SyntheticSpec,
+    generate,
+    load_reference_cloud,
+)
 from tlsreg.cli import main as cli_main
+
+
+def chi2_3dof_density(t):
+    return math.sqrt(t) * math.exp(-t / 2) / math.sqrt(2 * math.pi)
 
 
 class TestGenerator:
@@ -63,6 +73,29 @@ class TestGenerator:
             assert s_meas.size == finite_trim_count(g.trims)
             assert np.all(np.abs(s_meas - gt.scale) <= alpha * (1 + 1e-9))
             checked += s_meas.size
+
+    def test_default_bound_is_the_one_in_a_million_tail(self):
+        # Independent oracle: quadrature of the chi2(3) density.  5.54 sigma
+        # is the smallest two-decimal factor whose tail is within 1e-6.
+        from scipy.integrate import quad
+
+        def tail(factor):
+            return quad(chi2_3dof_density, factor**2, math.inf)[0]
+
+        assert tail(BETA_SIGMA_FACTOR) <= 1e-6 < tail(BETA_SIGMA_FACTOR - 0.01)
+        assert SyntheticSpec(n_points=1, sigma=0.01).noise_bound == BETA_SIGMA_FACTOR * 0.01
+
+    def test_bound_floor_keeps_the_redraws_finite(self):
+        # Each row's noise is redrawn until it lands within beta; at the
+        # floor a draw lands with probability >= 1.08e-3 (far below it the
+        # redraws would not end, and the CLI exit-code test checks that
+        # such a bound is refused).
+        from scipy.integrate import quad
+
+        assert quad(chi2_3dof_density, 0, MIN_BETA_OVER_SIGMA**2)[0] >= 1.08e-3
+        c, gt, _ = generate(SyntheticSpec(n_points=3, sigma=1.0, beta=MIN_BETA_OVER_SIGMA))
+        assert np.all(np.linalg.norm(c.target - gt.apply(c.source), axis=1) <= MIN_BETA_OVER_SIGMA)
+        assert SyntheticSpec(n_points=3, sigma=0.0, beta=0.001).noise_bound == 0.001
 
     def test_known_scale_flag(self):
         c, gt, _ = generate(SyntheticSpec(n_points=10, known_scale=True, seed=4))
@@ -344,9 +377,17 @@ class TestCli:
             lambda d: [d],
             lambda d: {**d, "b_bars": d["b_bars"][:-1]},
             lambda d: {**d, "thetas": [0] * len(d["thetas"])},
+            lambda d: {**d, "thetas": [1.7] * len(d["thetas"])},
             lambda d: {**d, "b_bars": [[math.nan, 0.0, 0.0]] + d["b_bars"][1:]},
+            # certify's own check; numpy warns of the overflow on the way.
+            pytest.param(
+                lambda d: {**d, "a_bars": [[1e300] * 3] * len(d["a_bars"]),
+                           "beta_bars": [1e-10] * len(d["beta_bars"])},
+                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+            ),
         ],
-        ids=["one-measurement", "top-level-list", "mismatched-shapes", "thetas-not-signs", "nan"],
+        ids=["one-measurement", "top-level-list", "mismatched-shapes", "thetas-not-signs",
+             "thetas-not-integers", "nan", "cost-matrix-not-finite"],
     )
     def test_certify_malformed_problem_exit_code(self, tmp_path, capsys, edit):
         path = self._certify_problem(tmp_path)
@@ -397,11 +438,12 @@ class TestCli:
          ["generate", "--n", "12", "--outlier-rate", "1.5"],
          ["generate", "--n", "12", "--overlap", "0"],
          ["generate", "--n", "12", "--beta", "nan"],
+         ["generate", "--n", "3", "--sigma", "1", "--beta", "0.001"],
          ["generate", "--n", "12", "--seed", "-1"]],
         ids=["bench-malformed-rate", "bench-rate-above-one", "bench-zero-trials",
              "bench-zero-ransac-iters",
              "generate-zero-points", "generate-rate-above-one", "generate-zero-overlap",
-             "generate-nan-beta", "generate-negative-seed"],
+             "generate-nan-beta", "generate-beta-far-below-sigma", "generate-negative-seed"],
     )
     def test_generate_and_bench_out_of_range_option_exit_code(self, tmp_path, capsys, argv):
         rc = cli_main([*argv, "--out", str(tmp_path / "out")])
@@ -418,6 +460,22 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["verdict"] == "certified"
         assert doc["eta"] < 1e-3
+
+    def test_certify_subcommand_normalizes_the_quaternion(self, tmp_path):
+        # The candidate's cost is positive (three inliers marked outliers),
+        # so a cost check at the raw quaternion would not match mu_hat.
+        path = self._certify_problem(tmp_path, flipped=3)
+        doc = json.loads(path.read_text())
+        docs = []
+        for factor in (1.0, 2.0):
+            q = [factor * x for x in doc["quaternion_xyzw"]]
+            path.write_text(json.dumps({**doc, "quaternion_xyzw": q}))
+            out = tmp_path / f"cert{factor}.json"
+            assert cli_main(["certify", "--problem", str(path), "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        unit, scaled = docs
+        assert unit["mu_hat"] > 0
+        assert (scaled["verdict"], scaled["iterations"]) == (unit["verdict"], unit["iterations"])
 
     def test_certify_subcommand_rejects_corrupted_candidate_early(self, tmp_path):
         path = self._certify_problem(tmp_path, flipped=3)

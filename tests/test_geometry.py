@@ -1,4 +1,4 @@
-"""Quaternion algebra, chi-squared helpers, and transform invariants."""
+"""Quaternion algebra and transform invariants."""
 
 import math
 
@@ -11,8 +11,6 @@ from tlsreg.geometry import (
     RigidTransform,
     TlsConfig,
     UnitQuaternion,
-    beta_from_sigma,
-    chi2_cdf_3dof,
     geodesic_rotation_error,
     left_product_matrix,
     quat_to_matrix,
@@ -91,37 +89,6 @@ class TestRotate:
     def test_double_cover(self):
         for q in random_quats(10):
             assert np.allclose(quat_to_matrix(q), quat_to_matrix(-np.asarray(q)))
-
-
-class TestChiSquared:
-    def test_cdf_against_quadrature(self):
-        # Independent oracle: numerical quadrature of the chi2(3) density.
-        from scipy.integrate import quad
-
-        for x in (0.1, 0.5, 1.0, 3.0, 9.0, 30.0):
-            density = lambda t: math.sqrt(t) * math.exp(-t / 2) / (math.sqrt(2 * math.pi))
-            expected, _ = quad(density, 0, x)
-            assert abs(chi2_cdf_3dof(x) - expected) < 1e-10
-
-    def test_beta_for_97_percent(self):
-        assert abs(beta_from_sigma(1.0, 0.97) - 3.0) < 0.01
-
-    def test_beta_for_one_in_a_million_tail(self):
-        assert abs(beta_from_sigma(0.01, 1.0 - 1e-6) - 0.0554) < 0.0005
-
-    def test_linear_in_sigma(self):
-        p = 0.9
-        assert np.isclose(beta_from_sigma(2.0, p), 2 * beta_from_sigma(1.0, p), rtol=1e-12)
-
-    def test_monotone_in_p(self):
-        values = [beta_from_sigma(1.0, p) for p in (0.1, 0.3, 0.5, 0.9, 0.99)]
-        assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            beta_from_sigma(1.0, 0.0)
-        with pytest.raises(ValueError):
-            beta_from_sigma(1.0, 1.0)
 
 
 class TestGeodesicError:

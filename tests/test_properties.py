@@ -14,7 +14,8 @@ from tlsreg.geometry import (
     random_unit_quaternion,
     right_product_matrix,
 )
-from tlsreg.invariants import degenerate_edge_cutoff
+from tlsreg.clique import max_clique, prune_by_scale
+from tlsreg.invariants import build_measurement_graph, degenerate_edge_cutoff, scale_consistent
 from tlsreg.pipeline import RegistrationOptions, register
 from tlsreg.scalar_tls import ScalarTlsProblem, solve_scalar_tls, tls_cost
 from tlsreg.synthetic import SyntheticSpec, generate
@@ -97,6 +98,16 @@ def make_instance(seed, known_scale):
     return c, gt, labels, RegistrationOptions(known_scale=1.0 if known_scale else None)
 
 
+def with_copies(c, rows, shift):
+    """c with the given rows appended again, each copy's source point moved
+    by shift along x."""
+    return CorrespondenceSet(
+        np.concatenate([c.source, c.source[rows] + [shift, 0.0, 0.0]]),
+        np.concatenate([c.target, c.target[rows]]),
+        np.concatenate([c.noise_bounds, c.noise_bounds[rows]]),
+    )
+
+
 def register_instance(seed, known_scale):
     """An N = 80, 50%-outlier instance and its registration."""
     c, _, _, opts = make_instance(seed, known_scale)
@@ -167,15 +178,42 @@ class TestRegisterProperties:
         rows = np.random.default_rng(seed).choice(np.flatnonzero(labels), 5, replace=False)
         copies = np.arange(len(c), len(c) + rows.size)
         for shift in (0.0, 0.5 * degenerate_edge_cutoff(c)):
-            doubled = CorrespondenceSet(
-                np.concatenate([c.source, c.source[rows] + [shift, 0.0, 0.0]]),
-                np.concatenate([c.target, c.target[rows]]),
-                np.concatenate([c.noise_bounds, c.noise_bounds[rows]]),
-            )
-            res = register(doubled, TlsConfig(), opts)
+            res = register(with_copies(c, rows, shift), TlsConfig(), opts)
 
             members = set(res.clique.vertices.tolist())
             assert not any(r in members and d in members for r, d in zip(rows, copies))
             rot = geodesic_rotation_error(res.transform.matrix, gt.rotation.to_matrix())
             assert np.degrees(rot) < 3.0
             assert np.linalg.norm(res.transform.translation - gt.translation) < 0.1
+
+
+class TestPrunedCliqueMeasurements:
+    # The clique's scale re-vote and the error bounds take every TRIM that
+    # trims_within returns for a clique unchecked.  That holds only if
+    # pruning and trims_within compute each ratio alike: a clique edge
+    # survived pruning, so its TRIM agrees with the scale and its pair is
+    # not degenerate.  Besides the truth and the searched hypotheses, the
+    # scales include ones that put an inlier TRIM on the agreement boundary
+    # (to within a rounding), where a ratio computed differently by one
+    # rounding would disagree.
+    @pytest.mark.parametrize("cbar_sq", [1.0, 4.0])
+    @pytest.mark.parametrize("known_scale", [True, False])
+    @pytest.mark.parametrize("seed", [15_010, 15_011])
+    def test_every_trim_inside_a_pruned_clique_agrees(self, seed, known_scale, cbar_sq):
+        c, gt, labels, opts = make_instance(seed, known_scale)
+        rows = np.random.default_rng(seed).choice(np.flatnonzero(labels), 5, replace=False)
+        shifts = (0.0, 0.5 * degenerate_edge_cutoff(c))
+        for cs in [c, *(with_copies(c, rows, shift) for shift in shifts)]:
+            graph = build_measurement_graph(cs)
+            searched = register(cs, TlsConfig(cbar_sq), opts).trace.scale_hypotheses
+            _, s_in, alpha_in = graph.trims_within(np.flatnonzero(labels))
+            tol = np.sqrt(cbar_sq) * alpha_in[:4]
+            boundary = np.concatenate([s_in[:4] - tol, s_in[:4] + tol])
+            for s in {gt.scale, *(scale for scale, _ in searched), *boundary.tolist()}:
+                found = max_clique(prune_by_scale(graph, s, cbar_sq))
+                pairs, s_meas, alpha = graph.trims_within(found.vertices)
+                m = len(found)
+                assert m >= 3 and len(pairs) == m * (m - 1) // 2
+                assert scale_consistent(s_meas, alpha, s, cbar_sq).all()
+                a_bars = cs.source[pairs[:, 1]] - cs.source[pairs[:, 0]]
+                assert np.all(np.linalg.norm(a_bars, axis=1) > degenerate_edge_cutoff(cs))
