@@ -29,7 +29,9 @@ is not proven to be the smallest eigenvalue and a missed one would make
 eta unsound.  The affine projection is closed-form and works on one copy
 of the iterate.  At K=100 (404x404, one BLAS thread, 2-core x86-64) the
 PSD projection takes about 9 ms, the minimum eigenvalue 6-7 ms and the
-affine projection 3 ms.
+affine projection 3 ms.  The two eigensolves import scipy.linalg on the
+first certification, not with the package: the registration pipeline
+never needs it, and loading it costs about 0.3 s and 27 MB.
 
 Every iterate's bound is sound on its own, so the loop may stop at any
 iteration: stopping early can only return a larger eta, never an unsound
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import quat_normalize, quat_to_matrix
 from .rotation import RotationProblem, binary_cost, product_matrices, product_table
@@ -285,6 +286,8 @@ def project_to_psd_cone(M: np.ndarray) -> np.ndarray:
     W = V sqrt(-lam), as a symmetric rank-r update, so the result stays
     symmetric.
     """
+    import scipy.linalg
+
     sym = M + M.T
     sym *= 0.5
     vals, vecs = scipy.linalg.eigh(
@@ -363,6 +366,8 @@ def project_to_dual_subspace(M: np.ndarray, rot: RotatedData) -> np.ndarray:
 
 
 def min_eigenvalue(M: np.ndarray) -> float:
+    import scipy.linalg
+
     vals = scipy.linalg.eigh(
         M, eigvals_only=True, subset_by_index=(0, 0), check_finite=False
     )

@@ -192,7 +192,12 @@ class MeasurementGraph:
         The pairs (i, j), i < j, of the sorted unique vertices, in row-major
         order, skipping the degenerate ones; only these pairs are computed.
         """
-        v = np.unique(np.asarray(vertices, dtype=np.int64))
+        # Sort and keep the first of each run: np.unique would import
+        # numpy.ma on the first call.
+        v = np.sort(np.asarray(vertices, dtype=np.int64), axis=None)
+        first = np.ones(v.size, dtype=bool)
+        np.not_equal(v[1:], v[:-1], out=first[1:])
+        v = v[first]
         i, j = np.triu_indices(v.size, k=1)
         i, j = v[i], v[j]
         s_meas, alpha = self.trims.at(i, j)

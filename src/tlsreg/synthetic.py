@@ -106,16 +106,26 @@ def _random_transform(rng, spec: SyntheticSpec) -> RigidTransform:
 
 
 def _bounded_noise(rng, n: int, sigma: float, beta: float) -> np.ndarray:
-    """Gaussian draws resampled until each row's norm is within beta."""
+    """Gaussian draws resampled until each row's norm is within beta.
+
+    Each round draws one row per row still missing and keeps, in order,
+    those within beta.  A round never draws past the last row a one-row-
+    at-a-time loop would draw, so the rows kept and the generator's state
+    afterwards are the same as that loop's.
+    """
     if sigma == 0.0:
         return np.zeros((n, 3))
     out = np.empty((n, 3))
-    for i in range(n):
-        while True:
-            e = rng.normal(0.0, sigma, size=3)
-            if np.dot(e, e) <= beta * beta:
-                out[i] = e
-                break
+    kept = 0
+    while kept < n:
+        e = rng.normal(0.0, sigma, size=(n - kept, 3))
+        # Each row's product calls the BLAS dot that np.dot(row, row) calls:
+        # a sum of squares can round either way at the boundary, and the
+        # stream must keep the rows a one-row draw keeps.
+        sq = (e[:, None, :] @ e[:, :, None]).ravel()
+        e = e[sq <= beta * beta]
+        out[kept:kept + len(e)] = e
+        kept += len(e)
     return out
 
 

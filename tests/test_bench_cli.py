@@ -13,6 +13,7 @@ import pytest
 
 import tlsreg
 from helpers import finite_trim_count, upper_trims
+from tlsreg import synthetic
 from tlsreg.geometry import TlsConfig, geodesic_rotation_error, quat_to_matrix
 from tlsreg.invariants import build_measurement_graph
 from tlsreg.pipeline import RegistrationOptions, RegistrationTrace, register
@@ -60,6 +61,26 @@ class TestGenerator:
         c, gt, labels = generate(SyntheticSpec(n_points=200, sigma=0.05, seed=3))
         res = np.linalg.norm(c.target - gt.apply(c.source), axis=1)
         assert np.all(res <= c.noise_bounds + 1e-12)
+
+    def test_bounded_noise_replays_the_row_by_row_stream(self):
+        # Oracle: one 3-vector per draw, kept when np.dot(e, e) <= beta^2.
+        # The rows kept and the generator's state afterwards must match.
+        def row_by_row(rng, n, sigma, beta):
+            out = np.empty((n, 3))
+            for i in range(n):
+                e = rng.normal(0.0, sigma, size=3)
+                while np.dot(e, e) > beta * beta:
+                    e = rng.normal(0.0, sigma, size=3)
+                out[i] = e
+            return out
+
+        for n, sigma, beta in ((1000, 0.01, 0.0554), (300, 1.0, 1.0),
+                               (100, 1.0, MIN_BETA_OVER_SIGMA), (100, 0.01, 0.01)):
+            for seed in (0, 1):
+                ref, rng = synthetic._rng(seed), synthetic._rng(seed)
+                expected = row_by_row(ref, n, sigma, beta)
+                assert np.array_equal(synthetic._bounded_noise(rng, n, sigma, beta), expected)
+                assert rng.random() == ref.random()
 
     def test_scale_measurement_bound_holds_empirically(self):
         # |s_ij - s| <= alpha_ij over inlier pairs, 10^4 samples.
@@ -526,15 +547,51 @@ class TestCli:
 
     def test_import_loads_no_heavy_scipy_module(self):
         # A fresh interpreter: other tests import scipy.integrate in-process.
-        # scipy.spatial alone adds about 8 MB of RSS to every run.
-        proc = self._run_python(
-            "-c",
-            "import sys, tlsreg, tlsreg.cli; print(sorted(m for m in ("
-            "'scipy.spatial', 'scipy.stats', 'scipy.integrate', 'scipy.optimize')"
-            " if m in sys.modules))",
-        )
+        # scipy.spatial alone adds about 8 MB of RSS to every run, and
+        # scipy.linalg, which only the certifier needs, about 27 MB.  Nor
+        # does a register call that does not certify load scipy.linalg or
+        # numpy.ma (numpy < 2 imports numpy.ma with itself).
+        proc = self._run_python("-c", """
+import sys
+import numpy
+before = set(sys.modules)
+import tlsreg, tlsreg.cli
+from tlsreg.synthetic import SyntheticSpec, generate
+for known_scale in (True, False):
+    c, gt, _ = generate(SyntheticSpec(n_points=40, outlier_rate=0.5, seed=2,
+                                      known_scale=known_scale))
+    scale = gt.scale if known_scale else None
+    tlsreg.register(c, tlsreg.TlsConfig(), tlsreg.RegistrationOptions(known_scale=scale))
+print(sorted(m for m in ('scipy.spatial', 'scipy.stats', 'scipy.integrate',
+                         'scipy.optimize', 'scipy.linalg', 'numpy.ma')
+             if m in sys.modules and m not in before))
+""")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_first_certification_loads_scipy_linalg(self):
+        # The same certificate as in this process, where scipy.linalg may
+        # already have been loaded.
+        spec = SyntheticSpec(n_points=30, outlier_rate=0.4, seed=9)
+        options = RegistrationOptions(certify_rotation=True)
+        cert = register(generate(spec)[0], TlsConfig(), options).certificate
+        assert cert is not None and cert.verdict.value == "certified"
+
+        proc = self._run_python("-c", """
+import json, sys
+import tlsreg
+from tlsreg.synthetic import SyntheticSpec, generate
+c, _, _ = generate(SyntheticSpec(n_points=30, outlier_rate=0.4, seed=9))
+loaded = 'scipy.linalg' in sys.modules
+options = tlsreg.RegistrationOptions(certify_rotation=True)
+cert = tlsreg.register(c, tlsreg.TlsConfig(), options).certificate
+print(json.dumps([loaded, 'scipy.linalg' in sys.modules, cert.verdict.value,
+                  cert.eta, cert.iterations_used]))
+""")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            False, True, cert.verdict.value, cert.eta, cert.iterations_used,
+        ]
 
     def test_bench_sweep_matches_robustness_expectations(self, tmp_path):
         # Reduced-trial version of the headline sweep: median rotation

@@ -155,25 +155,26 @@ class TestTrimsWithin:
         src = rng.uniform(0, 1, size=(n, 3))
         src[9] = src[2]  # a degenerate pair inside the vertex set
         g = build_measurement_graph(CorrespondenceSet(src, src, np.full(n, 0.1)))
-        vertices = np.array([31, 2, 9, 14, 0, 38, 9])  # unsorted, one repeat
-
         member = np.zeros(n, dtype=bool)
-        member[vertices] = True
+        member[[0, 2, 9, 14, 31, 38]] = True
         i, j = all_pairs(n).T
         s_table, a_table = trim_tables(g.trims)
         keep = member[i] & member[j] & ~np.isnan(s_table[i, j])
         i, j = i[keep], j[keep]
 
-        pairs, s_meas, alpha = g.trims_within(vertices)
-        assert np.array_equal(pairs, np.column_stack([i, j]))
-        assert np.array_equal(s_meas, s_table[i, j])
-        assert np.array_equal(alpha, a_table[i, j])
-        assert len(pairs) == 6 * 5 // 2 - 1
+        # Unsorted with one repeat; unsorted with runs and a repeated
+        # first and last vertex.
+        for vertices in ([31, 2, 9, 14, 0, 38, 9], [38, 9, 9, 0, 31, 38, 14, 2, 0, 9]):
+            pairs, s_meas, alpha = g.trims_within(np.array(vertices))
+            assert np.array_equal(pairs, np.column_stack([i, j]))
+            assert np.array_equal(s_meas, s_table[i, j])
+            assert np.array_equal(alpha, a_table[i, j])
+            assert len(pairs) == 6 * 5 // 2 - 1
 
     def test_empty_and_single_vertex(self):
         src = RNG.uniform(0, 1, size=(5, 3))
         g = build_measurement_graph(CorrespondenceSet(src, src, np.full(5, 0.1)))
-        for vertices in ([], [3]):
+        for vertices in ([], [3], [3, 3, 3]):
             pairs, s_meas, alpha = g.trims_within(vertices)
             assert pairs.shape == (0, 2) and s_meas.size == alpha.size == 0
 
