@@ -1,7 +1,8 @@
 """Command-line front end: generate / register / certify / bench.
 
 Exit codes: 0 success, 2 insufficient inliers, 3 I/O or format error.
-Benchmark workers come from --workers, capped at the CPU count.
+Benchmark workers come from --workers, capped at the CPUs this process
+may run on; each worker process votes on one thread.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +24,13 @@ from .geometry import (
     TlsConfig,
     geodesic_rotation_error,
 )
-from .pipeline import InsufficientInliersError, RegistrationOptions, register
+from . import pipeline
+from .pipeline import (
+    InsufficientInliersError,
+    RegistrationOptions,
+    register,
+    usable_cpu_count,
+)
 from .plyio import (
     PlyError,
     format_result_json,
@@ -207,9 +213,14 @@ def run_bench_trial(params: dict) -> dict:
 
 
 def _worker_count(requested: int | None) -> int:
-    """--workers capped at the CPU count; every CPU when it is not given."""
-    limit = os.cpu_count() or 1
+    """--workers capped at the usable CPUs; all of them when it is not given."""
+    limit = usable_cpu_count()
     return max(1, min(requested or limit, limit))
+
+
+def _vote_on_one_thread() -> None:
+    """Worker-process initializer: the workers already fill the CPUs."""
+    pipeline.VOTE_THREADS = 1
 
 
 def _cmd_bench(args) -> int:
@@ -241,7 +252,7 @@ def _cmd_bench(args) -> int:
     ]
     workers = _worker_count(args.workers)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_vote_on_one_thread) as pool:
             records = list(pool.map(run_bench_trial, jobs))
     else:
         records = [run_bench_trial(j) for j in jobs]

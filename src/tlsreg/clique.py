@@ -13,6 +13,12 @@ the only maximum clique and is returned at once.  Otherwise the core, in
 degeneracy order, goes to an exact branch-and-bound search with a
 greedy-coloring bound on Python-int bitsets.
 
+A pruned graph may cover only some of the vertices, and the searches
+answer in the original ids.  `max_clique_of_candidates` uses this with
+counts that bound each vertex's degree, as the scale votes do: it
+searches only the vertices whose count allows a clique of a given size,
+and gives the whole graph's answer.
+
 When the certifier rejects the rotation found on it, `next_clique` gives
 the one fallback: the best maximum clique left after dropping one of its
 vertices.  Every search stops at a wall-clock deadline and says whether
@@ -37,13 +43,25 @@ _DEADLINE_CHECK_INTERVAL = 4096
 
 @dataclass(frozen=True)
 class PrunedGraph:
-    """Symmetric adjacency over correspondence vertices, no self-loops."""
+    """Symmetric adjacency over correspondence vertices, no self-loops.
+
+    Row r is vertex vertices[r]; without vertices, row r is vertex r.
+    """
 
     adj: np.ndarray  # (n, n) bool
+    vertices: np.ndarray | None = None  # (n,) sorted original vertex ids
 
     @property
     def n_edges(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
+
+    def ids(self, rows: np.ndarray) -> np.ndarray:
+        """Original vertex ids of the rows."""
+        return rows if self.vertices is None else self.vertices[rows]
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Rows of the original vertex ids, each of which must be present."""
+        return ids if self.vertices is None else np.searchsorted(self.vertices, ids)
 
 
 @dataclass(frozen=True)
@@ -55,13 +73,16 @@ class CliqueResult:
         return self.vertices.shape[0]
 
 
-def prune_by_scale(graph: MeasurementGraph, s_hat: float, cbar_sq: float) -> PrunedGraph:
+def prune_by_scale(
+    graph: MeasurementGraph, s_hat: float, cbar_sq: float, vertices=None
+) -> PrunedGraph:
     """Keep edges whose scale measurement satisfies |s_k - s_hat| <= cbar * alpha_k.
 
+    The graph is over `vertices` (sorted ids), every vertex by default.
     Degenerate (zero-length) edges carry no scale measurement and are
     dropped here regardless.
     """
-    return PrunedGraph(graph.trims.consistent_with(s_hat, cbar_sq))
+    return PrunedGraph(graph.trims.consistent_with(s_hat, cbar_sq, vertices), vertices)
 
 
 def _drop(adj: np.ndarray, cand: np.ndarray, deg: np.ndarray, keep: np.ndarray):
@@ -114,7 +135,8 @@ def _degeneracy_order(adj: np.ndarray) -> list[int]:
 
 
 def max_clique(graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET) -> CliqueResult:
-    """Exact maximum clique, lexicographically smallest among ties.
+    """Exact maximum clique, lexicographically smallest among ties, in
+    original vertex ids.
 
     Returns the best clique found with is_certified_maximum=False when the
     wall-clock budget expires before the search completes.
@@ -131,7 +153,7 @@ def max_clique(graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET) -> 
     core = _peel(adj, deg, len(seed) - 1).astype(np.int64, copy=False)
     if core.size == len(seed):
         # Every clique as large as the seed lies in the core: it is the seed.
-        return CliqueResult(core, True)
+        return CliqueResult(graph.ids(core), True)
 
     # take() keeps the rows contiguous (a[r][:, c] would not); they are read one by one.
     sub = adj[core].take(core, axis=1)
@@ -152,7 +174,43 @@ def max_clique(graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET) -> 
 
     result = np.array(sorted(verts), dtype=np.int64)
     _assert_clique(adj, result)
-    return CliqueResult(result, bool(completed))
+    return CliqueResult(graph.ids(result), bool(completed))
+
+
+def candidates(counts: np.ndarray | None, k: int) -> np.ndarray | None:
+    """V_k: the vertices whose count is at least k - 1; None, for every
+    vertex, without counts.
+
+    When each vertex's count bounds its degree from above, as its scale
+    vote does at any scale, V_k holds every clique of k or more vertices:
+    each member has k - 1 neighbours or more.
+    """
+    return None if counts is None else np.flatnonzero(counts >= k - 1)
+
+
+def max_clique_of_candidates(
+    search, counts: np.ndarray | None, k: int
+) -> tuple[PrunedGraph, CliqueResult]:
+    """Maximum clique, as max_clique gives it on the whole graph, searching
+    only candidates.
+
+    search(vertices) returns the graph over the sorted vertices (every
+    vertex for None) and its max_clique.  V_k is searched first (see
+    candidates): a clique of m >= k found there is the maximum, ties
+    included, as V_m, part of V_k, holds every clique of m or more.  A
+    smaller one sends the search once to V_m, which holds every clique at
+    least as large, unless V_m is V_k; raising k to m + 1 instead would
+    never end when m = k - 1.  Returns the graph last searched and its
+    clique, certified only when every search finished.
+    """
+    pruned, found = search(candidates(counts, k))
+    completed = found.is_certified_maximum
+    if len(found) < k:
+        wider = candidates(counts, len(found))
+        if wider is not None and wider.size > len(pruned.adj):
+            pruned, found = search(wider)
+            completed = completed and found.is_certified_maximum
+    return pruned, CliqueResult(found.vertices, completed)
 
 
 def _assert_clique(adj: np.ndarray, vertices: np.ndarray) -> None:
@@ -174,11 +232,13 @@ def next_clique(
     """
     deadline = time.monotonic() + float(time_budget)
     children = []
-    for v in first.vertices.tolist():
+    for v in graph.rows(first.vertices).tolist():
         rest = graph.adj.copy()
         rest[v, :] = False
         rest[:, v] = False
-        children.append(max_clique(PrunedGraph(rest), max(0.0, deadline - time.monotonic())))
+        children.append(
+            max_clique(PrunedGraph(rest, graph.vertices), max(0.0, deadline - time.monotonic()))
+        )
     return min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=None)
 
 

@@ -10,19 +10,21 @@ No TRIM is stored.  TrimSet keeps the TIMs' points and the degeneracy
 cutoff and computes any TRIM where it is read, in one symmetric layout: edge
 (i, j)'s value sits at [i, j] and at [j, i], NaN on the diagonal and on
 degenerate edges.  Pruning computes the upper rectangle [rows, r0:] of a
-block of rows, compares it with the scale and writes the bool block and
-its transpose; the per-vertex scale votes compute full rows a block at a
-time; a scale hypothesis is refined on one row; and the rotation stage
-reads the pairs inside a clique.  A block holds about BLOCK_ENTRIES
-entries in buffers reused from block to block, so its temporaries stay
-in cache and touch no fresh memory.  Each value is the same bit for bit
-wherever it is computed: the coordinates are squared and summed in order,
-and a difference squares to the same value in both directions.  At
-N = 1000, 99% outliers and known scale, pruning takes a median of 15 ms
-(14-15 ms over 48 calls on one core), where filling two stored (N, N)
-float64 tables (16 MB) took 35 ms and comparing them 5 ms more.  Only the
-rotation stage and the error bounds need TIM vectors, on the few pairs
-inside the selected clique, and TimSet forms them per pair on demand.
+block of rows, over every vertex or over a sorted subset of them,
+compares it with the scale and writes the bool block and its transpose;
+the per-vertex scale votes compute full rows a block at a time, each
+thread its own blocks; a scale hypothesis is refined on one row; and the
+rotation stage reads the pairs inside a clique.  A block holds about
+BLOCK_ENTRIES entries in buffers reused from block to block, so its
+temporaries stay in cache and touch no fresh memory.  Each value is the
+same bit for bit wherever it is computed: the coordinates are squared and
+summed in order, and a difference squares to the same value in both
+directions.  At N = 1000, 99% outliers and known scale, pruning every
+vertex takes a median of 12 ms (quartiles 10-13 ms over 48 calls on one
+core), where filling two stored (N, N) float64 tables (16 MB) took 35 ms
+and comparing them 5 ms more.  Only the rotation stage and the error
+bounds need TIM vectors, on the few pairs inside the selected clique, and
+TimSet forms them per pair on demand.
 
 The graph is always complete: only there do mutually consistent inliers
 form a clique, which the maximum-clique pruning stage looks for.
@@ -94,16 +96,11 @@ def scale_consistent(s_meas, alpha, s_hat: float, cbar_sq: float, out=None) -> n
     return np.less_equal(dev, tol, out=out)
 
 
-def _block_rows(n: int) -> int:
-    """Rows of an n-column table that make about BLOCK_ENTRIES entries."""
-    return max(1, BLOCK_ENTRIES // max(n, 1))
-
-
-def _row_blocks(n: int):
-    """Slices of _block_rows(n) consecutive rows covering 0..n-1."""
-    step = _block_rows(n)
-    for r0 in range(0, n, step):
-        yield slice(r0, min(n, r0 + step))
+def row_blocks(n: int, parts: int = 1) -> list[slice]:
+    """Slices of consecutive rows covering 0..n-1, each about
+    BLOCK_ENTRIES // parts entries of an n-column table."""
+    step = max(1, BLOCK_ENTRIES // parts // max(n, 1))
+    return [slice(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -137,43 +134,50 @@ class TrimSet:
         alpha /= a_norm
         return s_meas, alpha
 
-    def blocks(self, upper: bool = False):
+    def blocks(self, upper: bool = False, vertices=None, rows=None):
         """(rows, s_meas, alpha) for blocks of consecutive rows, in order.
 
-        Each block holds the TRIMs of the vertices in rows against every
-        vertex, or with upper against rows.start..N-1 only.  The arrays are
-        buffers that the next block overwrites.
+        The table is over `vertices` (sorted ids, every vertex by default),
+        and `rows` lists its row slices to compute (row_blocks of it by
+        default).  Each block holds the TRIMs of the vertices in rows
+        against every vertex of the table, or with upper against
+        rows.start onwards only.  The arrays are buffers that the next
+        block overwrites.
         """
-        n = len(self.tims.source)
-        buffers = np.empty((4, min(n, _block_rows(n)) * n))
-        for rows in _row_blocks(n):
-            r0 = rows.start if upper else 0
-            shape = (rows.stop - rows.start, n - r0)
+        n = len(self.tims.source) if vertices is None else len(vertices)
+        rows = row_blocks(n) if rows is None else rows
+        height = max((block.stop - block.start for block in rows), default=0)
+        buffers = np.empty((4, height * n))
+        for block in rows:
+            r0 = block.start if upper else 0
+            i, j = (block, np.s_[r0:]) if vertices is None else (vertices[block], vertices[r0:])
+            shape = (block.stop - block.start, n - r0)
             out = [b[: shape[0] * shape[1]].reshape(shape) for b in buffers]
-            yield (rows, *self.at(np.s_[rows, None], np.s_[None, r0:], out))
+            yield (block, *self.at(np.s_[i, None], np.s_[None, j], out))
 
     @cached_property
     def skipped_rows(self) -> np.ndarray:
         """(P, 2) degenerate pairs (i, j), i < j, in row-major order."""
         pieces = [np.empty((0, 2), dtype=np.int64)]
         source = self.tims.source
-        for rows in _row_blocks(len(source)):
+        for rows in row_blocks(len(source)):
             r0 = rows.start
             bad = ~(_norms(source, np.s_[rows, None], np.s_[None, r0:]) > self.cutoff)
             i, j = np.nonzero(bad)  # vertices r0 + i and r0 + j
             pieces.append(np.column_stack([i, j])[i < j] + r0)
         return np.concatenate(pieces)
 
-    def consistent_with(self, s_hat: float, cbar_sq: float) -> np.ndarray:
-        """(N, N) bool adjacency of the edges whose TRIM agrees with s_hat.
+    def consistent_with(self, s_hat: float, cbar_sq: float, vertices=None) -> np.ndarray:
+        """Bool adjacency of the edges whose TRIM agrees with s_hat, among
+        `vertices` (sorted ids, every vertex by default).
 
         Each block compares the upper rectangle [rows, r0:] and writes it
         and its transpose; the rectangle's lower corner is symmetric bit
         for bit, as each squared difference is.
         """
-        n = len(self.tims.source)
+        n = len(self.tims.source) if vertices is None else len(vertices)
         adj = np.empty((n, n), dtype=bool)
-        for rows, s_meas, alpha in self.blocks(upper=True):
+        for rows, s_meas, alpha in self.blocks(upper=True, vertices=vertices):
             r0 = rows.start
             scale_consistent(s_meas, alpha, s_hat, cbar_sq, out=adj[rows, r0:])
             adj[r0:, rows] = adj[rows, r0:].T

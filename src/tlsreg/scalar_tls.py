@@ -255,11 +255,14 @@ def row_consensus_votes(
     of them upper, so p - 2u intervals are open; the count only falls at
     an upper event, so it peaks just before one.
 
-    Registration votes blocks of 65 x 1000 TRIMs this way: at N = 1000 its
-    16 blocks take a median of 37-39 ms on one core, the row sorts about
-    14 ms of it, where a running count over all 2M events took 42-44 ms
-    (an argsort along the rows took 38 ms on the whole 1000 x 1998
-    boundary table, a stable one 159 ms).
+    Registration votes blocks of about 64K TRIMs this way, computed from
+    the points a block at a time: at N = 1000, 16 blocks of 65 x 1000 on
+    one core take a median of 58 ms, 22 ms of it computing the TRIMs, and
+    two threads with 16 blocks of 32 x 1000 each take 35 ms on a 2-core
+    machine (48 calls each).  On one core a running count over all 2M
+    events took 42-44 ms where this vote took 37-39 ms, the row sorts
+    about 14 ms of it (an argsort along the rows took 38 ms on the whole
+    1000 x 1998 boundary table, a stable one 159 ms).
     """
     s = np.asarray(measurements, dtype=float)
     alphas = np.asarray(alphas, dtype=float)

@@ -521,14 +521,58 @@ class TestCli:
         assert len(doc["aggregates"]) == 2
         assert all(not r["failed"] for r in doc["records"])
 
-    def test_worker_count_is_capped_at_the_cpu_count(self):
-        from tlsreg.cli import _worker_count
+    def test_worker_count_is_capped_at_the_cpu_count(self, monkeypatch):
+        import tlsreg.cli as cli
+        import tlsreg.pipeline as pl
 
-        cpus = os.cpu_count() or 1
-        assert _worker_count(None) == cpus
-        assert _worker_count(1) == 1
-        assert _worker_count(10 * cpus) == cpus
-        assert _worker_count(-3) == 1
+        if hasattr(os, "sched_getaffinity"):
+            assert pl.usable_cpu_count() == len(os.sched_getaffinity(0))
+            # Under taskset or a cpuset the affinity mask, not the machine, counts.
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+            assert pl.usable_cpu_count() == 1
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert pl.usable_cpu_count() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pl.usable_cpu_count() == 1
+
+        monkeypatch.setattr(cli, "usable_cpu_count", lambda: 4)
+        assert cli._worker_count(None) == 4
+        assert cli._worker_count(1) == 1
+        assert cli._worker_count(40) == 4
+        assert cli._worker_count(-3) == 1
+
+    def test_bench_worker_processes_vote_on_one_thread(self, monkeypatch, tmp_path):
+        # The pool's workers fill the CPUs, so each votes on one thread; a
+        # serial stand-in pool runs its initializer as a worker would.
+        import tlsreg.cli as cli
+        import tlsreg.pipeline as pl
+
+        votes_seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer):
+                assert max_workers == 2
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                votes_seen.append(pl.VOTE_THREADS)
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(pl, "VOTE_THREADS", pl.VOTE_THREADS)  # restored afterwards
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "usable_cpu_count", lambda: 2)
+        out = tmp_path / "bench.json"
+        argv = ["bench", "--rates", "0.5", "--n", "30", "--trials", "2", "--workers", "2"]
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert votes_seen == [1]
+        assert len(json.loads(out.read_text())["records"]) == 2
 
     @staticmethod
     def _run_python(*args):

@@ -201,6 +201,45 @@ class TestRegister:
         if retry:
             assert calls[0] != calls[1]
 
+    def test_retry_searches_the_vertices_that_allow_one_fewer(self, monkeypatch):
+        # The first clique reaches the votes' bound m, so its search covered
+        # V_m only; the next clique may have m - 1 vertices, so the retry
+        # searches V_(m-1).  One vertex's count is raised to m - 2 (a count
+        # only bounds a degree from above), so the two sets differ.
+        import tlsreg.clique as cl
+        import tlsreg.pipeline as pl
+        from tlsreg.certifier import Certificate, Verdict
+
+        real_hypotheses, real_next = pl._scale_hypotheses, cl.next_clique
+        votes, retried = [], []
+
+        def raised_count(graph, cbar_sq):
+            scales, bound, counts = real_hypotheses(graph, cbar_sq)
+            counts[np.argmin(counts)] = bound - 2
+            votes.append((bound, counts))
+            return scales, bound, counts
+
+        def recording_next(graph, first, time_budget):
+            retried.append(graph)
+            return real_next(graph, first, time_budget)
+
+        monkeypatch.setattr(pl, "_scale_hypotheses", raised_count)
+        monkeypatch.setattr(cl, "next_clique", recording_next)
+        monkeypatch.setattr(
+            pl, "certify", lambda data, cand, opts=None: Certificate(
+                1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0
+            )
+        )
+        rng = np.random.default_rng(15)
+        c, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
+        res = register(c, TlsConfig(), RegistrationOptions(certify_rotation=True))
+        (bound, counts), = votes
+        assert res.trace.scale_hypotheses[0][1] == bound  # one search, over V_m
+        assert res.trace.edges_kept == bound * (bound - 1) // 2
+        assert np.count_nonzero(counts >= bound - 2) > np.count_nonzero(counts >= bound - 1)
+        assert retried[0].vertices.tolist() == np.flatnonzero(counts >= bound - 2).tolist()
+        assert res.trace.retried
+
     def test_clique_budget_bounds_the_whole_stage(self, monkeypatch):
         # A fake clock that moves only while a search runs: every search,
         # the retry's included, must end by the deadline set at the first.
@@ -243,9 +282,11 @@ class TestRegister:
             assert now + child_budget <= start + budget + 1e-9
 
     def test_scale_hypotheses_share_one_clique_budget(self, monkeypatch):
-        # Three hypotheses, the middle one right, and a bound no clique
-        # reaches: all three are searched, every search ends by the deadline
-        # set at the first, and the retry searches the chosen graph.
+        # Three hypotheses, the middle one right, and a bound one above the
+        # votes' own, which no clique reaches: all three are searched, every
+        # search ends by the deadline set at the first, and the retry
+        # searches the chosen scale's graph over the vertices whose count
+        # allows a clique one smaller than the chosen one.
         import time as real_time
         from types import SimpleNamespace
 
@@ -259,8 +300,9 @@ class TestRegister:
         )
         monkeypatch.setattr(cl, "time", fake_time)
         monkeypatch.setattr(pl, "time", fake_time)
-        searches, retried = [], []
+        searches, retried, votes = [], [], []
         real_search, real_next, real_prune = cl.max_clique, cl.next_clique, pl.prune_by_scale
+        real_hypotheses = pl._scale_hypotheses
 
         def timed_search(graph, time_budget):
             searches.append((clock[0], time_budget))
@@ -274,15 +316,23 @@ class TestRegister:
 
         def slow_prune(*args):
             # The budget starts at the first search: pruning for the first
-            # hypothesis does not draw on it.
-            clock[0] += 1.0
+            # hypothesis does not draw on it.  Five prunes after it and 24
+            # searches (two per hypothesis, one per member of the 18-clique)
+            # fit in the budget, so none is handed an expired deadline.
+            clock[0] += 0.5
             real_time.sleep(0.02)
             return real_prune(*args)
 
         rng = np.random.default_rng(15)
         c, s, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
         hypotheses = [0.5 * s, s, 2.0 * s]
-        monkeypatch.setattr(pl, "_scale_hypotheses", lambda graph, cbar_sq: (hypotheses, 31))
+
+        def unreachable_bound(graph, cbar_sq):
+            _, bound, counts = real_hypotheses(graph, cbar_sq)
+            votes.append(counts)
+            return hypotheses, bound + 1, counts
+
+        monkeypatch.setattr(pl, "_scale_hypotheses", unreachable_bound)
         monkeypatch.setattr(cl, "max_clique", timed_search)
         monkeypatch.setattr(cl, "next_clique", recording_next)
         monkeypatch.setattr(pl, "prune_by_scale", slow_prune)
@@ -304,9 +354,12 @@ class TestRegister:
         assert [scale for scale, _ in tried] == hypotheses
         sizes = [size for _, size in tried]
         assert sizes[1] > max(sizes[0], sizes[2])
-        chosen = real_prune(res.graph, s, 1.0)
-        assert len(retried) == 1 and np.array_equal(retried[0].adj, chosen.adj)
-        assert res.trace.edges_kept == chosen.n_edges
+        m, counts = sizes[1], votes[0]
+        searched = real_prune(res.graph, s, 1.0, np.flatnonzero(counts >= m - 1))
+        assert res.trace.edges_kept == searched.n_edges
+        wider = real_prune(res.graph, s, 1.0, np.flatnonzero(counts >= m - 2))
+        assert len(retried) == 1 and np.array_equal(retried[0].adj, wider.adj)
+        assert np.array_equal(retried[0].vertices, wider.vertices)
         assert res.trace.prune_s >= 0.06
         assert res.trace.clique_s >= 0.03
 
@@ -317,10 +370,12 @@ class TestRegister:
     def test_a_cut_hypothesis_search_leaves_the_stage_incomplete(
         self, monkeypatch, right_first, budget, completed
     ):
-        # Two hypotheses and a bound no clique reaches.  Each search takes
-        # 6 s on a fake clock and is cut when it has less time than that:
-        # at a 10 s budget the second search expires.  A cut search may have
-        # missed a larger clique, whichever hypothesis's clique is chosen.
+        # Two hypotheses and a bound no clique reaches, with every vertex a
+        # candidate for it, so each hypothesis is searched once, over every
+        # vertex.  Each search takes 6 s on a fake clock and is cut when it
+        # has less time than that: at a 10 s budget the second search
+        # expires.  A cut search may have missed a larger clique, whichever
+        # hypothesis's clique is chosen.
         import time as real_time
         from types import SimpleNamespace
 
@@ -344,7 +399,9 @@ class TestRegister:
         rng = np.random.default_rng(15)
         c, s, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
         hypotheses = [s, 2.0 * s] if right_first else [2.0 * s, s]
-        monkeypatch.setattr(pl, "_scale_hypotheses", lambda graph, cbar_sq: (hypotheses, 31))
+        monkeypatch.setattr(
+            pl, "_scale_hypotheses", lambda graph, cbar_sq: (hypotheses, 30, np.full(30, 29))
+        )
         monkeypatch.setattr(cl, "max_clique", six_second_search)
         res = register(c, TlsConfig(), RegistrationOptions(clique_time_budget=budget))
         sizes = [size for _, size in res.trace.scale_hypotheses]
@@ -535,7 +592,11 @@ class TestMemory:
     def test_register_stores_no_pairwise_table(self, known_scale):
         # At N = 1000 one (N, N) float64 table takes 8 MB.  The TRIMs are
         # computed a block at a time where they are read, and the result
-        # keeps only the points and the clique.
+        # keeps only the points and the clique.  The peak is about 4.3 MB
+        # at unknown scale and 3.2 MB at known scale (numpy 2, x86-64),
+        # mostly the vote's or the prune's blocks: the threads of the vote
+        # share one block's worth of entries, and a second full block in
+        # flight would pass the bound.
         n = 1000
         c, *_ = generate(
             SyntheticSpec(
@@ -550,7 +611,7 @@ class TestMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * n
+        assert peak < 5_000_000
         assert held < 2_000_000
         # The degenerate-pair list costs a pass over the points; register
         # never asks for it.

@@ -1,8 +1,10 @@
 """Property checks of the core solvers and of the registration cascade."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tlsreg.geometry import (
@@ -14,7 +16,15 @@ from tlsreg.geometry import (
     random_unit_quaternion,
     right_product_matrix,
 )
-from tlsreg.clique import max_clique, prune_by_scale
+from tlsreg import clique as cl
+from tlsreg.clique import (
+    PrunedGraph,
+    candidates,
+    max_clique,
+    max_clique_of_candidates,
+    next_clique,
+    prune_by_scale,
+)
 from tlsreg.invariants import build_measurement_graph, degenerate_edge_cutoff, scale_consistent
 from tlsreg.pipeline import RegistrationOptions, register
 from tlsreg.scalar_tls import ScalarTlsProblem, solve_scalar_tls, tls_cost
@@ -217,3 +227,99 @@ class TestPrunedCliqueMeasurements:
                 assert scale_consistent(s_meas, alpha, s, cbar_sq).all()
                 a_bars = cs.source[pairs[:, 1]] - cs.source[pairs[:, 0]]
                 assert np.all(np.linalg.norm(a_bars, axis=1) > degenerate_edge_cutoff(cs))
+
+
+def vote_like_counts(rng, adj, max_slack):
+    """Counts at or above each vertex's degree, as a vertex's scale vote is
+    at any scale."""
+    return adj.sum(axis=1) + rng.integers(0, max_slack + 1, size=adj.shape[0])
+
+
+@st.composite
+def graphs_with_planted_ties(draw):
+    """A random graph with two or three planted cliques of one size, which
+    may overlap, and vote-like counts."""
+    n = draw(st.integers(4, 30))
+    size = draw(st.integers(2, max(2, n // 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.triu(rng.uniform(size=(n, n)) < draw(st.floats(0.0, 0.5)), 1)
+    adj |= adj.T
+    for _ in range(draw(st.integers(2, 3))):
+        members = rng.choice(n, size, replace=False)
+        adj[np.ix_(members, members)] = True
+    np.fill_diagonal(adj, False)
+    return adj, vote_like_counts(rng, adj, draw(st.integers(0, 3)))
+
+
+@st.composite
+def disjoint_tied_cliques(draw):
+    """Two or three disjoint cliques of one size, and other vertices too
+    sparse to reach it, under shuffled ids: every search must branch."""
+    size = draw(st.integers(3, 7))
+    n_cliques = draw(st.integers(2, 3))
+    n_rest = draw(st.integers(0, 12))
+    n = n_cliques * size + n_rest
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.zeros((n, n), dtype=bool)
+    for c in range(n_cliques):
+        adj[c * size : (c + 1) * size, c * size : (c + 1) * size] = True
+    rest = np.triu(rng.uniform(size=(n_rest, n_rest)) < 0.2, 1)
+    adj[n - n_rest :, n - n_rest :] = rest | rest.T
+    np.fill_diagonal(adj, False)
+    assume(adj[n - n_rest :].sum(axis=1).max(initial=0) < size - 1)
+    order = rng.permutation(n)
+    adj = adj[np.ix_(order, order)]
+    return adj, vote_like_counts(rng, adj, draw(st.integers(0, 3)))
+
+
+def subgraph_search(adj, time_budget=cl.DEFAULT_TIME_BUDGET):
+    """search(vertices) for max_clique_of_candidates over a fixed graph."""
+
+    def search(vertices):
+        graph = PrunedGraph(adj if vertices is None else adj[np.ix_(vertices, vertices)], vertices)
+        return graph, max_clique(graph, time_budget)
+
+    return search
+
+
+def vote_bound(counts):
+    """The largest m with m counts >= m - 1, as the scale votes give it."""
+    return int(np.count_nonzero(-np.sort(-counts) >= np.arange(counts.size)))
+
+
+class TestCandidateCliques:
+    # Registration searches only the vertices whose vote allows a clique of
+    # k: V_k, then V_m once if the clique found has m < k, and the retry's
+    # next clique in V_(m-1).  On any graph whose degrees the counts bound,
+    # that gives what the whole graph gives, ties included, for any k.
+    @given(graphs_with_planted_ties(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_give_the_whole_graph_cliques(self, graph, data):
+        adj, counts = graph
+        whole = max_clique(PrunedGraph(adj))
+        m = len(whole)
+        # k = m + 1 finds m = k - 1 in V_k, where raising k would loop.
+        k = data.draw(
+            st.one_of(st.sampled_from([vote_bound(counts), m + 1]), st.integers(0, len(adj) + 1))
+        )
+        _, found = max_clique_of_candidates(subgraph_search(adj), counts, k)
+        assert found.vertices.tolist() == whole.vertices.tolist()
+        assert found.is_certified_maximum and whole.is_certified_maximum
+        wider = candidates(counts, m - 1)
+        retry = next_clique(PrunedGraph(adj[np.ix_(wider, wider)], wider), found)
+        assert retry.vertices.tolist() == next_clique(PrunedGraph(adj), whole).vertices.tolist()
+        assert retry.is_certified_maximum
+
+    @given(disjoint_tied_cliques(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_cut_budget_leaves_both_incomplete(self, graph, data):
+        # With no time, a search that has to branch is cut at its first
+        # node; the tie makes the whole graph's search and the candidates'
+        # final one both branch.
+        adj, counts = graph
+        k = data.draw(st.one_of(st.just(vote_bound(counts)), st.integers(0, len(adj) + 1)))
+        with mock.patch.object(cl, "_DEADLINE_CHECK_INTERVAL", 1):
+            whole = max_clique(PrunedGraph(adj), 0.0)
+            _, found = max_clique_of_candidates(subgraph_search(adj, 0.0), counts, k)
+        assert not whole.is_certified_maximum
+        assert not found.is_certified_maximum

@@ -1,6 +1,7 @@
 """Exactness of the adaptive-voting scalar solver against brute force."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -364,12 +365,16 @@ class TestRowVotes:
                 SyntheticSpec(n_points=50, outlier_rate=0.3 + 0.05 * (seed % 8), seed=90 + seed)
             )
             graph = build_measurement_graph(c)
-            hypotheses, bound = _scale_hypotheses(graph, 1.0)
-            sizes = [
-                len(max_clique(prune_by_scale(graph, scale, 1.0)))
+            hypotheses, bound, counts = _scale_hypotheses(graph, 1.0)
+            cliques = [
+                max_clique(prune_by_scale(graph, scale, 1.0))
                 for scale in [*hypotheses, gt.scale, *np.linspace(0.5, 6.0, 12)]
             ]
+            sizes = [len(found) for found in cliques]
             assert max(sizes) <= bound, seed
+            # ... and each member's own count is m - 1 or more.
+            for found in cliques:
+                assert np.all(counts[found.vertices] >= len(found) - 1), seed
             reached += sizes[0] == bound
         assert reached >= 10
 
@@ -392,6 +397,104 @@ class TestRowVotes:
         assert counts.tolist() == whole_counts.tolist()
         assert np.array_equal(mids, whole_mids, equal_nan=True)
         assert_votes_match_oracle(s, a, 1.0)
+
+
+def vote_graph_trims(n=20, seed=84):
+    from tlsreg.geometry import CorrespondenceSet
+    from tlsreg.invariants import build_measurement_graph
+
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 3, size=(n, 3)).astype(float)  # ties and coincident points
+    c = CorrespondenceSet(src, 2.0 * src + rng.integers(0, 2, size=(n, 3)), np.full(n, 0.25))
+    return build_measurement_graph(c).trims
+
+
+class TestThreadedVotes:
+    @pytest.mark.parametrize(
+        "block_entries, workers, n_blocks",
+        [
+            (64, 1, 7),  # blocks of 3 rows of 20, the last 2
+            (120, 2, 7),  # an odd count: one thread votes 4 blocks, the other 3
+            (180, 3, 7),
+            (600, 3, 2),  # fewer blocks than workers: two threads run
+            (10_000, 2, 1),  # one block: the calling thread alone
+        ],
+    )
+    def test_threads_match_the_whole_table(self, monkeypatch, block_entries, workers, n_blocks):
+        import threading
+
+        from tlsreg import invariants
+        from tlsreg import pipeline as pl
+
+        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", block_entries)
+        assert len(invariants.row_blocks(20, workers)) == n_blocks
+        started = []
+        real_thread = threading.Thread
+
+        def counted_thread(*args, **kwargs):
+            started.append(real_thread(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(pl.threading, "Thread", counted_thread)
+        monkeypatch.setattr(pl, "VOTE_THREADS", workers)
+        monkeypatch.setattr(pl, "usable_cpu_count", lambda: 4)
+        trims = vote_graph_trims()
+        # Frequent thread switches interleave the threads' row writes finely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts, mids = pl._vertex_votes(trims, 1.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == min(workers, n_blocks) - 1
+        s, a = trim_tables(trims)
+        whole_counts, whole_mids = row_consensus_votes(s, a, 1.0)
+        assert counts.tobytes() == whole_counts.tobytes()
+        assert mids.tobytes() == whole_mids.tobytes()
+
+    def test_default_workers_follow_the_usable_cpus(self, monkeypatch):
+        from tlsreg import pipeline as pl
+
+        seen = []
+        monkeypatch.setattr(pl, "row_blocks", lambda n, parts: seen.append(parts) or [])
+        for cpus, threads, workers in [(1, 2, 1), (4, 2, 2), (4, 1, 1), (2, 3, 2)]:
+            monkeypatch.setattr(pl, "usable_cpu_count", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(pl, "VOTE_THREADS", threads)
+            pl._vertex_votes(vote_graph_trims(4), 1.0)
+            assert seen.pop() == workers
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_exception_is_raised_after_every_thread_stops(self, monkeypatch, failing):
+        # A failure in any share reaches the caller, and the other thread
+        # has finished its share by then, however long it takes.
+        import threading
+        import time
+
+        from tlsreg import invariants
+        from tlsreg import pipeline as pl
+
+        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", 120)
+        real_votes = pl.row_consensus_votes
+        done = []
+
+        def votes(*args):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (failing == "caller"):
+                raise RuntimeError("vote failed")
+            time.sleep(0.01)
+            done.append(threading.current_thread())
+            return real_votes(*args)
+
+        monkeypatch.setattr(pl, "row_consensus_votes", votes)
+        monkeypatch.setattr(pl, "VOTE_THREADS", 2)
+        monkeypatch.setattr(pl, "usable_cpu_count", lambda: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="vote failed"):
+            pl._vertex_votes(vote_graph_trims(), 1.0)
+        assert set(threading.enumerate()) == before
+        # 7 blocks: the caller's share is 4, the other thread's 3; the share
+        # that does not fail is voted to the end.
+        assert len(done) == (3 if failing == "caller" else 4)
 
 
 class TestEquivalenceCondition:
