@@ -26,8 +26,15 @@ allow the clique found when it falls short
 (`clique.max_clique_of_candidates`); the answer is the whole graph's.
 At 90% outliers and N = 1000 these are the about 100 inliers, and
 pruning and search take a median of 2.7 ms where the whole graph took
-19 ms.  At known scale the given scale is the one hypothesis and every
-vertex a candidate.
+19 ms.  At known scale the given scale is the one hypothesis.  Its
+agreeing pairs, found once over every vertex, give each vertex's degree,
+and the degrees are the counts: a member of a clique of m has degree
+m - 1 or more.  The searches then prune their candidates as at unknown
+scale.  At 99% outliers and N = 1000 they cover 10-15 vertices, and the
+degrees, pruning and search take a median of 3 ms where pruning into an
+(N, N) table and searching it took 10 ms.  Without outliers every vertex
+is a candidate and every pair is found twice, for the degrees and for
+the graph: the two take 44 ms where the table took 12 ms.
 
 The scale is then re-voted exactly on the clique's measurements; rotation
 is solved on them by graduated non-convexity (optionally certified);
@@ -108,6 +115,7 @@ class RegistrationTrace:
     invariants_s: float
     # The per-vertex votes and the scale hypotheses; 0.0 at known scale.
     vote_s: float
+    # Every prune; at known scale also the degrees, from the agreeing pairs.
     prune_s: float
     clique_s: float
     # The clique's measurements and, at unknown scale, the scale re-vote.
@@ -119,8 +127,8 @@ class RegistrationTrace:
     # clique's measurements.
     retry_s: float
     translation_s: float
-    # Edges of the graph the chosen hypothesis's clique was found in: at
-    # unknown scale, over that hypothesis's candidate vertices only.
+    # Edges of the graph the chosen hypothesis's clique was found in, over
+    # that hypothesis's candidate vertices only.
     edges_kept: int
     # (scale, clique size) per hypothesis searched; one pair at known scale.
     scale_hypotheses: tuple[tuple[float, int], ...]
@@ -267,7 +275,7 @@ def _scale_hypotheses(
     counts, mids = _vertex_votes(graph.trims, cbar_sq)
     if not counts.any():
         raise InsufficientInliersError("no usable scale measurements")
-    bound = int(np.count_nonzero(-np.sort(-counts) >= np.arange(counts.size)))
+    bound = clique.size_bound(counts)
     scales = []
 
     def near_kept(x):
@@ -346,17 +354,27 @@ def register(
     graph = build_measurement_graph(c)
     invariants_s = time.perf_counter() - t0
 
-    vote_s = 0.0
+    vote_s = prune_s = clique_s = 0.0
     if opts.known_scale is not None:
-        # One hypothesis: there is nothing to stop early for, and every
-        # vertex is a candidate.
-        hypotheses, clique_bound, counts = [float(opts.known_scale)], 0, None
+        # One hypothesis.  Its agreeing pairs give each vertex's degree,
+        # which bounds the cliques as the votes do at unknown scale.
+        t0 = time.perf_counter()
+        hypotheses = [float(opts.known_scale)]
+        counts = np.bincount(
+            graph.trims.consistent_with(hypotheses[0], cfg.cbar_sq).ravel(), minlength=len(c)
+        )
+        clique_bound = clique.size_bound(counts)
+        prune_s = time.perf_counter() - t0
     else:
         t0 = time.perf_counter()
         hypotheses, clique_bound, counts = _scale_hypotheses(graph, cfg.cbar_sq)
         if not hypotheses:
             raise InsufficientInliersError("estimated scale is not positive")
         vote_s = time.perf_counter() - t0
+    if clique_bound < 3:
+        # No three vertices have the counts a triangle needs; at known scale
+        # with no agreeing pair, V_1 would be every vertex.
+        raise InsufficientInliersError("maximum clique smaller than 3 vertices")
 
     # One budget bounds every search of the stage, each hypothesis's and the
     # retry's; it starts at the first search.
@@ -367,8 +385,6 @@ def register(
         if start is None:
             start = time.monotonic()
         return max(0.0, opts.clique_time_budget - (time.monotonic() - start))
-
-    prune_s = clique_s = 0.0
 
     def search(scale, vertices):
         """The graph at scale over vertices, and its maximum clique."""
@@ -418,7 +434,7 @@ def register(
         # The next clique has len(used) - 1 vertices or more.
         wider = clique.candidates(counts, len(used) - 1)
         retry_graph = pruned
-        if wider is not None and wider.size > len(pruned.adj):
+        if wider.size > len(pruned.adj):
             retry_graph = prune_by_scale(graph, best[0], cfg.cbar_sq, wider)
         retry = clique.next_clique(retry_graph, used, time_left())
         if len(retry) >= 3:

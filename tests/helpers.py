@@ -20,14 +20,9 @@ def skew(v):
 def graph_from_edges(n_vertices, edges):
     """PrunedGraph with the undirected edges (i, j) and no self-loops."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
-    if edges.shape[0]:
-        if edges.min() < 0 or edges.max() >= n_vertices:
-            raise ValueError("edge index out of range")
-        adj[edges[:, 0], edges[:, 1]] = True
-        adj[edges[:, 1], edges[:, 0]] = True
-        np.fill_diagonal(adj, False)
-    return PrunedGraph(adj)
+    if edges.shape[0] and (edges.min() < 0 or edges.max() >= n_vertices):
+        raise ValueError("edge index out of range")
+    return PrunedGraph.from_edges(n_vertices, edges[edges[:, 0] != edges[:, 1]].T)
 
 
 def trim_tables(trims):

@@ -240,6 +240,61 @@ class TestRegister:
         assert retried[0].vertices.tolist() == np.flatnonzero(counts >= bound - 2).tolist()
         assert res.trace.retried
 
+    def test_known_scale_searches_the_vertices_its_degrees_allow(self, monkeypatch):
+        # At known scale the pruned graph's degrees are the counts.  Ten
+        # noise-free inliers form the clique, and 20 outliers away from the
+        # cloud fall outside V_m.  Vertex 10 is an inlier moved 0.02 along
+        # its directions to inliers 0 and 1, whose bounds, like its own, are
+        # tight enough that both pairs disagree: its degree is m - 2, so only
+        # the retry's V_(m-1) holds it.
+        import tlsreg.clique as cl
+        import tlsreg.pipeline as pl
+        from tlsreg.certifier import Certificate, Verdict
+
+        real_next, retried = cl.next_clique, []
+        real_prune, pruned = pl.prune_by_scale, []
+
+        def recording_next(graph, first, time_budget):
+            retried.append(graph)
+            return real_next(graph, first, time_budget)
+
+        def recording_prune(graph, s_hat, cbar_sq, vertices=None):
+            pruned.append(vertices)
+            return real_prune(graph, s_hat, cbar_sq, vertices)
+
+        monkeypatch.setattr(cl, "next_clique", recording_next)
+        monkeypatch.setattr(pl, "prune_by_scale", recording_prune)
+        monkeypatch.setattr(
+            pl, "certify", lambda data, cand, opts=None: Certificate(
+                1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0
+            )
+        )
+        rng = np.random.default_rng(23)
+        R, t = quat_to_matrix(random_unit_quaternion(rng)), rng.uniform(-1, 1, 3)
+        src = rng.uniform(0, 1, size=(31, 3))
+        dst = src @ R.T + t
+        toward = (dst[[0, 1]] - dst[10]) / np.linalg.norm(dst[[0, 1]] - dst[10], axis=1)[:, None]
+        push = toward.sum(axis=0)
+        dst[10] -= 0.02 * push / np.linalg.norm(push)
+        dst[11:] = rng.uniform(5, 9, size=(20, 3))
+        betas = np.full(31, 0.05)
+        betas[[0, 1, 10]] = 0.001
+        c = CorrespondenceSet(src, dst, betas)
+        res = register(c, TlsConfig(), RegistrationOptions(known_scale=1.0, certify_rotation=True))
+
+        degrees = real_prune(res.graph, 1.0, 1.0).adj.sum(axis=1)
+        m = res.trace.scale_hypotheses[0][1]
+        assert m == 10 and degrees[10] == m - 2
+        assert np.count_nonzero(degrees >= m - 1) == m  # V_m: the inliers
+        assert res.trace.edges_kept == m * (m - 1) // 2
+        wider = np.flatnonzero(degrees >= m - 2)
+        assert wider.tolist() == list(range(11))
+        assert len(retried) == 1 and retried[0].vertices.tolist() == wider.tolist()
+        assert res.trace.retried
+        # Each graph searched is pruned over its candidates only, as at
+        # unknown scale: the search's over V_m, the retry's over V_(m-1).
+        assert [v.tolist() for v in pruned] == [list(range(m)), wider.tolist()]
+
     def test_clique_budget_bounds_the_whole_stage(self, monkeypatch):
         # A fake clock that moves only while a search runs: every search,
         # the retry's included, must end by the deadline set at the first.
@@ -593,10 +648,11 @@ class TestMemory:
         # At N = 1000 one (N, N) float64 table takes 8 MB.  The TRIMs are
         # computed a block at a time where they are read, and the result
         # keeps only the points and the clique.  The peak is about 4.3 MB
-        # at unknown scale and 3.2 MB at known scale (numpy 2, x86-64),
+        # at unknown scale and 3.1 MB at known scale (numpy 2, x86-64),
         # mostly the vote's or the prune's blocks: the threads of the vote
         # share one block's worth of entries, and a second full block in
-        # flight would pass the bound.
+        # flight would pass the bound.  At known scale the agreeing pairs
+        # take the place of an (N, N) bool table.
         n = 1000
         c, *_ = generate(
             SyntheticSpec(

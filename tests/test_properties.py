@@ -25,6 +25,7 @@ from tlsreg.clique import (
     next_clique,
     prune_by_scale,
 )
+from tlsreg import invariants
 from tlsreg.invariants import build_measurement_graph, degenerate_edge_cutoff, scale_consistent
 from tlsreg.pipeline import RegistrationOptions, register
 from tlsreg.scalar_tls import ScalarTlsProblem, solve_scalar_tls, tls_cost
@@ -229,6 +230,105 @@ class TestPrunedCliqueMeasurements:
                 assert np.all(np.linalg.norm(a_bars, axis=1) > degenerate_edge_cutoff(cs))
 
 
+@st.composite
+def bound_instances(draw):
+    """Correspondences, a scale and cbar_sq for the pair bound.
+
+    Inliers lie at the scale under non-uniform noise bounds, among outliers
+    and coincident source points.  Units run from 1e-6 to 1e6, optionally
+    1e6 away from the origin, or the points spread over 1e151-1e153 near
+    1e154, where the bound's terms would overflow.  In a symmetric instance
+    rows 2k and 2k + 1 mirror each other through the centroid, which makes
+    the bound on their pair tight.  When drawn, the scale moves to pair
+    (0, 1)'s agreement boundary, give or take one ulp.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    symmetric = draw(st.booleans())
+    n = draw(st.integers(1, 20)) * 2 if symmetric else draw(st.integers(2, 40))
+    huge = draw(st.booleans())
+    unit = 10.0 ** draw(st.floats(151, 153) if huge else st.floats(-6, 6))
+    offset = 1e154 if huge else draw(st.sampled_from([0.0, 1e6]))
+    s_hat = draw(st.floats(0.01, 100))
+    cbar_sq = draw(st.sampled_from([1.0, 4.0, 9.0]))
+    src = unit * rng.uniform(-1, 1, size=(n, 3))
+    betas = unit * rng.uniform(1e-3, 0.1, size=n)
+    noise = rng.normal(size=(n, 3))
+    noise *= (betas * rng.uniform(0, 1, size=n) / np.linalg.norm(noise, axis=1))[:, None]
+    outliers = rng.random(n) < draw(st.floats(0, 1))
+    wrong = s_hat * unit * rng.uniform(-1, 1, size=(n, 3))
+    if symmetric:
+        for rows in (src, noise, wrong):
+            rows[1::2] = -rows[::2]
+        outliers[1::2], betas[1::2] = outliers[::2], betas[::2]
+    else:
+        src[2:][rng.random(n - 2) < 0.2] = src[-1]  # coincident source points
+    dst = s_hat * src @ quat_to_matrix(random_unit_quaternion(rng)).T + noise
+    dst[outliers] = wrong[outliers]
+    c = CorrespondenceSet(src + offset, dst + offset, betas)
+    if draw(st.booleans()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_pq, alpha_pq = build_measurement_graph(c).trims.at(0, 1)
+            tol = np.sqrt(cbar_sq) * alpha_pq
+            boundary = s_pq + tol if s_pq - tol <= 0 or draw(st.booleans()) else s_pq - tol
+        if np.isfinite(boundary):
+            toward = draw(st.sampled_from([0.0, boundary, np.inf]))
+            s_hat = float(np.nextafter(boundary, toward))
+    return c, s_hat, cbar_sq
+
+
+def agreeing_pairs(graph, s_hat, cbar_sq):
+    """Every pair i < j whose TRIM agrees with s_hat, by the exact test."""
+    i, j = np.triu_indices(len(graph.tims.source), k=1)
+    agree = scale_consistent(*graph.trims.at(i, j), s_hat, cbar_sq)
+    return np.stack([i[agree], j[agree]])
+
+
+class TestScaleBound:
+    # Pruning runs the exact TRIM test only on the pairs a GEMM bound keeps.
+    # The bound must keep every pair the exact test accepts, rounding
+    # included, so the pruned graph is the one the exact test over all
+    # pairs gives.
+    @given(bound_instances(), st.sampled_from([16, 64, invariants.BLOCK_ENTRIES]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_bound_keeps_every_agreeing_pair(self, instance, block_entries, data):
+        c, s_hat, cbar_sq = instance
+        n = len(c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            graph = build_measurement_graph(c)
+            exact = agreeing_pairs(graph, s_hat, cbar_sq)
+            features, above, below = invariants._bound_features(
+                graph.tims, np.arange(n), s_hat, cbar_sq
+            )
+            bounded = np.maximum(features @ above, features @ below) <= 0.0
+            assert bounded[exact[0], exact[1]].all()
+
+            with mock.patch.object(invariants, "BLOCK_ENTRIES", block_entries):
+                assert np.array_equal(graph.trims.consistent_with(s_hat, cbar_sq), exact)
+                expected = np.zeros((n, n), dtype=bool)
+                expected[exact[0], exact[1]] = expected[exact[1], exact[0]] = True
+                assert np.array_equal(prune_by_scale(graph, s_hat, cbar_sq).adj, expected)
+                picked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+                vertices = np.flatnonzero(picked)
+                among = graph.trims.consistent_with(s_hat, cbar_sq, vertices)
+                sub = expected[np.ix_(vertices, vertices)]
+                assert np.array_equal(among, np.stack(np.nonzero(np.triu(sub, 1))))
+
+    @pytest.mark.parametrize("outlier_rate", [0.0, 0.99])
+    def test_a_large_instance_matches_the_exact_test(self, outlier_rate):
+        # N = 1000: each block's GEMM is large enough for a multi-threaded
+        # BLAS to split.  The scale sits one ulp inside pair (0, 1)'s
+        # agreement boundary, so that pair agrees by one rounding.
+        c, _, _ = generate(
+            SyntheticSpec(n_points=1000, outlier_rate=outlier_rate, seed=15_020, known_scale=True)
+        )
+        graph = build_measurement_graph(c)
+        s_01, alpha_01 = graph.trims.at(0, 1)
+        s_hat = float(np.nextafter(s_01 + alpha_01, 0.0))
+        exact = agreeing_pairs(graph, s_hat, 1.0)
+        assert exact[:, 0].tolist() == [0, 1]
+        assert np.array_equal(graph.trims.consistent_with(s_hat, 1.0), exact)
+
+
 def vote_like_counts(rng, adj, max_slack):
     """Counts at or above each vertex's degree, as a vertex's scale vote is
     at any scale."""
@@ -276,7 +376,7 @@ def subgraph_search(adj, time_budget=cl.DEFAULT_TIME_BUDGET):
     """search(vertices) for max_clique_of_candidates over a fixed graph."""
 
     def search(vertices):
-        graph = PrunedGraph(adj if vertices is None else adj[np.ix_(vertices, vertices)], vertices)
+        graph = PrunedGraph(adj[np.ix_(vertices, vertices)], vertices)
         return graph, max_clique(graph, time_budget)
 
     return search
@@ -296,6 +396,20 @@ class TestCandidateCliques:
     @settings(max_examples=200, deadline=None)
     def test_candidates_give_the_whole_graph_cliques(self, graph, data):
         adj, counts = graph
+        self.check_candidate_search(adj, counts, data)
+
+    @given(graphs_with_planted_ties(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_degrees_give_the_whole_graph_cliques(self, graph, data):
+        # At known scale the counts are the pruned graph's own degrees, and
+        # k is their size bound.
+        adj, _ = graph
+        degrees = adj.sum(axis=1)
+        assert cl.size_bound(degrees) == vote_bound(degrees)
+        self.check_candidate_search(adj, degrees, data)
+
+    @staticmethod
+    def check_candidate_search(adj, counts, data):
         whole = max_clique(PrunedGraph(adj))
         m = len(whole)
         # k = m + 1 finds m = k - 1 in V_k, where raising k would loop.
