@@ -231,6 +231,8 @@ def _cmd_bench(args) -> int:
             raise ValueError("--trials must be at least 1")
         if args.ransac_iters < 1:
             raise ValueError("--ransac-iters must be at least 1")
+        if args.workers is not None and args.workers < 1:
+            raise ValueError("--workers must be at least 1")
         specs = [
             SyntheticSpec(
                 n_points=args.n,

@@ -11,17 +11,20 @@ cutoff and computes any TRIM where it is read, in one symmetric layout: edge
 (i, j)'s value sits at [i, j] and at [j, i], NaN on the diagonal and on
 degenerate edges.  The per-vertex scale votes compute full rows a block at
 a time, each thread its own blocks; a scale hypothesis is refined on one
-row; the rotation stage reads the pairs inside a clique; and pruning
-computes only the pairs a bound cannot rule out (below).  A block holds
-about BLOCK_ENTRIES entries in buffers reused from block to block, so its
-temporaries stay in cache and touch no fresh memory.  Each value is the
+row; the rotation stage reads the pairs inside a clique; a prune
+computes the upper rectangle of its candidates, a block of rows at a time
+(clique.prune_by_scale); and the degree pass at known scale computes only
+the pairs a bound cannot rule out (below).  A block holds about
+BLOCK_ENTRIES entries; the votes and the degree pass reuse their buffers
+from block to block, so the temporaries stay in cache and touch no fresh
+memory.  Each value is the
 same bit for bit wherever it is computed: the coordinates are squared and
 summed in order, and a difference squares to the same value in both
 directions.  Only the rotation stage and the error bounds need TIM
 vectors, on the few pairs inside the selected clique, and TimSet forms
 them per pair on demand.
 
-Pruning keeps pair (i, j) when its TRIM agrees with the scale s:
+Pair (i, j) agrees with the scale s when its TRIM does:
 |s_ij - s| <= cbar * alpha_ij, that is |X - s Y| <= cbar * beta_ij with
 X = ||b_j - b_i||, Y = ||a_j - a_i|| and beta_ij = beta_i + beta_j.  On
 the clouds centred at their means, X + s Y <= R_ij = r_i + r_j with
@@ -44,12 +47,17 @@ features and the 11-term sums of a GEMM, in any order, err by less than
 their sum.  A vertex whose r or cbar beta exceeds BOUND_LIMIT, where the
 sums could overflow, keeps all its pairs.  At N = 1000, 99% outliers and
 known scale the bound keeps about 5,700 of the 499,500 pairs, of which
-about 1,200 agree, and pruning takes a median of 2.8-3.9 ms where the
-exact test on every pair took 11-13 ms (three rounds of 48 calls on one
-core).  The kept pairs of many blocks are tested together, up to
-BLOCK_ENTRIES at a time.  Where the bound keeps over a third of a block,
+about 1,200 agree, and the degree pass takes a median of 3.6-3.8 ms
+(three rounds of 80 calls on one core), where the exact test on every
+pair takes 15-17 ms.  The pass keeps counts, not pairs.  The kept pairs
+of many blocks are tested together, up to BLOCK_ENTRIES at a time, and
+counted by one bincount.  Where the bound keeps over a third of a block,
 the block runs the exact test on its whole rectangle instead, as a
-gathered pair costs about three of the rectangle's.
+gathered pair costs about three of the rectangle's, and adds the mask's
+row and column sums.  A prune covers the candidates only (10-15
+vertices at N = 1000 and 99% outliers, about 100 at 90% and unknown
+scale): one block, most of whose pairs agree, which the bound would not
+thin, so it runs the exact test alone.
 
 The graph is always complete: only there do mutually consistent inliers
 form a clique, which the maximum-clique pruning stage looks for.
@@ -193,68 +201,58 @@ class TrimSet:
             pieces.append(np.column_stack([i, j])[i < j] + r0)
         return np.concatenate(pieces)
 
-    def consistent_with(self, s_hat: float, cbar_sq: float, vertices=None) -> np.ndarray:
-        """(2, P) pairs (i, j), i < j in row-major order, whose TRIM agrees
-        with s_hat, among `vertices` (sorted ids, every vertex by default),
-        as positions in `vertices`.
+    def degrees(self, s_hat: float, cbar_sq: float) -> np.ndarray:
+        """(N,) int64: how many of each vertex's TRIMs agree with s_hat.
 
         Each block of rows bounds its upper rectangle [rows, r0:] by two
         GEMMs (see the module docstring), and only the pairs the bound
-        keeps get the exact TRIM and scale_consistent: gathered pair by
-        pair, or over the whole rectangle where the bound keeps over a third
-        of it.
+        keeps get the exact TRIM and scale_consistent: over the whole
+        rectangle where the bound keeps over a third of it, else gathered
+        pair by pair, the pairs of several blocks at a time.
         """
-        n = len(self.tims.source) if vertices is None else len(vertices)
-        ids = np.arange(n) if vertices is None else np.asarray(vertices)
-        # Agreeing pairs, and pairs the bound kept that await the exact test.
-        done, waiting, n_waiting = [np.empty((2, 0), dtype=np.int64)], [], 0
+        n = len(self.tims.source)
+        counts = np.zeros(n, dtype=np.int64)
         if n < 2:
-            return done[0]
+            return counts
+        features, above, below = _bound_features(self.tims, s_hat, cbar_sq)
         blocks = row_blocks(n)
-        # On a table of one block the bound's fixed cost outweighs its saving.
-        bounded = len(blocks) > 1
-        if bounded:
-            features, above, below = _bound_features(self.tims, ids, s_hat, cbar_sq)
-        height = max((block.stop - block.start for block in blocks), default=0)
+        height = blocks[0].stop
         buffers = np.empty((4, height * n))
         masks = np.empty((2, height * n), dtype=bool)
         above_diagonal = np.less.outer(np.arange(height), np.arange(height))
+        waiting, n_waiting = [], 0  # pairs the bound kept, awaiting the exact test
         for block in blocks:
             r0 = block.start
             shape = (block.stop - r0, n - r0)
             out = [b[: shape[0] * shape[1]].reshape(shape) for b in buffers]
             near, agree = (m[: shape[0] * shape[1]].reshape(shape) for m in masks)
-            if bounded:
-                lo, hi = out[:2]
-                np.matmul(features[block], above[:, r0:], out=lo)
-                np.matmul(features[block], below[:, r0:], out=hi)
-                np.less_equal(np.maximum(lo, hi, out=lo), 0.0, out=near)
-                near[:, : shape[0]] &= above_diagonal[: shape[0], : shape[0]]
-            else:
-                near = above_diagonal
-            dense = 3 * np.count_nonzero(near) > near.size
-            if dense:
-                s_meas, alpha = self.at(np.s_[ids[block], None], np.s_[None, ids[r0:]], out)
+            lo, hi = out[:2]
+            np.matmul(features[block], above[:, r0:], out=lo)
+            np.matmul(features[block], below[:, r0:], out=hi)
+            np.less_equal(np.maximum(lo, hi, out=lo), 0.0, out=near)
+            near[:, : shape[0]] &= above_diagonal[: shape[0], : shape[0]]
+            if 3 * np.count_nonzero(near) > near.size:
+                s_meas, alpha = self.at(np.s_[block, None], np.s_[None, r0:], out)
                 agree = scale_consistent(s_meas, alpha, s_hat, cbar_sq, agree)
-                near = np.logical_and(agree, near, out=agree)  # now the agreeing pairs
-            flat = np.flatnonzero(near)
-            # np.divmod and 2-D np.nonzero are several times slower.
-            pairs = np.empty((2, flat.size), dtype=np.int64)
-            i, j = np.floor_divide(flat, shape[1], out=pairs[0]), pairs[1]
-            np.subtract(flat, np.multiply(i, shape[1], out=j), out=j)
-            pairs += r0
-            if not dense:
+                agree &= near
+                counts[block] += np.count_nonzero(agree, axis=1)
+                counts[r0:] += np.count_nonzero(agree, axis=0)
+            else:
+                flat = np.flatnonzero(near)
+                # np.divmod and 2-D np.nonzero are several times slower.
+                pairs = np.empty((2, flat.size), dtype=np.int64)
+                i, j = np.floor_divide(flat, shape[1], out=pairs[0]), pairs[1]
+                np.subtract(flat, np.multiply(i, shape[1], out=j), out=j)
+                pairs += r0
                 waiting.append(pairs)
                 n_waiting += flat.size
-            if waiting and (dense or n_waiting >= BLOCK_ENTRIES or block.stop == n):
-                # One gathered test costs a fraction of one a block; the
-                # dense block's pairs follow, so the order stays row-major.
+            if waiting and (n_waiting >= BLOCK_ENTRIES or block.stop == n):
+                # One gathered test costs a fraction of one a block.
                 test = np.concatenate(waiting, axis=1)
-                done.append(test[:, scale_consistent(*self.at(*ids[test]), s_hat, cbar_sq)])
+                agreeing = test[:, scale_consistent(*self.at(*test), s_hat, cbar_sq)]
+                counts += np.bincount(agreeing.ravel(), minlength=n)
                 waiting, n_waiting = [], 0
-            if dense:
-                done.append(pairs)
-        return np.concatenate(done, axis=1)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -311,21 +309,19 @@ def _norms(points: np.ndarray, i, j, out=None, scratch=None) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _bound_features(tims: TimSet, ids: np.ndarray, s_hat: float, cbar_sq: float):
-    """Features whose products bound the vertices' pairs: (n, 11) rows and
-    two (11, n) column sets whose products are D - H and -D - H.
+def _bound_features(tims: TimSet, s_hat: float, cbar_sq: float):
+    """Features whose products bound every pair: (N, 11) rows and two
+    (11, N) column sets whose products are D - H and -D - H.
 
     A vertex whose terms could overflow gets zero features, so each of its
     products reads 0 and its pairs are kept.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        a = tims.source[ids]
-        a = s_hat * (a - a.mean(axis=0))
-        b = tims.target[ids]
-        b = b - b.mean(axis=0)
+        a = s_hat * (tims.source - tims.source.mean(axis=0))
+        b = tims.target - tims.target.mean(axis=0)
         a_sq, b_sq = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
         r = np.sqrt(a_sq) + np.sqrt(b_sq)
-        w = (math.sqrt(cbar_sq) * (1.0 + BOUND_SLACK)) * tims.noise_bounds[ids]
+        w = (math.sqrt(cbar_sq) * (1.0 + BOUND_SLACK)) * tims.noise_bounds
         g = w * r + BOUND_SLACK * r * r
         c = b_sq - a_sq
         # Row i of features times column j of above is c_i + c_j - 2 b_i.b_j

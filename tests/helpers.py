@@ -22,7 +22,10 @@ def graph_from_edges(n_vertices, edges):
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.shape[0] and (edges.min() < 0 or edges.max() >= n_vertices):
         raise ValueError("edge index out of range")
-    return PrunedGraph.from_edges(n_vertices, edges[edges[:, 0] != edges[:, 1]].T)
+    i, j = edges[edges[:, 0] != edges[:, 1]].T
+    adj = np.zeros((n_vertices, n_vertices), dtype=bool)
+    adj[i, j] = adj[j, i] = True
+    return PrunedGraph(adj)
 
 
 def trim_tables(trims):

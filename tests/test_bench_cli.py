@@ -455,6 +455,8 @@ class TestCli:
         [["bench", "--rates", "0.5,abc"], ["bench", "--rates", "1.5"],
          ["bench", "--rates", "0.5", "--trials", "0"],
          ["bench", "--rates", "0.5", "--method", "ransac", "--ransac-iters", "0"],
+         ["bench", "--rates", "0.5", "--workers", "0"],
+         ["bench", "--rates", "0.5", "--workers", "-2"],
          ["generate", "--n", "0"],
          ["generate", "--n", "12", "--outlier-rate", "1.5"],
          ["generate", "--n", "12", "--overlap", "0"],
@@ -462,7 +464,7 @@ class TestCli:
          ["generate", "--n", "3", "--sigma", "1", "--beta", "0.001"],
          ["generate", "--n", "12", "--seed", "-1"]],
         ids=["bench-malformed-rate", "bench-rate-above-one", "bench-zero-trials",
-             "bench-zero-ransac-iters",
+             "bench-zero-ransac-iters", "bench-zero-workers", "bench-negative-workers",
              "generate-zero-points", "generate-rate-above-one", "generate-zero-overlap",
              "generate-nan-beta", "generate-beta-far-below-sigma", "generate-negative-seed"],
     )

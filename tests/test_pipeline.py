@@ -15,6 +15,7 @@ from tlsreg.geometry import (
     quat_to_matrix,
     random_unit_quaternion,
 )
+from tlsreg.invariants import build_measurement_graph
 from tlsreg.pipeline import (
     InsufficientInliersError,
     RegistrationOptions,
@@ -672,6 +673,24 @@ class TestMemory:
         # The degenerate-pair list costs a pass over the points; register
         # never asks for it.
         assert "skipped_rows" not in vars(res.graph.trims)
+
+    def test_the_dense_end_degree_pass_holds_no_pair_list(self):
+        # Without outliers all 499,500 pairs agree, and a list of them would
+        # take 8 MB.  The degree pass keeps counts and one block's buffers:
+        # its peak is about 2.7 MB (numpy 2, x86-64).
+        c, *_ = generate(
+            SyntheticSpec(n_points=1000, sigma=0.01, outlier_rate=0.0, seed=14_000,
+                          known_scale=True)
+        )
+        graph = build_measurement_graph(c)
+        tracemalloc.start()
+        try:
+            degrees = graph.trims.degrees(1.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert degrees.tolist() == [999] * 1000
 
 
 class TestEstimateTranslation:

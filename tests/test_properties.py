@@ -296,22 +296,21 @@ class TestScaleBound:
         with np.errstate(over="ignore", invalid="ignore"):
             graph = build_measurement_graph(c)
             exact = agreeing_pairs(graph, s_hat, cbar_sq)
-            features, above, below = invariants._bound_features(
-                graph.tims, np.arange(n), s_hat, cbar_sq
-            )
+            features, above, below = invariants._bound_features(graph.tims, s_hat, cbar_sq)
             bounded = np.maximum(features @ above, features @ below) <= 0.0
             assert bounded[exact[0], exact[1]].all()
 
             with mock.patch.object(invariants, "BLOCK_ENTRIES", block_entries):
-                assert np.array_equal(graph.trims.consistent_with(s_hat, cbar_sq), exact)
+                assert np.array_equal(
+                    graph.trims.degrees(s_hat, cbar_sq), np.bincount(exact.ravel(), minlength=n)
+                )
                 expected = np.zeros((n, n), dtype=bool)
                 expected[exact[0], exact[1]] = expected[exact[1], exact[0]] = True
                 assert np.array_equal(prune_by_scale(graph, s_hat, cbar_sq).adj, expected)
                 picked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
                 vertices = np.flatnonzero(picked)
-                among = graph.trims.consistent_with(s_hat, cbar_sq, vertices)
-                sub = expected[np.ix_(vertices, vertices)]
-                assert np.array_equal(among, np.stack(np.nonzero(np.triu(sub, 1))))
+                among = prune_by_scale(graph, s_hat, cbar_sq, vertices)
+                assert np.array_equal(among.adj, expected[np.ix_(vertices, vertices)])
 
     @pytest.mark.parametrize("outlier_rate", [0.0, 0.99])
     def test_a_large_instance_matches_the_exact_test(self, outlier_rate):
@@ -326,7 +325,40 @@ class TestScaleBound:
         s_hat = float(np.nextafter(s_01 + alpha_01, 0.0))
         exact = agreeing_pairs(graph, s_hat, 1.0)
         assert exact[:, 0].tolist() == [0, 1]
-        assert np.array_equal(graph.trims.consistent_with(s_hat, 1.0), exact)
+        assert np.array_equal(
+            graph.trims.degrees(s_hat, 1.0), np.bincount(exact.ravel(), minlength=1000)
+        )
+
+    def test_one_pass_mixes_rectangles_and_gathered_batches(self):
+        # Rows 0-199 are inliers, rows 200-299 outliers.  A block of inlier
+        # rows keeps over a third of its rectangle, so the exact test runs on
+        # the whole rectangle; a block of outlier rows keeps a few pairs,
+        # which wait for one gathered test with the next blocks' pairs, until
+        # BLOCK_ENTRIES of them wait or the last block is bounded.
+        rng = np.random.default_rng(24_000)
+        n, scale = 300, 1.7
+        src = rng.uniform(-1, 1, size=(n, 3))
+        betas = np.full(n, 0.01)
+        noise = rng.normal(size=(n, 3))
+        noise *= 0.005 / np.linalg.norm(noise, axis=1)[:, None]
+        dst = scale * src @ quat_to_matrix(random_unit_quaternion(rng)).T + noise
+        dst[200:] = scale * rng.uniform(-1, 1, size=(100, 3))
+        graph = build_measurement_graph(CorrespondenceSet(src, dst, betas))
+        tested = []
+
+        def recording(s_meas, *args):
+            tested.append(np.ndim(s_meas))
+            return scale_consistent(s_meas, *args)
+
+        with mock.patch.object(invariants, "BLOCK_ENTRIES", 600), \
+                mock.patch.object(invariants, "scale_consistent", recording):
+            counts = graph.trims.degrees(scale, 1.0)
+            n_blocks = len(invariants.row_blocks(n))
+        exact = agreeing_pairs(graph, scale, 1.0)
+        assert np.array_equal(counts, np.bincount(exact.ravel(), minlength=n))
+        rectangles, batches = tested.count(2), tested.count(1)
+        assert rectangles > 0
+        assert 1 < batches < n_blocks - rectangles
 
 
 def vote_like_counts(rng, adj, max_slack):
