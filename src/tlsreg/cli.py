@@ -227,6 +227,8 @@ def _cmd_bench(args) -> int:
     # Every trial's instance is validated before any trial runs.
     try:
         rates = [float(r) for r in args.rates.split(",")]
+        if len(set(rates)) < len(rates):
+            raise ValueError("--rates must not repeat a rate")
         if args.trials < 1:
             raise ValueError("--trials must be at least 1")
         if args.ransac_iters < 1:
@@ -309,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--known-scale", action="store_true", help="fix the scale to 1")
     g.add_argument("--all-to-all", action="store_true", help="emit every source/target pair")
-    g.add_argument("--overlap", type=float, default=1.0)
+    g.add_argument(
+        "--overlap", type=float, default=1.0,
+        help="share of target points kept (needs --all-to-all)",
+    )
     g.add_argument("--beta", type=float, default=None, help="override the noise bound")
     g.add_argument("--reference-cloud", action="store_true", help="use the bundled 40-point cloud")
     g.add_argument("--out", required=True, help="output path prefix")

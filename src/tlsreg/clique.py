@@ -27,8 +27,10 @@ without.
 
 When the certifier rejects the rotation found on it, `next_clique` gives
 the one fallback: the best maximum clique left after dropping one of its
-vertices.  Every search stops at a wall-clock deadline and says whether
-it finished.
+vertices.  For a first clique of m it has m - 1 vertices or more, so the
+pipeline's retry searches V_(m-1) through `max_clique_of_candidates`,
+which then never widens.  Every search stops at a wall-clock deadline and
+says whether it finished.
 """
 
 from __future__ import annotations

@@ -38,9 +38,13 @@ the agreeing pairs and the prune writes them into the graph.  The two
 take a median of 25-39 ms where the table took 12 ms.
 
 The scale is then re-voted exactly on the clique's measurements; rotation
-is solved on them by graduated non-convexity (optionally certified);
-translation is solved per-axis by the same exact scalar solver on the
-aligned residuals.
+is solved on them by graduated non-convexity (optionally certified).  A
+rejected certificate sends the cascade once to the next clique at the
+chosen scale, searched like every hypothesis through
+`max_clique_of_candidates`: over V_(m-1) for a first clique of m, which
+holds it.  One deadline, fixed when the clique stage starts, bounds every
+prune and search, the retry's included.  Translation is solved per-axis
+by the same exact scalar solver on the aligned residuals.
 """
 
 from __future__ import annotations
@@ -116,16 +120,19 @@ class RegistrationTrace:
     invariants_s: float
     # The per-vertex votes and the scale hypotheses; 0.0 at known scale.
     vote_s: float
-    # Every prune; at known scale also the degree pass over every vertex.
+    # Every prune of the clique stage, the retry's included; at known scale
+    # also the degree pass over every vertex.
     prune_s: float
+    # Every clique search, each hypothesis's and the retry's.
     clique_s: float
     # The clique's measurements and, at unknown scale, the scale re-vote.
     revote_s: float
     # The rotation input and GNC, over both cliques when retried.
     gnc_s: float
     certify_s: float
-    # The next-clique search after a rejected certificate, and the new
-    # clique's measurements.
+    # The measurements of the next clique, when a rejected certificate
+    # sent the cascade to one; its prune and search are in prune_s and
+    # clique_s.
     retry_s: float
     translation_s: float
     # Edges of the graph the chosen hypothesis's clique was found in, over
@@ -185,23 +192,6 @@ class ErrorBounds:
     tighter: TighterBounds
 
 
-def _clique_rotation_problem(
-    graph: MeasurementGraph, within, s_hat: float, cbar_sq: float
-) -> RotationProblem:
-    """Rotation input: the clique's TRIM pairs (`within`, from
-    graph.trims_within) whose TRIM agrees with s_hat."""
-    pairs, s_meas, alpha = within
-    pairs = pairs[scale_consistent(s_meas, alpha, s_hat, cbar_sq)]
-    if len(pairs) < 2:
-        raise InsufficientInliersError(
-            "fewer than two scale-consistent measurements inside the clique"
-        )
-    a_bars, b_bars, beta_bars = graph.tims.at(pairs)
-    return RotationProblem(
-        a_bars=s_hat * a_bars, b_bars=b_bars, beta_bars=beta_bars, cbar_sq=cbar_sq
-    )
-
-
 def _refine_scale_on_clique(within, cbar_sq: float):
     """Scale re-vote on all the clique's TRIMs (`within`, from trims_within):
     pruning at the hypothesis already made each of them agree with it."""
@@ -258,25 +248,22 @@ def _vertex_votes(trims: TrimSet, cbar_sq: float) -> tuple[np.ndarray, np.ndarra
     return counts, mids
 
 
-def _scale_hypotheses(
-    graph: MeasurementGraph, cbar_sq: float
-) -> tuple[list[float], int, np.ndarray]:
+def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[float], np.ndarray]:
     """Positive scale hypotheses from per-vertex votes, best-voted first,
-    a bound on the clique size at any scale, and the vote counts.
+    and the vote counts.
 
     Each vertex votes over its own TRIMs.  The best-voted vertices propose
     their winning midpoints, each refined by the exact scalar TLS over the
     same TRIMs, and kept when it lies more than HYPOTHESIS_SEPARATION
-    (relative) from every kept one.  The bound is the largest m such that
-    m vertices have a vote count >= m - 1: every member of a size-m clique
-    at any scale has m - 1 incident TRIMs consistent with that scale, so
-    its count is at least m - 1.  Raises InsufficientInliersError when no
-    vertex voted, that is, when no TRIM is finite.
+    (relative) from every kept one.  A count bounds its vertex's degree at
+    any scale: every member of a size-m clique at any scale has m - 1
+    incident TRIMs consistent with that scale.  Raises
+    InsufficientInliersError when no vertex voted, that is, when no TRIM
+    is finite, or when no hypothesis is positive.
     """
     counts, mids = _vertex_votes(graph.trims, cbar_sq)
     if not counts.any():
         raise InsufficientInliersError("no usable scale measurements")
-    bound = clique.size_bound(counts)
     scales = []
 
     def near_kept(x):
@@ -294,7 +281,9 @@ def _scale_hypotheses(
         sol = solve_scalar_tls(ScalarTlsProblem(s_row[row], a_row[row], cbar_sq))
         if sol.estimate > 0 and not near_kept(sol.estimate):
             scales.append(sol.estimate)
-    return scales, bound, counts
+    if not scales:
+        raise InsufficientInliersError("estimated scale is not positive")
+    return scales, counts
 
 
 @dataclass(frozen=True)
@@ -309,11 +298,21 @@ class _Rotation:
 
 
 def _solve_rotation(graph, within, s_hat, cfg: TlsConfig, opts: RegistrationOptions):
-    """GNC on the clique's measurements (`within`) that agree with s_hat,
-    then its certificate when one is asked for.  Above certify_max_k
-    measurements certification is skipped and their count kept."""
+    """GNC on the clique's TRIM pairs (`within`, from graph.trims_within)
+    whose TRIM agrees with s_hat, then its certificate when one is asked
+    for.  Above certify_max_k measurements certification is skipped and
+    their count kept."""
     t0 = time.perf_counter()
-    problem = _clique_rotation_problem(graph, within, s_hat, cfg.cbar_sq)
+    pairs, s_meas, alpha = within
+    pairs = pairs[scale_consistent(s_meas, alpha, s_hat, cfg.cbar_sq)]
+    if len(pairs) < 2:
+        raise InsufficientInliersError(
+            "fewer than two scale-consistent measurements inside the clique"
+        )
+    a_bars, b_bars, beta_bars = graph.tims.at(pairs)
+    problem = RotationProblem(
+        a_bars=s_hat * a_bars, b_bars=b_bars, beta_bars=beta_bars, cbar_sq=cfg.cbar_sq
+    )
     sol = solve_gnc_tls(problem)
     t1 = time.perf_counter()
     certificate = skipped_k = None
@@ -355,43 +354,41 @@ def register(
     graph = build_measurement_graph(c)
     invariants_s = time.perf_counter() - t0
 
-    vote_s = prune_s = clique_s = 0.0
+    t0 = time.perf_counter()
     if opts.known_scale is not None:
         # One hypothesis.  Its agreeing pairs give each vertex's degree,
         # which bounds the cliques as the votes do at unknown scale.
-        t0 = time.perf_counter()
         hypotheses = [float(opts.known_scale)]
         counts = graph.trims.degrees(hypotheses[0], cfg.cbar_sq)
-        clique_bound = clique.size_bound(counts)
-        prune_s = time.perf_counter() - t0
     else:
-        t0 = time.perf_counter()
-        hypotheses, clique_bound, counts = _scale_hypotheses(graph, cfg.cbar_sq)
-        if not hypotheses:
-            raise InsufficientInliersError("estimated scale is not positive")
-        vote_s = time.perf_counter() - t0
+        hypotheses, counts = _scale_hypotheses(graph, cfg.cbar_sq)
+    clique_bound = clique.size_bound(counts)
+    # The degree pass counts as a prune, the votes do not.
+    counted_s = time.perf_counter() - t0
+    vote_s = 0.0 if opts.known_scale is not None else counted_s
+    prune_s = counted_s - vote_s
     if clique_bound < 3:
         # No three vertices have the counts a triangle needs; at known scale
         # with no agreeing pair, V_1 would be every vertex.
         raise InsufficientInliersError("maximum clique smaller than 3 vertices")
 
-    # One budget bounds every search of the stage, each hypothesis's and the
-    # retry's; it starts at the first search.
-    start = None
+    # One deadline bounds the whole stage: every prune and search, each
+    # hypothesis's and the retry's.
+    deadline = time.monotonic() + opts.clique_time_budget
+    clique_s = 0.0
 
-    def time_left():
-        nonlocal start
-        if start is None:
-            start = time.monotonic()
-        return max(0.0, opts.clique_time_budget - (time.monotonic() - start))
-
-    def search(scale, vertices):
-        """The graph at scale over vertices, and its maximum clique."""
+    def search(scale, vertices, first=None):
+        """The graph at scale over vertices, and its maximum clique, or
+        the next clique after `first` when one is given."""
         nonlocal prune_s, clique_s
         t0 = time.perf_counter()
         pruned = prune_by_scale(graph, scale, cfg.cbar_sq, vertices)
         t1 = time.perf_counter()
-        found = clique.max_clique(pruned, time_left())
+        time_left = max(0.0, deadline - time.monotonic())
+        if first is None:
+            found = clique.max_clique(pruned, time_left)
+        else:
+            found = clique.next_clique(pruned, first, time_left)
         prune_s += t1 - t0
         clique_s += time.perf_counter() - t1
         return pruned, found
@@ -428,19 +425,18 @@ def register(
     rot = _solve_rotation(graph, within, s_hat, cfg, opts)
     gnc_s, certify_s, retry_s, retried = rot.gnc_s, rot.certify_s, 0.0, False
     if rot.certificate is not None and not rot.certificate.certified:
-        # The paper's cascade retries once, on the next-largest clique.
-        t0 = time.perf_counter()
-        # The next clique has len(used) - 1 vertices or more.
-        wider = clique.candidates(counts, len(used) - 1)
-        retry_graph = pruned
-        if wider.size > len(pruned.adj):
-            retry_graph = prune_by_scale(graph, best[0], cfg.cbar_sq, wider)
-        retry = clique.next_clique(retry_graph, used, time_left())
+        # The paper's cascade retries once, on the next-largest clique, at
+        # the chosen hypothesis's scale.  It has len(used) - 1 vertices or
+        # more, and used lies in V_(len(used) - 1), so a search that
+        # finishes does not widen.
+        _, retry = clique.max_clique_of_candidates(
+            partial(search, best[0], first=used), counts, len(used) - 1
+        )
         if len(retry) >= 3:
+            t0 = time.perf_counter()
             used, retried = retry, True
             within = graph.trims_within(used.vertices)
-        retry_s = time.perf_counter() - t0
-        if retried:
+            retry_s = time.perf_counter() - t0
             rot = _solve_rotation(graph, within, s_hat, cfg, opts)
             gnc_s, certify_s = gnc_s + rot.gnc_s, certify_s + rot.certify_s
     rot_sol, certificate = rot.solution, rot.certificate

@@ -57,6 +57,8 @@ class SyntheticSpec:
             raise ValueError("sigma must be nonnegative")
         if not 0.0 < self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in (0, 1]")
+        if self.overlap_fraction < 1.0 and not self.all_to_all:
+            raise ValueError("overlap_fraction below 1 needs all_to_all")
         if not 0 < self.noise_bound < math.inf:
             raise ValueError("noise bound (beta) must be positive and finite")
         if self.noise_bound < MIN_BETA_OVER_SIGMA * self.sigma:

@@ -139,6 +139,13 @@ class TestGenerator:
         res = np.linalg.norm(c.target[labels] - gt.apply(c.source[labels]), axis=1)
         assert np.all(res <= c.noise_bounds[labels] + 1e-12)
 
+    def test_partial_overlap_needs_all_to_all(self):
+        # Only the all-to-all mode drops target points; elsewhere a partial
+        # overlap would be ignored.
+        with pytest.raises(ValueError, match="all_to_all"):
+            SyntheticSpec(n_points=20, overlap_fraction=0.5)
+        SyntheticSpec(n_points=20, overlap_fraction=0.5, all_to_all=True)
+
     def test_reference_cloud(self):
         pts = load_reference_cloud()
         assert pts.shape == (40, 3)
@@ -453,6 +460,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [["bench", "--rates", "0.5,abc"], ["bench", "--rates", "1.5"],
+         ["bench", "--rates", "0.5,0.5"], ["bench", "--rates", "0.5,0.50"],
          ["bench", "--rates", "0.5", "--trials", "0"],
          ["bench", "--rates", "0.5", "--method", "ransac", "--ransac-iters", "0"],
          ["bench", "--rates", "0.5", "--workers", "0"],
@@ -460,12 +468,15 @@ class TestCli:
          ["generate", "--n", "0"],
          ["generate", "--n", "12", "--outlier-rate", "1.5"],
          ["generate", "--n", "12", "--overlap", "0"],
+         ["generate", "--n", "20", "--overlap", "0.5", "--seed", "3"],
          ["generate", "--n", "12", "--beta", "nan"],
          ["generate", "--n", "3", "--sigma", "1", "--beta", "0.001"],
          ["generate", "--n", "12", "--seed", "-1"]],
-        ids=["bench-malformed-rate", "bench-rate-above-one", "bench-zero-trials",
+        ids=["bench-malformed-rate", "bench-rate-above-one", "bench-repeated-rate",
+             "bench-repeated-rate-spelled-apart", "bench-zero-trials",
              "bench-zero-ransac-iters", "bench-zero-workers", "bench-negative-workers",
              "generate-zero-points", "generate-rate-above-one", "generate-zero-overlap",
+             "generate-overlap-without-all-to-all",
              "generate-nan-beta", "generate-beta-far-below-sigma", "generate-negative-seed"],
     )
     def test_generate_and_bench_out_of_range_option_exit_code(self, tmp_path, capsys, argv):

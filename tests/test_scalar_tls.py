@@ -354,7 +354,7 @@ class TestRowVotes:
     def test_no_clique_exceeds_the_vote_bound(self):
         # Every member of a size-m clique at any scale has m - 1 incident
         # TRIMs consistent with that scale, so m <= the bound.
-        from tlsreg.clique import max_clique, prune_by_scale
+        from tlsreg.clique import max_clique, prune_by_scale, size_bound
         from tlsreg.invariants import build_measurement_graph
         from tlsreg.pipeline import _scale_hypotheses
         from tlsreg.synthetic import SyntheticSpec, generate
@@ -365,7 +365,8 @@ class TestRowVotes:
                 SyntheticSpec(n_points=50, outlier_rate=0.3 + 0.05 * (seed % 8), seed=90 + seed)
             )
             graph = build_measurement_graph(c)
-            hypotheses, bound, counts = _scale_hypotheses(graph, 1.0)
+            hypotheses, counts = _scale_hypotheses(graph, 1.0)
+            bound = size_bound(counts)
             cliques = [
                 max_clique(prune_by_scale(graph, scale, 1.0))
                 for scale in [*hypotheses, gt.scale, *np.linspace(0.5, 6.0, 12)]
