@@ -254,7 +254,8 @@ def next_clique(
 
     "Best" is largest, then lexicographically smallest; None when `first`
     is empty.  The |first| searches share one deadline `time_budget`
-    seconds away: each gets only the time the earlier ones left.
+    seconds away: each gets only the time the earlier ones left.  It is
+    certified only when every search finished.
     """
     deadline = time.monotonic() + float(time_budget)
     children = []
@@ -265,7 +266,9 @@ def next_clique(
         children.append(
             max_clique(PrunedGraph(rest, graph.vertices), max(0.0, deadline - time.monotonic()))
         )
-    return min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=None)
+    best = min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=None)
+    completed = all(c.is_certified_maximum for c in children)
+    return None if best is None else CliqueResult(best.vertices, completed)
 
 
 # Branch-and-bound with a greedy-coloring upper bound.  Subtrees are pruned

@@ -25,13 +25,25 @@ def _as_vec(x, n: int, name: str) -> np.ndarray:
     return v
 
 
-def quat_normalize(q) -> np.ndarray:
-    """Return q scaled to unit norm; rejects near-zero quaternions."""
-    q = _as_vec(q, 4, "quaternion")
-    n = np.linalg.norm(q)
+def _unit_floats(q) -> list[float]:
+    """q over its norm as Python floats; rejects near-zero quaternions.  The
+    norm is np.linalg.norm's root of a dot: a plain sum can differ."""
+    v = np.asarray(q, dtype=float)
+    if v.shape != (4,):
+        raise ValueError(f"quaternion must have shape (4,), got {v.shape}")
+    values = v.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("quaternion must be finite")
+    v = v.ravel(order="K")
+    n = math.sqrt(v.dot(v))
     if n < 1e-12:
         raise ValueError("cannot normalize near-zero quaternion")
-    return q / n
+    return [c / n for c in values]
+
+
+def quat_normalize(q) -> np.ndarray:
+    """Return q scaled to unit norm; rejects near-zero quaternions."""
+    return np.array(_unit_floats(q))
 
 
 def left_product_matrix(q) -> np.ndarray:
@@ -69,7 +81,7 @@ def right_product_matrix(q) -> np.ndarray:
 
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (q and -q give the same R)."""
-    x, y, z, w = quat_normalize(q)
+    x, y, z, w = _unit_floats(q)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],

@@ -29,35 +29,39 @@ Pair (i, j) agrees with the scale s when its TRIM does:
 X = ||b_j - b_i||, Y = ||a_j - a_i|| and beta_ij = beta_i + beta_j.  On
 the clouds centred at their means, X + s Y <= R_ij = r_i + r_j with
 r = ||b|| + s ||a||, so an agreeing pair has |D_ij| <= cbar beta_ij R_ij
-for D_ij = X^2 - s^2 Y^2.  Expanded over the centred points, D_ij - H_ij
-and -D_ij - H_ij, with H_ij the bound below, are dot products of 11
-features of i with 11 of j.  A block of rows thus costs two GEMMs, a
-maximum and a compare, and the exact TRIM test then runs on the pairs
-whose maximum is <= 0 only, so every decision is the exact test's.  With
-eps = BOUND_SLACK,
+for D_ij = X^2 - s^2 Y^2.  Expanded over the centred points, D_ij is a
+dot product of 8 features of i (b, s a, c = ||b||^2 - s^2 ||a||^2, 1)
+with 8 of j, and H_ij below one of 4 (g, 1, w, r) with 4: a block of
+rows costs two GEMMs, and the exact TRIM test runs on the pairs with
+|D_ij| <= H_ij only, so every decision is the exact test's.  With
+eps = BOUND_SLACK, w = cbar (1 + eps) beta and g = w r + eps r^2,
 
-    H_ij = cbar (1 + eps) beta_ij R_ij + eps (r_i^2 + r_j^2).
+    H_ij = cbar (1 + eps) beta_ij R_ij + eps (r_i^2 + r_j^2)
+         = g_i + g_j + w_i r_j + r_i w_j.
 
 The slack covers rounding, with u = 2^-53.  The exact test accepts a
 pair only if |X - s Y| <= cbar beta_ij (1 + 10u) + 10u X; times R_ij,
 with X <= R_ij and R_ij^2 <= 2 (r_i^2 + r_j^2), that is within
-10u cbar beta_ij R_ij + 20u (r_i^2 + r_j^2) of the bound.  Centring, the
-features and the 11-term sums of a GEMM, in any order, err by less than
-50u (r_i^2 + r_j^2 + cbar beta_ij R_ij).  eps = 256u is over three times
-their sum.  A vertex whose r or cbar beta exceeds BOUND_LIMIT, where the
-sums could overflow, keeps all its pairs.  At N = 1000, 99% outliers and
-known scale the bound keeps about 5,700 of the 499,500 pairs, of which
-about 1,200 agree, and the degree pass takes a median of 3.6-3.8 ms
-(three rounds of 80 calls on one core), where the exact test on every
-pair takes 15-17 ms.  The pass keeps counts, not pairs.  The kept pairs
-of many blocks are tested together, up to BLOCK_ENTRIES at a time, and
-counted by one bincount.  Where the bound keeps over a third of a block,
-the block runs the exact test on its whole rectangle instead, as a
-gathered pair costs about three of the rectangle's, and adds the mask's
-row and column sums.  A prune covers the candidates only (10-15
-vertices at N = 1000 and 99% outliers, about 100 at 90% and unknown
-scale): one block, most of whose pairs agree, which the bound would not
-thin, so it runs the exact test alone.
+10u cbar beta_ij R_ij + 20u (r_i^2 + r_j^2) of the bound.  D's 8-term
+sum errs, in any order, by at most 8u times its terms' magnitudes, at
+most 2 (r_i^2 + r_j^2); with centring (2u a coordinate) and c (4u r^2),
+D errs by less than 30u (r_i^2 + r_j^2).  H's 4 terms are positive, and
+each errs by less than 20u of itself, the sum included.  eps = 256u is
+over five times these errors and the test's, together less than
+50u (r_i^2 + r_j^2 + cbar beta_ij R_ij).  A vertex whose r or cbar beta
+exceeds BOUND_LIMIT, where the sums could overflow, keeps all its pairs.
+At N = 1000, 99% outliers and known scale the bound keeps about 5,700 of
+the 499,500 pairs, of which about 1,200 agree, and the degree pass takes
+a median of 3.3 ms (three rounds of 80 calls on one core), where the
+exact test on every pair takes 15-17 ms.  The pass keeps counts, not
+pairs.  The kept pairs of many blocks are tested together, up to
+BLOCK_ENTRIES at a time, and counted by one bincount.  Where the bound
+keeps over a third of a block, the block runs the exact test on its
+whole rectangle instead, as a gathered pair costs about three of the
+rectangle's, and adds the mask's row and column sums.  A prune covers
+the candidates only (10-15 vertices at N = 1000 and 99% outliers, about
+100 at 90% and unknown scale): one block, most of whose pairs agree,
+which the bound would not thin, so it runs the exact test alone.
 
 The graph is always complete: only there do mutually consistent inliers
 form a clique, which the maximum-clique pruning stage looks for.
@@ -205,8 +209,8 @@ class TrimSet:
         """(N,) int64: how many of each vertex's TRIMs agree with s_hat.
 
         Each block of rows bounds its upper rectangle [rows, r0:] by two
-        GEMMs (see the module docstring), and only the pairs the bound
-        keeps get the exact TRIM and scale_consistent: over the whole
+        GEMMs, D and H (see the module docstring), and only the pairs with
+        |D| <= H get the exact TRIM and scale_consistent: over the whole
         rectangle where the bound keeps over a third of it, else gathered
         pair by pair, the pairs of several blocks at a time.
         """
@@ -214,7 +218,7 @@ class TrimSet:
         counts = np.zeros(n, dtype=np.int64)
         if n < 2:
             return counts
-        features, above, below = _bound_features(self.tims, s_hat, cbar_sq)
+        fd, cd, fh, ch = _bound_features(self.tims, s_hat, cbar_sq)
         blocks = row_blocks(n)
         height = blocks[0].stop
         buffers = np.empty((4, height * n))
@@ -226,19 +230,19 @@ class TrimSet:
             shape = (block.stop - r0, n - r0)
             out = [b[: shape[0] * shape[1]].reshape(shape) for b in buffers]
             near, agree = (m[: shape[0] * shape[1]].reshape(shape) for m in masks)
-            lo, hi = out[:2]
-            np.matmul(features[block], above[:, r0:], out=lo)
-            np.matmul(features[block], below[:, r0:], out=hi)
-            np.less_equal(np.maximum(lo, hi, out=lo), 0.0, out=near)
+            d, h = out[:2]
+            np.matmul(fd[block], cd[:, r0:], out=d)
+            np.matmul(fh[block], ch[:, r0:], out=h)
+            np.less_equal(np.abs(d, out=d), h, out=near)
             near[:, : shape[0]] &= above_diagonal[: shape[0], : shape[0]]
-            if 3 * np.count_nonzero(near) > near.size:
+            flat = np.flatnonzero(near)
+            if 3 * flat.size > near.size:
                 s_meas, alpha = self.at(np.s_[block, None], np.s_[None, r0:], out)
                 agree = scale_consistent(s_meas, alpha, s_hat, cbar_sq, agree)
                 agree &= near
                 counts[block] += np.count_nonzero(agree, axis=1)
                 counts[r0:] += np.count_nonzero(agree, axis=0)
             else:
-                flat = np.flatnonzero(near)
                 # np.divmod and 2-D np.nonzero are several times slower.
                 pairs = np.empty((2, flat.size), dtype=np.int64)
                 i, j = np.floor_divide(flat, shape[1], out=pairs[0]), pairs[1]
@@ -310,8 +314,9 @@ def _norms(points: np.ndarray, i, j, out=None, scratch=None) -> np.ndarray:
 
 
 def _bound_features(tims: TimSet, s_hat: float, cbar_sq: float):
-    """Features whose products bound every pair: (N, 11) rows and two
-    (11, N) column sets whose products are D - H and -D - H.
+    """Features whose products bound every pair: (N, 8) rows and (8, N)
+    columns whose products are D, and (N, 4) rows and (4, N) columns whose
+    products are H.
 
     A vertex whose terms could overflow gets zero features, so each of its
     products reads 0 and its pairs are kept.
@@ -324,16 +329,18 @@ def _bound_features(tims: TimSet, s_hat: float, cbar_sq: float):
         w = (math.sqrt(cbar_sq) * (1.0 + BOUND_SLACK)) * tims.noise_bounds
         g = w * r + BOUND_SLACK * r * r
         c = b_sq - a_sq
-        # Row i of features times column j of above is c_i + c_j - 2 b_i.b_j
-        # + 2 a_i.a_j = D_ij, less g_i + g_j + w_i r_j + r_i w_j = H_ij.
+        # Row i of fd times column j of cd is -2 b_i.b_j + 2 a_i.a_j + c_i
+        # + c_j = D_ij; row i of fh times column j of ch is g_i + g_j
+        # + w_i r_j + r_i w_j = H_ij.
         ones = np.ones_like(r)
-        features = np.column_stack([b, a, c, g, ones, w, r])
-        above = np.vstack([-2.0 * b.T, 2.0 * a.T, ones, -ones, c - g, -r, -w])
-        below = np.vstack([2.0 * b.T, -2.0 * a.T, -ones, -ones, -c - g, -r, -w])
+        fd = np.column_stack([b, a, c, ones])
+        cd = np.vstack([-2.0 * b.T, 2.0 * a.T, ones, c])
+        fh = np.column_stack([g, ones, w, r])
+        ch = np.vstack([ones, g, r, w])
     wild = ~((r <= BOUND_LIMIT) & (w <= BOUND_LIMIT))
     if wild.any():
-        features[wild], above[:, wild], below[:, wild] = 0.0, 0.0, 0.0
-    return features, above, below
+        fd[wild], cd[:, wild], fh[wild], ch[:, wild] = 0.0, 0.0, 0.0, 0.0
+    return fd, cd, fh, ch
 
 
 def build_measurement_graph(c: CorrespondenceSet) -> MeasurementGraph:

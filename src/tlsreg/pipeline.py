@@ -31,8 +31,8 @@ agreeing pairs, found once over every vertex, give each vertex's degree,
 and the degrees are the counts: a member of a clique of m has degree
 m - 1 or more.  The searches then prune their candidates as at unknown
 scale.  At 99% outliers and N = 1000 they cover 10-15 vertices, and the
-degrees, pruning and search take a median of 3 ms where pruning into an
-(N, N) table and searching it took 10 ms.  Without outliers every vertex
+degrees, pruning and search take a median of 2.4-2.5 ms where pruning
+into an (N, N) table and searching it took 10 ms.  Without outliers every vertex
 is a candidate, and every pair is tested twice: the degree pass counts
 the agreeing pairs and the prune writes them into the graph.  The two
 take a median of 25-39 ms where the table took 12 ms.

@@ -1,5 +1,6 @@
 """Shared brute-force oracles and instance generators for the test suite."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,19 @@ import numpy as np
 from tlsreg.certifier import _diag_scalar_targets, _phi_vectors
 from tlsreg.clique import PrunedGraph
 from tlsreg.geometry import left_product_matrix, quat_to_matrix, random_unit_quaternion
-from tlsreg.rotation import check_collinear, horn_weighted
+from tlsreg.rotation import (
+    GNC_MAX_ITERATIONS,
+    GNC_MU_FACTOR,
+    GNC_MU_MIN,
+    GNC_MU_STOP,
+    GNC_WEIGHT_TOL,
+    RotationSolution,
+    _horn,
+    _weight_update,
+    binary_cost,
+    check_collinear,
+    horn_weighted,
+)
 
 
 def skew(v):
@@ -96,6 +109,55 @@ def make_rotation_instance(rng, K, outlier_fraction=0.0, sigma=0.0, beta=0.055):
     labels = np.ones(K, dtype=bool)
     labels[out_idx] = False
     return a, b, q_true, labels
+
+
+def reference_gnc_tls(p):
+    """GNC with every step's rotation polished (_horn on each step): the
+    reference whose answers solve_gnc_tls, which polishes once, reproduces."""
+    eps_sq = p.cbar_sq
+    inv_beta_sq = 1.0 / p.beta_bars**2
+    q = np.array([0.0, 0.0, 0.0, 1.0])
+    r_sq = p.residuals_sq(q)
+    mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
+    degenerate = check_collinear(p.a_bars, np.ones(p.size))
+    weights = np.ones(p.size)
+    converged = False
+    for iterations in range(1, GNC_MAX_ITERATIONS + 1):
+        with np.errstate(divide="ignore", over="ignore"):
+            weights = _weight_update(r_sq, mu, eps_sq)
+        w = weights * inv_beta_sq
+        if np.count_nonzero(w) >= 2:
+            q = _horn(w @ p.table)
+        r_sq = p.residuals_sq(q)
+        if mu >= GNC_MU_STOP or np.max(np.minimum(weights, 1.0 - weights)) < GNC_WEIGHT_TOL:
+            converged = True
+            break
+        mu *= GNC_MU_FACTOR
+    theta = np.where(weights >= 0.5, 1, -1).astype(np.int64)
+    return RotationSolution(q, theta, binary_cost(p, q, theta), iterations, converged, degenerate)
+
+
+def answer_record(result):
+    """What a register call answered, as plain Python values that compare
+    with ==: the transform, the inliers, the clique and its completion, the
+    certificate's verdict, eta and iterations, and every trace field but
+    the times."""
+    tf, cert = result.transform, result.certificate
+    return {
+        "scale": float(tf.scale),
+        "rotation": tf.rotation.as_array().tolist(),
+        "translation": tf.translation.tolist(),
+        "inlier_indices": result.inlier_indices.tolist(),
+        "clique": result.clique.vertices.tolist(),
+        "clique_completed": bool(result.clique.is_certified_maximum),
+        "certificate": None if cert is None
+        else (cert.verdict.value, float(cert.eta), cert.iterations_used),
+        "trace": {
+            f.name: getattr(result.trace, f.name)
+            for f in dataclasses.fields(result.trace)
+            if not f.name.endswith("_s")
+        },
+    }
 
 
 def truncated_cost(p, q):

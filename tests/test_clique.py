@@ -325,3 +325,24 @@ class TestNextClique:
         next_clique(g, real(g), time_budget=1.0)
         # Each of the 7 children gets what the earlier ones left of the deadline.
         assert budgets == pytest.approx([1.0, 0.75, 0.5, 0.25, 0, 0, 0])
+
+    def test_a_cut_child_leaves_the_answer_uncertified(self, monkeypatch):
+        # Every child after the first is cut and returns one vertex short of
+        # its maximum clique, so the first child's certified clique is the
+        # best; the answer still may have missed a larger one.
+        real, calls = cl.max_clique, []
+
+        def cut_after_first(graph, time_budget):
+            found = real(graph, 60.0)
+            calls.append(found)
+            if len(calls) == 1:
+                return found
+            return cl.CliqueResult(found.vertices[:-1], False)
+
+        g = graph_from_edges(12, list(itertools.combinations(range(5, 12), 2)))
+        first = real(g)
+        monkeypatch.setattr(cl, "max_clique", cut_after_first)
+        r = next_clique(g, first)
+        assert len(calls) == len(first)
+        assert r.vertices.tolist() == calls[0].vertices.tolist()
+        assert r.is_certified_maximum is False

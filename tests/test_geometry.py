@@ -13,6 +13,7 @@ from tlsreg.geometry import (
     UnitQuaternion,
     geodesic_rotation_error,
     left_product_matrix,
+    quat_normalize,
     quat_to_matrix,
     right_product_matrix,
     random_unit_quaternion as random_quat,
@@ -89,6 +90,39 @@ class TestRotate:
     def test_double_cover(self):
         for q in random_quats(10):
             assert np.allclose(quat_to_matrix(q), quat_to_matrix(-np.asarray(q)))
+
+
+    def test_same_bits_as_numpy_arithmetic(self):
+        # Unit and non-unit quaternions, and eigenvector-like strided columns.
+        qs = list(RNG.normal(size=(2000, 4)) * RNG.uniform(0.5, 2.0, size=(2000, 1)))
+        qs += [m[:, 3] for m in RNG.normal(size=(500, 4, 4))]
+        for q in qs:
+            unit = q / np.linalg.norm(q)
+            assert np.array_equal(quat_normalize(q), unit)
+            x, y, z, w = unit
+            expected = np.array(
+                [
+                    [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                    [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                    [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+                ]
+            )
+            assert np.array_equal(quat_to_matrix(q), expected)
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ([0.0, 0.0, 1.0], "shape"),
+            ([0.0, np.nan, 0.0, 1.0], "finite"),
+            ([0.0, 0.0, 0.0, np.inf], "finite"),
+            ([0.0, 0.0, 0.0, 1e-13], "near-zero"),
+        ],
+    )
+    def test_keeps_the_checks_of_quat_normalize(self, q, message):
+        with pytest.raises(ValueError, match=message):
+            quat_normalize(q)
+        with pytest.raises(ValueError, match=message):
+            quat_to_matrix(q)
 
 
 class TestGeodesicError:

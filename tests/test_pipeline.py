@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from helpers import answer_record
 from tlsreg.geometry import (
     CorrespondenceSet,
     TlsConfig,
@@ -306,6 +307,42 @@ class TestRegister:
         # unknown scale: the search's over V_m, the retry's over V_(m-1).
         assert [v.tolist() for v in pruned] == [list(range(m)), wider.tolist()]
 
+    def test_a_cut_retry_child_leaves_the_stage_incomplete(self, monkeypatch):
+        # The retry's first child search finishes and every later one is
+        # cut one vertex short: the retry takes the first child's clique,
+        # which a cut child may have beaten.
+        import tlsreg.clique as cl
+        import tlsreg.pipeline as pl
+        from tlsreg.certifier import Certificate, Verdict
+
+        real_search, real_next, children = cl.max_clique, cl.next_clique, []
+
+        def cut_children(graph, time_budget):
+            found = real_search(graph, 60.0)
+            if children:
+                children.append(found)
+                if len(children) > 2:
+                    return cl.CliqueResult(found.vertices[:-1], False)
+            return found
+
+        def recording_next(graph, first, time_budget):
+            children.append(None)  # the searches that follow are its children
+            return real_next(graph, first, time_budget)
+
+        monkeypatch.setattr(cl, "max_clique", cut_children)
+        monkeypatch.setattr(cl, "next_clique", recording_next)
+        monkeypatch.setattr(
+            pl, "certify", lambda data, cand, opts=None: Certificate(
+                1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0
+            )
+        )
+        rng = np.random.default_rng(15)
+        c, *_ = synth(rng, 30, outlier_rate=0.4, sigma=0.01)
+        res = register(c, TlsConfig(), RegistrationOptions(certify_rotation=True))
+        assert res.trace.retried and len(children) > 2
+        assert res.clique.vertices.tolist() == children[1].vertices.tolist()
+        assert res.trace.clique_completed is False
+
     def test_clique_budget_bounds_the_whole_stage(self, monkeypatch):
         # A fake clock that moves only while a search runs: every search,
         # the retry's included, must end by the deadline set when the
@@ -544,6 +581,19 @@ class TestRegister:
             res = register(c, TlsConfig(), RegistrationOptions(known_scale=1.0))
             assert geodesic_rotation_error(res.transform.matrix, R) < 1e-8
             assert np.linalg.norm(res.transform.translation - t) < 1e-8
+
+
+class TestAnswerRecord:
+    @pytest.mark.parametrize("known_scale", [None, 1.0])
+    def test_two_runs_on_one_input_give_equal_records(self, known_scale):
+        c, *_ = synth(
+            np.random.default_rng(31), 20, outlier_rate=0.3, sigma=0.01, scale=known_scale
+        )
+        opts = RegistrationOptions(known_scale=known_scale, certify_rotation=True)
+        first, second = (answer_record(register(c, TlsConfig(), opts)) for _ in range(2))
+        assert first == second
+        assert first["certificate"] is not None and first["trace"]["clique_size"] >= 3
+        assert "gnc_s" not in first["trace"] and "gnc_iterations" in first["trace"]
 
 
 class TestUnknownScaleNinetyPercentOutliers:

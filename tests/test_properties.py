@@ -296,8 +296,8 @@ class TestScaleBound:
         with np.errstate(over="ignore", invalid="ignore"):
             graph = build_measurement_graph(c)
             exact = agreeing_pairs(graph, s_hat, cbar_sq)
-            features, above, below = invariants._bound_features(graph.tims, s_hat, cbar_sq)
-            bounded = np.maximum(features @ above, features @ below) <= 0.0
+            fd, cd, fh, ch = invariants._bound_features(graph.tims, s_hat, cbar_sq)
+            bounded = np.abs(fd @ cd) <= fh @ ch
             assert bounded[exact[0], exact[1]].all()
 
             with mock.patch.object(invariants, "BLOCK_ENTRIES", block_entries):

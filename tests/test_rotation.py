@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gnc_surrogate, quat_from_axis_angle, truncated_cost
+from helpers import gnc_surrogate, quat_from_axis_angle, reference_gnc_tls, truncated_cost
 from tlsreg.geometry import (
     geodesic_rotation_error,
     left_product_matrix,
@@ -143,15 +143,26 @@ class TestWeightUpdate:
         # On the two thresholds the square-root law is 1 or 0 only up to
         # the round-off of sqrt(.) - mu, a few ulps of mu + 1.
         edges = np.array([0.0, 1e-300, lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
-        w_edges = _weight_update(edges, mu, eps_sq)
+        with np.errstate(divide="ignore", over="ignore"):  # as solve_gnc_tls runs it
+            w_edges = _weight_update(edges, mu, eps_sq)
         tol = 1e-12 + 4.0 * np.finfo(float).eps * (mu + 1.0)
         assert np.max(np.abs(w_edges - three_mask_weight_update(edges, mu, eps_sq))) <= tol
         assert np.all((w_edges >= 0.0) & (w_edges <= 1.0))
 
     def test_zero_residual_weighs_exactly_one(self):
-        # pytest turns warnings into errors, so a division warning fails here.
-        w = _weight_update(np.zeros(4), 0.5, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):  # as solve_gnc_tls runs it
+            w = _weight_update(np.zeros(4), 0.5, 1.0)
         assert np.array_equal(w, np.ones(4))
+
+    def test_gnc_silences_zero_residuals(self):
+        # Integer points read residuals of exactly zero at the identity, the
+        # first step's rotation.  pytest turns warnings into errors, so a
+        # division warning fails here.
+        a = np.random.default_rng(5).integers(-3, 4, size=(12, 3)).astype(float)
+        p = RotationProblem(a, a, np.full(12, 0.1))
+        assert not p.residuals_sq(np.array([0.0, 0.0, 0.0, 1.0])).any()
+        sol = solve_gnc_tls(p)
+        assert np.all(sol.theta == 1) and sol.cost < 1e-12
 
 
 class TestHornWeighted:
@@ -335,6 +346,50 @@ class TestGncTls:
         sol = solve_gnc_tls(p)
         assert sol.gnc_iterations == iterations
         assert np.array_equal(sol.rotation, q)
+
+    @pytest.mark.parametrize(
+        "geometry, tol",
+        [
+            ("generic", 1e-10),
+            ("near-planar", 1e-10),
+            ("non-uniform bounds", 1e-10),
+            # The rotation about the common line rests on 1e-4 of spread.
+            ("near-collinear", 1e-7),
+        ],
+    )
+    def test_matches_the_every_step_polish(self, geometry, tol):
+        # Polishing only the last step's rotation takes the same steps as
+        # polishing every step: the intermediate rotations differ by eigh's
+        # rounding, too little to move a weight across 1/2 or the stop.
+        # The rotations differ by the last step's matrix rounding.
+        seed = ["generic", "near-planar", "non-uniform bounds", "near-collinear"].index(geometry)
+        rng = np.random.default_rng(27_000 + seed)
+        for K in (3, 5, 10, 30, 100, 300, 1000):
+            for rate in (0.0, 0.3, 0.6, 0.9):
+                for _ in range(3):
+                    a = rng.uniform(-1, 1, size=(K, 3))
+                    if geometry == "near-planar":
+                        a[:, 2] *= 1e-4
+                    elif geometry == "near-collinear":
+                        a = rng.uniform(-1, 1, size=(K, 1)) * [0.6, -0.48, 0.64] + 1e-4 * a
+                    beta = np.full(K, 0.11)
+                    if geometry == "non-uniform bounds":
+                        beta = rng.uniform(0.01, 0.3, size=K)
+                    b = a @ quat_to_matrix(random_unit_quaternion(rng)).T
+                    noise = rng.normal(size=(K, 3))
+                    noise *= (0.5 * beta * rng.uniform(size=K) / np.linalg.norm(noise, axis=1))[
+                        :, None
+                    ]
+                    b += noise
+                    out = rng.random(K) < rate
+                    b[out] = rng.uniform(-2, 2, size=(int(out.sum()), 3))
+                    p = RotationProblem(a, b, beta)
+                    sol, ref = solve_gnc_tls(p), reference_gnc_tls(p)
+                    assert np.array_equal(sol.theta, ref.theta)
+                    assert sol.gnc_iterations == ref.gnc_iterations
+                    assert sol.converged == ref.converged
+                    assert sol.degenerate == ref.degenerate
+                    assert np.max(np.abs(sol.rotation - ref.rotation)) <= tol, (K, rate)
 
     def test_output_quaternion_is_unit_and_rotation_valid(self):
         rng = np.random.default_rng(3)
