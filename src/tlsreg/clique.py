@@ -249,13 +249,13 @@ def _assert_clique(adj: np.ndarray, vertices: np.ndarray) -> None:
 
 def next_clique(
     graph: PrunedGraph, first: CliqueResult, time_budget: float = DEFAULT_TIME_BUDGET
-) -> CliqueResult | None:
+) -> CliqueResult:
     """Fallback clique after `first`: the best maximum clique of G - v, v in first.
 
-    "Best" is largest, then lexicographically smallest; None when `first`
-    is empty.  The |first| searches share one deadline `time_budget`
-    seconds away: each gets only the time the earlier ones left.  It is
-    certified only when every search finished.
+    "Best" is largest, then lexicographically smallest; the empty clique,
+    certified, when `first` is empty.  The |first| searches share one
+    deadline `time_budget` seconds away: each gets only the time the
+    earlier ones left.  It is certified only when every search finished.
     """
     deadline = time.monotonic() + float(time_budget)
     children = []
@@ -266,9 +266,10 @@ def next_clique(
         children.append(
             max_clique(PrunedGraph(rest, graph.vertices), max(0.0, deadline - time.monotonic()))
         )
-    best = min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=None)
+    # There are no children only when first is empty, and so is the answer.
+    best = min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=first)
     completed = all(c.is_certified_maximum for c in children)
-    return None if best is None else CliqueResult(best.vertices, completed)
+    return CliqueResult(best.vertices, completed)
 
 
 # Branch-and-bound with a greedy-coloring upper bound.  Subtrees are pruned

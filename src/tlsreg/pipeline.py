@@ -42,9 +42,13 @@ is solved on them by graduated non-convexity (optionally certified).  A
 rejected certificate sends the cascade once to the next clique at the
 chosen scale, searched like every hypothesis through
 `max_clique_of_candidates`: over V_(m-1) for a first clique of m, which
-holds it.  One deadline, fixed when the clique stage starts, bounds every
-prune and search, the retry's included.  Translation is solved per-axis
-by the same exact scalar solver on the aligned residuals.
+holds it.  That clique takes the same pass as the first, its
+measurements, rotation and certificate, and keeps the re-voted scale.
+One deadline, fixed when the clique stage starts, bounds every prune and
+search, the retry's included.  Translation is solved per-axis by the
+same exact scalar solver on the aligned residuals.  Every stage runs
+under one clock, which refuses a span inside another, so the trace's
+times are of disjoint spans.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import combinations
 
@@ -70,7 +74,7 @@ from .invariants import (
     row_blocks,
     scale_consistent,
 )
-from .rotation import RotationProblem, RotationSolution, solve_gnc_tls
+from .rotation import RotationProblem, solve_gnc_tls
 from .scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls
 
 # Scale hypotheses at unknown scale: the votes of this many best-voted
@@ -129,6 +133,7 @@ class RegistrationTrace:
     revote_s: float
     # The rotation input and GNC, over both cliques when retried.
     gnc_s: float
+    # The certificate, over both cliques when retried.
     certify_s: float
     # The measurements of the next clique, when a rejected certificate
     # sent the cascade to one; its prune and search are in prune_s and
@@ -155,6 +160,33 @@ class RegistrationTrace:
     certificate_iterations: int | None
     # The rotation measurements, when over certify_max_k.
     certify_skipped_k: int | None
+
+
+class _StageClock:
+    """The `RegistrationTrace` times of one call, one stage at a time.
+
+    `with clock(field):` adds the span's wall time to `times[field]`.  A
+    span opened inside another raises, so the times are of disjoint spans.
+    """
+
+    FIELDS = tuple(f.name for f in fields(RegistrationTrace) if f.name.endswith("_s"))
+
+    def __init__(self):
+        self.times = dict.fromkeys(self.FIELDS, 0.0)
+        self._open = None
+
+    def __call__(self, field: str) -> _StageClock:
+        if self._open is not None:
+            raise RuntimeError(f"{field} opened inside {self._open}")
+        self._open = field
+        return self
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info):
+        self.times[self._open] += time.perf_counter() - self._start
+        self._open = None
 
 
 @dataclass(frozen=True)
@@ -286,42 +318,31 @@ def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[flo
     return scales, counts
 
 
-@dataclass(frozen=True)
-class _Rotation:
-    """GNC's rotation on one clique, its certificate and their times."""
-
-    solution: RotationSolution
-    certificate: Certificate | None
-    certify_skipped_k: int | None
-    gnc_s: float
-    certify_s: float
-
-
-def _solve_rotation(graph, within, s_hat, cfg: TlsConfig, opts: RegistrationOptions):
+def _solve_rotation(graph, within, s_hat, cfg: TlsConfig, opts: RegistrationOptions, clock):
     """GNC on the clique's TRIM pairs (`within`, from graph.trims_within)
     whose TRIM agrees with s_hat, then its certificate when one is asked
-    for.  Above certify_max_k measurements certification is skipped and
-    their count kept."""
-    t0 = time.perf_counter()
-    pairs, s_meas, alpha = within
-    pairs = pairs[scale_consistent(s_meas, alpha, s_hat, cfg.cbar_sq)]
-    if len(pairs) < 2:
-        raise InsufficientInliersError(
-            "fewer than two scale-consistent measurements inside the clique"
+    for: (solution, certificate, skipped K).  Above certify_max_k
+    measurements certification is skipped and their count kept."""
+    with clock("gnc_s"):
+        pairs, s_meas, alpha = within
+        pairs = pairs[scale_consistent(s_meas, alpha, s_hat, cfg.cbar_sq)]
+        if len(pairs) < 2:
+            raise InsufficientInliersError(
+                "fewer than two scale-consistent measurements inside the clique"
+            )
+        a_bars, b_bars, beta_bars = graph.tims.at(pairs)
+        problem = RotationProblem(
+            a_bars=s_hat * a_bars, b_bars=b_bars, beta_bars=beta_bars, cbar_sq=cfg.cbar_sq
         )
-    a_bars, b_bars, beta_bars = graph.tims.at(pairs)
-    problem = RotationProblem(
-        a_bars=s_hat * a_bars, b_bars=b_bars, beta_bars=beta_bars, cbar_sq=cfg.cbar_sq
-    )
-    sol = solve_gnc_tls(problem)
-    t1 = time.perf_counter()
+        sol = solve_gnc_tls(problem)
     certificate = skipped_k = None
     if opts.certify_rotation and problem.size > opts.certify_max_k:
         skipped_k = problem.size
     elif opts.certify_rotation:
-        cand = make_candidate(problem, sol.rotation, sol.theta)
-        certificate = certify(build_cost_matrix(problem), cand)
-    return _Rotation(sol, certificate, skipped_k, t1 - t0, time.perf_counter() - t1)
+        with clock("certify_s"):
+            cand = make_candidate(problem, sol.rotation, sol.theta)
+            certificate = certify(build_cost_matrix(problem), cand)
+    return sol, certificate, skipped_k
 
 
 def estimate_translation(source, target, s_hat, R_hat, betas, cbar_sq):
@@ -350,23 +371,20 @@ def register(
     if len(c) < 3:
         raise InsufficientInliersError("need at least 3 correspondences")
 
-    t0 = time.perf_counter()
-    graph = build_measurement_graph(c)
-    invariants_s = time.perf_counter() - t0
+    clock = _StageClock()
+    with clock("invariants_s"):
+        graph = build_measurement_graph(c)
 
-    t0 = time.perf_counter()
-    if opts.known_scale is not None:
-        # One hypothesis.  Its agreeing pairs give each vertex's degree,
-        # which bounds the cliques as the votes do at unknown scale.
-        hypotheses = [float(opts.known_scale)]
-        counts = graph.trims.degrees(hypotheses[0], cfg.cbar_sq)
-    else:
-        hypotheses, counts = _scale_hypotheses(graph, cfg.cbar_sq)
-    clique_bound = clique.size_bound(counts)
     # The degree pass counts as a prune, the votes do not.
-    counted_s = time.perf_counter() - t0
-    vote_s = 0.0 if opts.known_scale is not None else counted_s
-    prune_s = counted_s - vote_s
+    with clock("vote_s" if opts.known_scale is None else "prune_s"):
+        if opts.known_scale is not None:
+            # One hypothesis.  Its agreeing pairs give each vertex's degree,
+            # which bounds the cliques as the votes do at unknown scale.
+            hypotheses = [float(opts.known_scale)]
+            counts = graph.trims.degrees(hypotheses[0], cfg.cbar_sq)
+        else:
+            hypotheses, counts = _scale_hypotheses(graph, cfg.cbar_sq)
+        clique_bound = clique.size_bound(counts)
     if clique_bound < 3:
         # No three vertices have the counts a triangle needs; at known scale
         # with no agreeing pair, V_1 would be every vertex.
@@ -375,22 +393,18 @@ def register(
     # One deadline bounds the whole stage: every prune and search, each
     # hypothesis's and the retry's.
     deadline = time.monotonic() + opts.clique_time_budget
-    clique_s = 0.0
 
     def search(scale, vertices, first=None):
         """The graph at scale over vertices, and its maximum clique, or
         the next clique after `first` when one is given."""
-        nonlocal prune_s, clique_s
-        t0 = time.perf_counter()
-        pruned = prune_by_scale(graph, scale, cfg.cbar_sq, vertices)
-        t1 = time.perf_counter()
-        time_left = max(0.0, deadline - time.monotonic())
-        if first is None:
-            found = clique.max_clique(pruned, time_left)
-        else:
-            found = clique.next_clique(pruned, first, time_left)
-        prune_s += t1 - t0
-        clique_s += time.perf_counter() - t1
+        with clock("prune_s"):
+            pruned = prune_by_scale(graph, scale, cfg.cbar_sq, vertices)
+        with clock("clique_s"):
+            time_left = max(0.0, deadline - time.monotonic())
+            if first is None:
+                found = clique.max_clique(pruned, time_left)
+            else:
+                found = clique.next_clique(pruned, first, time_left)
         return pruned, found
 
     tried, best, completed = [], None, True
@@ -409,22 +423,23 @@ def register(
     if len(used) < 3:
         raise InsufficientInliersError("maximum clique smaller than 3 vertices")
 
-    # Chance-consistent outlier measurements can get absorbed into a
-    # vertex's scale vote and bias it; the clique members are mutually
-    # consistent, so re-voting on their internal measurements removes the
-    # bias (and is exact on noise-free data).  The clique's TRIMs are
-    # computed once, for the re-vote and the rotation input.
-    t0 = time.perf_counter()
-    within = graph.trims_within(used.vertices)
-    if opts.known_scale is None:
-        s_refined = _refine_scale_on_clique(within, cfg.cbar_sq)
-        if s_refined is not None:
-            s_hat = s_refined
-    revote_s = time.perf_counter() - t0
-
-    rot = _solve_rotation(graph, within, s_hat, cfg, opts)
-    gnc_s, certify_s, retry_s, retried = rot.gnc_s, rot.certify_s, 0.0, False
-    if rot.certificate is not None and not rot.certificate.certified:
+    # One pass per clique: the chosen one, then at most one retry.
+    for retried in (False, True):
+        # The clique's TRIMs are computed once, for the re-vote and the
+        # rotation input.  Chance-consistent outlier measurements can get
+        # absorbed into a vertex's scale vote and bias it; the clique
+        # members are mutually consistent, so re-voting on their internal
+        # measurements removes the bias (and is exact on noise-free data).
+        # The retry keeps the scale the first clique gave.
+        with clock("retry_s" if retried else "revote_s"):
+            within = graph.trims_within(used.vertices)
+            if not retried and opts.known_scale is None:
+                s_refined = _refine_scale_on_clique(within, cfg.cbar_sq)
+                if s_refined is not None:
+                    s_hat = s_refined
+        rot_sol, certificate, skipped_k = _solve_rotation(graph, within, s_hat, cfg, opts, clock)
+        if retried or certificate is None or certificate.certified:
+            break
         # The paper's cascade retries once, on the next-largest clique, at
         # the chosen hypothesis's scale.  It has len(used) - 1 vertices or
         # more, and used lies in V_(len(used) - 1), so a search that
@@ -432,33 +447,23 @@ def register(
         _, retry = clique.max_clique_of_candidates(
             partial(search, best[0], first=used), counts, len(used) - 1
         )
-        if len(retry) >= 3:
-            t0 = time.perf_counter()
-            used, retried = retry, True
-            within = graph.trims_within(used.vertices)
-            retry_s = time.perf_counter() - t0
-            rot = _solve_rotation(graph, within, s_hat, cfg, opts)
-            gnc_s, certify_s = gnc_s + rot.gnc_s, certify_s + rot.certify_s
-    rot_sol, certificate = rot.solution, rot.certificate
+        if len(retry) < 3:
+            break
+        used = retry
 
-    t0 = time.perf_counter()
-    R_hat = rot_sol.matrix
     members = used.vertices
-    t_vec, axis_masks, joint_mask = estimate_translation(
-        c.source[members], c.target[members], s_hat, R_hat, c.noise_bounds[members], cfg.cbar_sq
-    )
-    translation_s = time.perf_counter() - t0
+    with clock("translation_s"):
+        t_vec, _, joint_mask = estimate_translation(
+            c.source[members],
+            c.target[members],
+            s_hat,
+            rot_sol.matrix,
+            c.noise_bounds[members],
+            cfg.cbar_sq,
+        )
 
     trace = RegistrationTrace(
-        invariants_s=invariants_s,
-        vote_s=vote_s,
-        prune_s=prune_s,
-        clique_s=clique_s,
-        revote_s=revote_s,
-        gnc_s=gnc_s,
-        certify_s=certify_s,
-        retry_s=retry_s,
-        translation_s=translation_s,
+        **clock.times,
         edges_kept=pruned.n_edges,
         scale_hypotheses=tuple(tried),
         scale_estimate=float(s_hat),
@@ -472,7 +477,7 @@ def register(
         certificate_verdict=None if certificate is None else certificate.verdict.value,
         certificate_eta=None if certificate is None else float(certificate.eta),
         certificate_iterations=None if certificate is None else certificate.iterations_used,
-        certify_skipped_k=rot.certify_skipped_k,
+        certify_skipped_k=skipped_k,
     )
     transform = RigidTransform(
         scale=s_hat, rotation=UnitQuaternion(rot_sol.rotation), translation=t_vec

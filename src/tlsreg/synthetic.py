@@ -171,7 +171,6 @@ def _generate_all_pairs(rng, spec, src, gt, beta):
     src_rep = np.repeat(src, n_keep, axis=0)
     dst_rep = np.tile(dst, (n_src, 1))
     labels = np.zeros(n_src * n_keep, dtype=bool)
-    for col, orig in enumerate(kept):
-        labels[orig * n_keep + col] = True
+    labels[kept * n_keep + np.arange(n_keep)] = True
     c = CorrespondenceSet(src_rep, dst_rep, np.full(n_src * n_keep, beta))
     return c, gt, labels

@@ -346,3 +346,11 @@ class TestNextClique:
         assert len(calls) == len(first)
         assert r.vertices.tolist() == calls[0].vertices.tolist()
         assert r.is_certified_maximum is False
+
+    def test_an_empty_first_clique_gives_the_empty_clique(self):
+        # The one return type: max_clique_of_candidates reads
+        # is_certified_maximum from whatever a search hands it.
+        g = graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        r = next_clique(g, cl.CliqueResult(np.empty(0, dtype=np.int64), True))
+        assert isinstance(r, cl.CliqueResult)
+        assert r.vertices.tolist() == [] and r.is_certified_maximum is True

@@ -1,7 +1,9 @@
 """Full cascade: recovery, translation solver, and a-posteriori bounds."""
 
+import importlib
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -21,6 +23,7 @@ from tlsreg.pipeline import (
     InsufficientInliersError,
     RegistrationOptions,
     RegistrationTrace,
+    _StageClock,
     _base_point_tuples,
     _min_u_singular_value,
     compute_error_bounds,
@@ -581,6 +584,88 @@ class TestRegister:
             res = register(c, TlsConfig(), RegistrationOptions(known_scale=1.0))
             assert geodesic_rotation_error(res.transform.matrix, R) < 1e-8
             assert np.linalg.norm(res.transform.translation - t) < 1e-8
+
+
+# Each stage a retried call runs: the module it is called through, the
+# trace time that holds it, and the calls that time must show at least,
+# two for the stages that run on both cliques.
+STAGE_TIMES = [
+    ("pipeline", "build_measurement_graph", "invariants_s", 1),
+    ("pipeline", "_scale_hypotheses", "vote_s", 1),
+    ("pipeline", "prune_by_scale", "prune_s", 1),
+    ("clique", "max_clique", "clique_s", 1),
+    ("pipeline", "_refine_scale_on_clique", "revote_s", 1),
+    ("pipeline", "solve_gnc_tls", "gnc_s", 2),
+    ("pipeline", "build_cost_matrix", "certify_s", 2),
+    ("pipeline", "estimate_translation", "translation_s", 1),
+]
+TIME_FIELDS = [f.name for f in fields(RegistrationTrace) if f.name.endswith("_s")]
+
+
+class TestStageTimes:
+    SLEEP = 0.02
+
+    @staticmethod
+    def retried_trace(monkeypatch):
+        """The trace of an unknown-scale call whose first certificate is
+        rejected, so the cascade retries on the next clique."""
+        import tlsreg.pipeline as pl
+        from tlsreg.certifier import Certificate, Verdict
+
+        def always_reject(data, cand, opts=None):
+            return Certificate(1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0)
+
+        monkeypatch.setattr(pl, "certify", always_reject)
+        c, *_ = synth(np.random.default_rng(15), 30, outlier_rate=0.4, sigma=0.01)
+        trace = register(c, TlsConfig(), RegistrationOptions(certify_rotation=True)).trace
+        assert trace.retried
+        return trace
+
+    def assert_only(self, trace, field, calls):
+        for name in TIME_FIELDS:
+            if name == field:
+                assert getattr(trace, name) >= calls * self.SLEEP
+            else:
+                assert getattr(trace, name) < self.SLEEP, name
+
+    @pytest.mark.parametrize("module, stage, field, calls", STAGE_TIMES)
+    def test_a_slow_stage_shows_in_its_own_time(self, monkeypatch, module, stage, field, calls):
+        owner = importlib.import_module(f"tlsreg.{module}")
+        real = getattr(owner, stage)
+
+        def slow(*args, **kwargs):
+            time.sleep(self.SLEEP)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, stage, slow)
+        self.assert_only(self.retried_trace(monkeypatch), field, calls)
+
+    def test_a_slow_second_clique_shows_in_retry_s(self, monkeypatch):
+        from tlsreg.invariants import MeasurementGraph
+
+        calls = []
+        trims_within = MeasurementGraph.trims_within
+
+        def slow_second(graph, vertices):
+            calls.append(vertices)
+            if len(calls) == 2:
+                time.sleep(self.SLEEP)
+            return trims_within(graph, vertices)
+
+        monkeypatch.setattr(MeasurementGraph, "trims_within", slow_second)
+        self.assert_only(self.retried_trace(monkeypatch), "retry_s", 1)
+
+    def test_the_clock_keeps_every_trace_time_and_refuses_nested_spans(self):
+        clock = _StageClock()
+        assert list(clock.times) == TIME_FIELDS
+        with clock("gnc_s"):
+            with pytest.raises(RuntimeError, match="inside gnc_s"):
+                with clock("certify_s"):
+                    pass
+        assert clock.times["gnc_s"] > 0.0 and clock.times["certify_s"] == 0.0
+        with clock("certify_s"):
+            pass
+        assert clock.times["certify_s"] > 0.0
 
 
 class TestAnswerRecord:
