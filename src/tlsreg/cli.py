@@ -1,6 +1,11 @@
 """Command-line front end: generate / register / certify / bench.
 
 Exit codes: 0 success, 2 insufficient inliers, 3 I/O or format error.
+`main` is the one place that maps errors to exit codes: a subcommand
+raises, and any `ValueError` (a malformed file, an option out of range, a
+numerical failure inside `register`) or missing file exits 3 with one
+`error:` line. `bench` checks its options, `--n` at least 3 among them,
+before its first trial.
 Benchmark workers come from --workers, capped at the CPUs this process
 may run on; each worker process votes on one thread.
 """
@@ -9,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import math
 import sys
 import time
@@ -32,7 +37,6 @@ from .pipeline import (
     usable_cpu_count,
 )
 from .plyio import (
-    PlyError,
     format_result_json,
     read_ascii_ply,
     read_result_json,
@@ -51,22 +55,18 @@ EXIT_IO_ERROR = 3
 
 
 def _cmd_generate(args) -> int:
-    try:
-        spec = SyntheticSpec(
-            n_points=args.n,
-            sigma=args.sigma,
-            outlier_rate=args.outlier_rate,
-            seed=args.seed,
-            known_scale=args.known_scale,
-            all_to_all=args.all_to_all,
-            overlap_fraction=args.overlap,
-            beta=args.beta,
-            use_reference_cloud=args.reference_cloud,
-        )
-        c, gt, labels = generate(spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+    spec = SyntheticSpec(
+        n_points=args.n,
+        sigma=args.sigma,
+        outlier_rate=args.outlier_rate,
+        seed=args.seed,
+        known_scale=args.known_scale,
+        all_to_all=args.all_to_all,
+        overlap_fraction=args.overlap,
+        beta=args.beta,
+        use_reference_cloud=args.reference_cloud,
+    )
+    c, gt, labels = generate(spec)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_ascii_ply(f"{prefix}_src.ply", c.source)
@@ -108,19 +108,14 @@ def _cmd_register(args) -> int:
     src = read_ascii_ply(args.src)
     dst = read_ascii_ply(args.dst)
     if src.shape != dst.shape:
-        print("error: source and destination clouds differ in size", file=sys.stderr)
-        return EXIT_IO_ERROR
-    try:
-        c = CorrespondenceSet(src, dst, np.full(src.shape[0], args.beta))
-        cfg = TlsConfig(cbar_sq=args.cbar_sq)
-        opts = RegistrationOptions(
-            known_scale=args.known_scale,
-            certify_rotation=not args.no_certify,
-            certify_max_k=args.certify_max_k,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        raise ValueError("source and destination clouds differ in size")
+    c = CorrespondenceSet(src, dst, np.full(src.shape[0], args.beta))
+    cfg = TlsConfig(cbar_sq=args.cbar_sq)
+    opts = RegistrationOptions(
+        known_scale=args.known_scale,
+        certify_rotation=not args.no_certify,
+        certify_max_k=args.certify_max_k,
+    )
     res = register(c, cfg, opts)
     if res.trace.certify_skipped_k is not None:
         print(
@@ -161,21 +156,20 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def run_bench_trial(params: dict) -> dict:
+def run_bench_trial(spec: SyntheticSpec, method: str, certify: bool, ransac_iters: int) -> dict:
     """One benchmark trial; importable so worker processes can run it."""
-    spec = params["spec"]
     c, gt, labels = generate(spec)
     record = {
         "seed": spec.seed,
         "outlier_rate": spec.outlier_rate,
-        "method": params["method"],
+        "method": method,
     }
     t0 = time.perf_counter()
     trace = None
     try:
-        if params["method"] == "ransac":
+        if method == "ransac":
             rr = ransac_baseline(
-                c, max_iters=params["ransac_iters"],
+                c, max_iters=ransac_iters,
                 known_scale=1.0 if spec.known_scale else None,
                 seed=spec.seed,
             )
@@ -187,7 +181,7 @@ def run_bench_trial(params: dict) -> dict:
                 TlsConfig(),
                 RegistrationOptions(
                     known_scale=1.0 if spec.known_scale else None,
-                    certify_rotation=params["certify"],
+                    certify_rotation=certify,
                 ),
             )
             transform = res.transform
@@ -225,41 +219,38 @@ def _vote_on_one_thread() -> None:
 
 def _cmd_bench(args) -> int:
     # Every trial's instance is validated before any trial runs.
-    try:
-        rates = [float(r) for r in args.rates.split(",")]
-        if len(set(rates)) < len(rates):
-            raise ValueError("--rates must not repeat a rate")
-        if args.trials < 1:
-            raise ValueError("--trials must be at least 1")
-        if args.ransac_iters < 1:
-            raise ValueError("--ransac-iters must be at least 1")
-        if args.workers is not None and args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        specs = [
-            SyntheticSpec(
-                n_points=args.n,
-                sigma=args.sigma,
-                outlier_rate=rate,
-                seed=args.seed0 + trial,
-                known_scale=args.known_scale,
-            )
-            for rate in rates
-            for trial in range(args.trials)
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    jobs = [
-        {"spec": spec, "certify": args.certify, "method": args.method,
-         "ransac_iters": args.ransac_iters}
-        for spec in specs
+    rates = [float(r) for r in args.rates.split(",")]
+    if len(set(rates)) < len(rates):
+        raise ValueError("--rates must not repeat a rate")
+    if args.n < 3:
+        raise ValueError("--n must be at least 3")
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
+    if args.ransac_iters < 1:
+        raise ValueError("--ransac-iters must be at least 1")
+    if args.workers is not None and args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    specs = [
+        SyntheticSpec(
+            n_points=args.n,
+            sigma=args.sigma,
+            outlier_rate=rate,
+            seed=args.seed0 + trial,
+            known_scale=args.known_scale,
+        )
+        for rate in rates
+        for trial in range(args.trials)
     ]
+    trial = functools.partial(
+        run_bench_trial, method=args.method, certify=args.certify,
+        ransac_iters=args.ransac_iters,
+    )
     workers = _worker_count(args.workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_vote_on_one_thread) as pool:
-            records = list(pool.map(run_bench_trial, jobs))
+            records = list(pool.map(trial, specs))
     else:
-        records = [run_bench_trial(j) for j in jobs]
+        records = list(map(trial, specs))
 
     print(f"{'rate':>6} {'ok':>5} {'rot_med(deg)':>13} {'tr_med':>9} {'scale_med':>10} {'t_med(s)':>9}")
     aggregates = []
@@ -364,7 +355,7 @@ def main(argv=None) -> int:
     except InsufficientInliersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_INLIERS
-    except (PlyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 

@@ -36,9 +36,9 @@ def write_ascii_ply(path, points) -> None:
         "property double z",
         "end_header",
     ]
-    for p in pts:
-        lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    # A handle, not the path: savetxt would gzip a path ending in ".gz".
+    with open(path, "w") as f:
+        np.savetxt(f, pts, fmt="%.17g", header="\n".join(lines), comments="")
 
 
 def read_ascii_ply(path) -> np.ndarray:

@@ -136,11 +136,10 @@ def product_matrices(table) -> np.ndarray:
     return (table @ PRODUCT_BASIS.reshape(9, 16)).reshape(*np.shape(table)[:-1], 4, 4)
 
 
-def check_collinear(a_bars, weights) -> bool:
-    """True when all weight-positive directions share one line (rotation
-    about that line is unobservable)."""
-    w = np.asarray(weights, dtype=float)
-    pts = np.asarray(a_bars, dtype=float)[w > 0]
+def check_collinear(a_bars) -> bool:
+    """True when all directions share one line (rotation about that line
+    is unobservable)."""
+    pts = np.asarray(a_bars, dtype=float)
     if pts.shape[0] < 2:
         return True
     scatter = pts.T @ pts
@@ -221,7 +220,7 @@ def solve_gnc_tls(p: RotationProblem) -> RotationSolution:
     mu = eps_sq / max(2.0 * r_max_sq - eps_sq, 1e-12)
     mu = max(mu, GNC_MU_MIN)
 
-    degenerate = check_collinear(p.a_bars, np.ones(p.size))
+    degenerate = check_collinear(p.a_bars)
     weights = np.ones(p.size)
     converged = False
     iterations = 0

@@ -119,7 +119,7 @@ def reference_gnc_tls(p):
     q = np.array([0.0, 0.0, 0.0, 1.0])
     r_sq = p.residuals_sq(q)
     mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
-    degenerate = check_collinear(p.a_bars, np.ones(p.size))
+    degenerate = check_collinear(p.a_bars)
     weights = np.ones(p.size)
     converged = False
     for iterations in range(1, GNC_MAX_ITERATIONS + 1):
@@ -193,7 +193,7 @@ def brute_force_rotation_optimum(a, b, beta_bars, cbar_sq):
             cost = gap**2 / beta_bars[mask][0] ** 2 + n_out * cbar_sq
         else:
             w = 1.0 / beta_bars[mask] ** 2
-            if check_collinear(a[mask], np.ones(n_in)):
+            if check_collinear(a[mask]):
                 # Rotation about the common axis is free; align the axis by
                 # falling back to the generic solver (still optimal here).
                 pass

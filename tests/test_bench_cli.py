@@ -374,6 +374,56 @@ class TestCli:
         )
         assert rc == 3
 
+    def test_register_malformed_ply_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "end_header\n0 1 2\n3 oops 5\n"
+        )
+        rc = cli_main(["register", "--src", str(bad), "--dst", str(bad), "--beta", "0.1"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 9: ")
+
+    def test_register_clouds_of_different_size_exit_code(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        write_ascii_ply(tmp_path / "s.ply", rng.uniform(0, 1, size=(12, 3)))
+        write_ascii_ply(tmp_path / "d.ply", rng.uniform(0, 1, size=(13, 3)))
+        rc = cli_main(
+            ["register", "--src", str(tmp_path / "s.ply"), "--dst", str(tmp_path / "d.ply"),
+             "--beta", "0.1"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: source and destination clouds differ in size"]
+
+    def test_register_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        import tlsreg.cli as cli
+
+        def fail(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "register", fail)
+        prefix = tmp_path / "inst"
+        cli_main(["generate", "--n", "12", "--seed", "7", "--out", str(prefix)])
+        capsys.readouterr()
+        rc = cli_main(
+            ["register", "--src", f"{prefix}_src.ply", "--dst", f"{prefix}_dst.ply",
+             "--beta", "0.0554"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: Eigenvalues did not converge"]
+
+    def test_certify_problem_not_json_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text("{not json")
+        rc = cli_main(["certify", "--problem", str(path)])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     @staticmethod
     def _certify_problem(tmp_path, flipped=0):
         """Noise-free ground-truth candidate, the first `flipped` inliers
@@ -465,6 +515,8 @@ class TestCli:
          ["bench", "--rates", "0.5", "--method", "ransac", "--ransac-iters", "0"],
          ["bench", "--rates", "0.5", "--workers", "0"],
          ["bench", "--rates", "0.5", "--workers", "-2"],
+         ["bench", "--rates", "0.5", "--n", "2"],
+         ["bench", "--rates", "0.5", "--n", "2", "--method", "ransac"],
          ["generate", "--n", "0"],
          ["generate", "--n", "12", "--outlier-rate", "1.5"],
          ["generate", "--n", "12", "--overlap", "0"],
@@ -475,6 +527,7 @@ class TestCli:
         ids=["bench-malformed-rate", "bench-rate-above-one", "bench-repeated-rate",
              "bench-repeated-rate-spelled-apart", "bench-zero-trials",
              "bench-zero-ransac-iters", "bench-zero-workers", "bench-negative-workers",
+             "bench-two-points", "bench-two-points-ransac",
              "generate-zero-points", "generate-rate-above-one", "generate-zero-overlap",
              "generate-overlap-without-all-to-all",
              "generate-nan-beta", "generate-beta-far-below-sigma", "generate-negative-seed"],

@@ -261,7 +261,7 @@ class TestHornWeighted:
         b = a.copy()
         q = horn_weighted(a, b, np.ones(3))
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-        assert check_collinear(a, np.ones(3))
+        assert check_collinear(a)
 
 
 class TestGncTls:
@@ -306,7 +306,7 @@ class TestGncTls:
                 elif n_in == 1:
                     gap = np.linalg.norm(b[mask][0]) - np.linalg.norm(a[mask][0])
                     cost = gap**2 / beta_bars[mask][0] ** 2 + n_out * p.cbar_sq
-                elif check_collinear(a[mask], np.ones(n_in)):
+                elif check_collinear(a[mask]):
                     continue  # unconstrained axis; never optimal for these seeds
                 else:
                     q = horn_weighted(a[mask], b[mask], 1.0 / beta_bars[mask] ** 2)
