@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 insufficient inliers, 3 I/O or format error.
 `main` is the one place that maps errors to exit codes: a subcommand
 raises, and any `ValueError` (a malformed file, an option out of range, a
-numerical failure inside `register`) or missing file exits 3 with one
-`error:` line. `bench` checks its options, `--n` at least 3 among them,
-before its first trial.
+numerical failure inside `register`) or `OSError` (a path that cannot be
+read or written) exits 3 with one `error:` line. `bench` checks its
+options, `--n` at least 3 among them, before its first trial.
 Benchmark workers come from --workers, capped at the CPUs this process
 may run on; each worker process votes on one thread.
 """
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except InsufficientInliersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_INLIERS
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 

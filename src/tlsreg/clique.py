@@ -29,12 +29,15 @@ When the certifier rejects the rotation found on it, `next_clique` gives
 the one fallback: the best maximum clique left after dropping one of its
 vertices.  For a first clique of m it has m - 1 vertices or more, so the
 pipeline's retry searches V_(m-1) through `max_clique_of_candidates`,
-which then never widens.  Every search stops at a wall-clock deadline and
-says whether it finished.
+which then never widens.  Every search stops at a deadline, an instant of
+`time.monotonic()` that the caller fixes (none by default), and says
+whether it finished.  Only the search's node count reads the clock, so
+every search given one deadline stops at the same instant.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -45,7 +48,6 @@ from .invariants import MeasurementGraph, row_blocks, scale_consistent
 
 # The package ships no compiled extension; kept for tools that record it.
 COMPILED_KERNEL = False
-DEFAULT_TIME_BUDGET = 10.0
 _DEADLINE_CHECK_INTERVAL = 4096
 
 
@@ -152,18 +154,17 @@ def _degeneracy_order(adj: np.ndarray) -> list[int]:
     return order
 
 
-def max_clique(graph: PrunedGraph, time_budget: float = DEFAULT_TIME_BUDGET) -> CliqueResult:
+def max_clique(graph: PrunedGraph, deadline: float = math.inf) -> CliqueResult:
     """Exact maximum clique, lexicographically smallest among ties, in
     original vertex ids.
 
     Returns the best clique found with is_certified_maximum=False when the
-    wall-clock budget expires before the search completes.
+    search is still running at `deadline`, a `time.monotonic()` instant.
     """
     adj = graph.adj
     if adj.shape[0] == 0:
         return CliqueResult(np.empty(0, dtype=np.int64), True)
 
-    deadline = time.monotonic() + float(time_budget)
     deg = adj.sum(axis=1)
     seed = _greedy_clique(adj, deg)
     # Vertices that could belong to a clique of size len(seed) keep degree
@@ -248,24 +249,21 @@ def _assert_clique(adj: np.ndarray, vertices: np.ndarray) -> None:
 
 
 def next_clique(
-    graph: PrunedGraph, first: CliqueResult, time_budget: float = DEFAULT_TIME_BUDGET
+    graph: PrunedGraph, first: CliqueResult, deadline: float = math.inf
 ) -> CliqueResult:
     """Fallback clique after `first`: the best maximum clique of G - v, v in first.
 
     "Best" is largest, then lexicographically smallest; the empty clique,
-    certified, when `first` is empty.  The |first| searches share one
-    deadline `time_budget` seconds away: each gets only the time the
-    earlier ones left.  It is certified only when every search finished.
+    certified, when `first` is empty.  The |first| searches share the one
+    deadline, so each gets only the time the earlier ones left.  It is
+    certified only when every search finished.
     """
-    deadline = time.monotonic() + float(time_budget)
     children = []
     for v in graph.rows(first.vertices).tolist():
         rest = graph.adj.copy()
         rest[v, :] = False
         rest[:, v] = False
-        children.append(
-            max_clique(PrunedGraph(rest, graph.vertices), max(0.0, deadline - time.monotonic()))
-        )
+        children.append(max_clique(PrunedGraph(rest, graph.vertices), deadline))
     # There are no children only when first is empty, and so is the answer.
     best = min(children, key=lambda c: (-len(c), c.vertices.tolist()), default=first)
     completed = all(c.is_certified_maximum for c in children)

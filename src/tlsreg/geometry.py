@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ROTATION_ORTHO_TOL = 1e-10
+# Four squared components at most this large cannot overflow their sum, in
+# any order of summation; larger ones can.
+_LARGEST_COMPONENT = 2.0**510
 
 
 def _as_vec(x, n: int, name: str) -> np.ndarray:
@@ -26,14 +28,16 @@ def _as_vec(x, n: int, name: str) -> np.ndarray:
 
 
 def _unit_floats(q) -> list[float]:
-    """q over its norm as Python floats; rejects near-zero quaternions.  The
-    norm is np.linalg.norm's root of a dot: a plain sum can differ."""
+    """q over its norm as Python floats; rejects near-zero quaternions and
+    any component above 2**510, where the dot could overflow (it would warn
+    and return inf).  The norm is np.linalg.norm's root of a dot: a plain
+    sum can differ."""
     v = np.asarray(q, dtype=float)
     if v.shape != (4,):
         raise ValueError(f"quaternion must have shape (4,), got {v.shape}")
     values = v.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError("quaternion must be finite")
+    if not all(abs(c) <= _LARGEST_COMPONENT for c in values):
+        raise ValueError("quaternion components must be finite and at most 2**510")
     v = v.ravel(order="K")
     n = math.sqrt(v.dot(v))
     if n < 1e-12:
@@ -153,11 +157,6 @@ class RigidTransform:
         if not isinstance(self.rotation, UnitQuaternion):
             object.__setattr__(self, "rotation", UnitQuaternion(self.rotation))
         object.__setattr__(self, "translation", _as_vec(self.translation, 3, "translation"))
-        R = self.rotation.to_matrix()
-        if np.max(np.abs(R.T @ R - np.eye(3))) > ROTATION_ORTHO_TOL:
-            raise ValueError("rotation matrix is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > ROTATION_ORTHO_TOL:
-            raise ValueError("rotation matrix must have determinant +1")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -44,11 +44,12 @@ chosen scale, searched like every hypothesis through
 `max_clique_of_candidates`: over V_(m-1) for a first clique of m, which
 holds it.  That clique takes the same pass as the first, its
 measurements, rotation and certificate, and keeps the re-voted scale.
-One deadline, fixed when the clique stage starts, bounds every prune and
-search, the retry's included.  Translation is solved per-axis by the
-same exact scalar solver on the aligned residuals.  Every stage runs
-under one clock, which refuses a span inside another, so the trace's
-times are of disjoint spans.
+One deadline, fixed when the clique stage starts, goes as it is to every
+search, the retry's children included, so all of them stop at the same
+instant; the prunes between them spend the same time.  Translation is
+solved per-axis by the same exact scalar solver on the aligned
+residuals.  Every stage runs under one clock, which refuses a span
+inside another, so the trace's times are of disjoint spans.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ class InsufficientInliersError(RuntimeError):
 class RegistrationOptions:
     known_scale: float | None = None
     certify_rotation: bool = False
-    clique_time_budget: float = clique.DEFAULT_TIME_BUDGET
+    # Seconds from the start of the clique stage to the one deadline of
+    # all its searches.
+    clique_time_budget: float = 10.0
     # The certifier's matrices are 4(K+1) square, so past a few hundred
     # rotation measurements K certification is not tractable and is skipped.
     certify_max_k: int = 600
@@ -390,8 +393,9 @@ def register(
         # with no agreeing pair, V_1 would be every vertex.
         raise InsufficientInliersError("maximum clique smaller than 3 vertices")
 
-    # One deadline bounds the whole stage: every prune and search, each
-    # hypothesis's and the retry's.
+    # One deadline bounds the whole stage: every search, each hypothesis's
+    # and the retry's children, stops at this instant, and the prunes
+    # between them spend the same time.
     deadline = time.monotonic() + opts.clique_time_budget
 
     def search(scale, vertices, first=None):
@@ -400,11 +404,10 @@ def register(
         with clock("prune_s"):
             pruned = prune_by_scale(graph, scale, cfg.cbar_sq, vertices)
         with clock("clique_s"):
-            time_left = max(0.0, deadline - time.monotonic())
             if first is None:
-                found = clique.max_clique(pruned, time_left)
+                found = clique.max_clique(pruned, deadline)
             else:
-                found = clique.next_clique(pruned, first, time_left)
+                found = clique.next_clique(pruned, first, deadline)
         return pruned, found
 
     tried, best, completed = [], None, True

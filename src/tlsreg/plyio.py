@@ -42,7 +42,8 @@ def write_ascii_ply(path, points) -> None:
 
 
 def read_ascii_ply(path) -> np.ndarray:
-    """Parse vertices with x, y, z properties from an ASCII PLY file."""
+    """Parse vertices with x, y, z properties from an ASCII PLY file whose
+    first element is `vertex`."""
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != "ply":
         raise PlyError("missing 'ply' magic", 1)
@@ -64,7 +65,10 @@ def read_ascii_ply(path) -> np.ndarray:
             if len(parts) < 2 or parts[1] != "ascii":
                 raise PlyError("only 'format ascii 1.0' is supported", lineno)
         elif parts[0] == "element":
-            in_vertex_element = parts[1] == "vertex"
+            in_vertex_element = parts[1:2] == ["vertex"]
+            # The rows are read from the first one on, so they must be vertices.
+            if not in_vertex_element and n_vertex is None:
+                raise PlyError("'vertex' must be the first element", lineno)
             if in_vertex_element:
                 try:
                     n_vertex = int(parts[2])

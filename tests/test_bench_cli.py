@@ -211,6 +211,14 @@ class TestRansac:
         assert np.allclose(t, t_true, atol=1e-10)
 
 
+# A face declared before the vertices: its row "3 0 1 2" comes first.
+FACE_FIRST_PLY = (
+    "ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_indices\n"
+    "element vertex 3\nproperty double x\nproperty double y\nproperty double z\n"
+    "end_header\n3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n"
+)
+
+
 class TestPlyIo:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -246,6 +254,23 @@ class TestPlyIo:
         with pytest.raises(PlyError) as err:
             read_ascii_ply(path)
         assert err.value.line == 9
+
+    def test_an_element_before_vertex_is_rejected(self, tmp_path):
+        # Rows are read as vertices from the first one on; a face row read
+        # as a vertex would drop the last real vertex without a word.
+        path = tmp_path / "face_first.ply"
+        path.write_text(FACE_FIRST_PLY)
+        with pytest.raises(PlyError, match="'vertex' must be the first element") as err:
+            read_ascii_ply(path)
+        assert err.value.line == 3
+        # Declared after the vertices, the face is left unread.
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+            "property double y\nproperty double z\nelement face 1\n"
+            "property list uchar int vertex_indices\nend_header\n"
+            "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+        )
+        assert np.array_equal(read_ascii_ply(path), [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
     def test_binary_format_rejected(self, tmp_path):
         path = tmp_path / "bin.ply"
@@ -374,6 +399,22 @@ class TestCli:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["register", "--src", "{dir}", "--dst", "{dir}", "--beta", "0.1"],
+         ["generate", "--n", "12", "--out", "{file}/x"]],
+        ids=["register-directory-as-cloud", "generate-under-a-file"],
+    )
+    def test_unusable_path_exit_code(self, tmp_path, capsys, argv):
+        # IsADirectoryError and FileExistsError are OSErrors, as a missing
+        # file is.
+        (tmp_path / "file").write_text("")
+        paths = {"dir": str(tmp_path), "file": str(tmp_path / "file")}
+        rc = cli_main([arg.format(**paths) for arg in argv])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_register_malformed_ply_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ply"
         bad.write_text(
@@ -385,6 +426,14 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 9: ")
+
+    def test_register_face_first_ply_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "face_first.ply"
+        bad.write_text(FACE_FIRST_PLY)
+        rc = cli_main(["register", "--src", str(bad), "--dst", str(bad), "--beta", "0.1"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: line 3: 'vertex' must be the first element"]
 
     def test_register_clouds_of_different_size_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

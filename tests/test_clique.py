@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from types import SimpleNamespace
+import time
 
 import numpy as np
 import pytest
@@ -143,7 +143,7 @@ class TestMaxClique:
         rng = np.random.default_rng(5)
         n = 130
         edges = random_graph(rng, n, 0.92)
-        r = max_clique(graph_from_edges(n, edges), time_budget=1e-4)
+        r = max_clique(graph_from_edges(n, edges), deadline=time.monotonic() + 1e-4)
         # Too little time to finish a dense 130-vertex instance: the search
         # stops at its first deadline check and returns its incumbent.
         assert not r.is_certified_maximum
@@ -308,23 +308,19 @@ class TestNextClique:
             assert not set(first.vertices.tolist()) <= set(r.vertices.tolist())
 
     def test_children_share_one_deadline(self, monkeypatch):
-        import time
-
-        clock = [time.monotonic()]
-        budgets = []
+        deadlines = []
         real = cl.max_clique
 
-        def recording(graph, time_budget):
-            budgets.append(time_budget)
-            clock[0] += 0.25  # each search uses a quarter second of the fake clock
-            return real(graph, 60.0)
+        def recording(graph, deadline):
+            deadlines.append(deadline)
+            return real(graph)
 
         monkeypatch.setattr(cl, "max_clique", recording)
-        monkeypatch.setattr(cl, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         g = graph_from_edges(12, list(itertools.combinations(range(5, 12), 2)))
-        next_clique(g, real(g), time_budget=1.0)
-        # Each of the 7 children gets what the earlier ones left of the deadline.
-        assert budgets == pytest.approx([1.0, 0.75, 0.5, 0.25, 0, 0, 0])
+        deadline = time.monotonic() + 1.0
+        next_clique(g, real(g), deadline=deadline)
+        # Each of the 7 children stops at the caller's instant, as it is.
+        assert deadlines == [deadline] * 7
 
     def test_a_cut_child_leaves_the_answer_uncertified(self, monkeypatch):
         # Every child after the first is cut and returns one vertex short of
@@ -332,8 +328,8 @@ class TestNextClique:
         # best; the answer still may have missed a larger one.
         real, calls = cl.max_clique, []
 
-        def cut_after_first(graph, time_budget):
-            found = real(graph, 60.0)
+        def cut_after_first(graph, deadline):
+            found = real(graph)
             calls.append(found)
             if len(calls) == 1:
                 return found

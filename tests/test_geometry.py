@@ -109,6 +109,31 @@ class TestRotate:
             )
             assert np.array_equal(quat_to_matrix(q), expected)
 
+    def test_every_norm_gives_a_rotation(self):
+        # Norms from 1e-11 to 1e150: the matrix is orthonormal with
+        # determinant +1 to a few ulps, so a transform need not check it.
+        rng = np.random.default_rng(27)
+        qs = rng.normal(size=(20_000, 4))
+        qs *= 10.0 ** rng.uniform(-11, 150, size=(20_000, 1)) / np.linalg.norm(qs, axis=1)[:, None]
+        Rs = np.array([quat_to_matrix(q) for q in qs])
+        gram = np.einsum("nki,nkj->nij", Rs, Rs)
+        assert np.abs(gram - np.eye(3)).max() < 1e-14
+        assert np.abs(np.linalg.det(Rs) - 1.0).max() < 1e-14
+
+    def test_a_half_turn_too_large_to_square_is_refused(self):
+        # 1e200 squared overflows: its "unit" quaternion would be zeros and
+        # its matrix the identity, not the half turn about x.  2**510 is
+        # the largest component taken; the half turn it gives is exact.
+        half_turn = np.diag([1.0, -1.0, -1.0])
+        assert np.array_equal(quat_to_matrix([2.0**510, 0.0, 0.0, 0.0]), half_turn)
+        for q in ([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, -np.nextafter(2.0**510, np.inf), 1.0]):
+            with pytest.raises(ValueError, match=r"at most 2\*\*510"):
+                quat_normalize(q)
+            with pytest.raises(ValueError, match=r"at most 2\*\*510"):
+                quat_to_matrix(q)
+            with pytest.raises(ValueError, match=r"at most 2\*\*510"):
+                RigidTransform(scale=1.0, rotation=q, translation=[0, 0, 0])
+
     @pytest.mark.parametrize(
         "q, message",
         [

@@ -234,9 +234,9 @@ class TestRegister:
             votes.append((bound, counts))
             return scales, counts
 
-        def recording_next(graph, first, time_budget):
+        def recording_next(graph, first, deadline):
             retried.append(graph)
-            return real_next(graph, first, time_budget)
+            return real_next(graph, first, deadline)
 
         monkeypatch.setattr(pl, "_scale_hypotheses", raised_count)
         monkeypatch.setattr(cl, "next_clique", recording_next)
@@ -269,9 +269,9 @@ class TestRegister:
         real_next, retried = cl.next_clique, []
         real_prune, pruned = pl.prune_by_scale, []
 
-        def recording_next(graph, first, time_budget):
+        def recording_next(graph, first, deadline):
             retried.append(graph)
-            return real_next(graph, first, time_budget)
+            return real_next(graph, first, deadline)
 
         def recording_prune(graph, s_hat, cbar_sq, vertices=None):
             pruned.append(vertices)
@@ -320,17 +320,17 @@ class TestRegister:
 
         real_search, real_next, children = cl.max_clique, cl.next_clique, []
 
-        def cut_children(graph, time_budget):
-            found = real_search(graph, 60.0)
+        def cut_children(graph, deadline):
+            found = real_search(graph)
             if children:
                 children.append(found)
                 if len(children) > 2:
                     return cl.CliqueResult(found.vertices[:-1], False)
             return found
 
-        def recording_next(graph, first, time_budget):
+        def recording_next(graph, first, deadline):
             children.append(None)  # the searches that follow are its children
-            return real_next(graph, first, time_budget)
+            return real_next(graph, first, deadline)
 
         monkeypatch.setattr(cl, "max_clique", cut_children)
         monkeypatch.setattr(cl, "next_clique", recording_next)
@@ -347,9 +347,9 @@ class TestRegister:
         assert res.trace.clique_completed is False
 
     def test_clique_budget_bounds_the_whole_stage(self, monkeypatch):
-        # A fake clock that moves only while a search runs: every search,
-        # the retry's included, must end by the deadline set when the
-        # clique stage starts.
+        # A fake clock that moves only while a search runs: register reads
+        # it once, when the clique stage starts, and every search, the
+        # retry's children included, gets the deadline it fixed then.
         import time as real_time
         from types import SimpleNamespace
 
@@ -357,19 +357,22 @@ class TestRegister:
         import tlsreg.pipeline as pl
         from tlsreg.certifier import Certificate, Verdict
 
-        clock = [real_time.monotonic()]
-        fake_time = SimpleNamespace(
-            monotonic=lambda: clock[0], perf_counter=real_time.perf_counter
+        clock, reads = [real_time.monotonic()], []
+
+        def monotonic():
+            reads.append(clock[0])
+            return clock[0]
+
+        monkeypatch.setattr(
+            pl, "time", SimpleNamespace(monotonic=monotonic, perf_counter=real_time.perf_counter)
         )
-        monkeypatch.setattr(cl, "time", fake_time)
-        monkeypatch.setattr(pl, "time", fake_time)
-        searches = []
+        deadlines = []
         real_search = cl.max_clique
 
-        def timed_search(graph, time_budget):
-            searches.append((clock[0], time_budget))
+        def timed_search(graph, deadline):
+            deadlines.append(deadline)
             clock[0] += 0.25
-            return real_search(graph, 60.0)
+            return real_search(graph)
 
         def always_reject(data, cand, opts=None):
             return Certificate(1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0)
@@ -381,17 +384,14 @@ class TestRegister:
         register(
             c, TlsConfig(), RegistrationOptions(certify_rotation=True, clique_time_budget=10.0)
         )
-        start, budget = searches[0]
-        assert budget == 10.0
-        assert len(searches) > 2  # the first search plus one per member of its clique
-        for now, child_budget in searches[1:]:
-            assert 0.0 <= child_budget
-            assert now + child_budget <= start + budget + 1e-9
+        assert len(reads) == 1
+        assert len(deadlines) > 2  # the first search plus one per member of its clique
+        assert deadlines == [reads[0] + 10.0] * len(deadlines)
 
     def test_scale_hypotheses_share_one_clique_budget(self, monkeypatch):
         # Three hypotheses, the middle one right, and a bound one above the
         # votes' own, which no clique reaches: all three are searched, every
-        # search ends by the deadline set when the stage starts, and the retry
+        # search gets the deadline fixed when the stage starts, and the retry
         # searches the chosen scale's graph over the vertices whose count
         # allows a clique one smaller than the chosen one.
         import time as real_time
@@ -402,31 +402,28 @@ class TestRegister:
         from tlsreg.certifier import Certificate, Verdict
 
         clock = [real_time.monotonic()]
-        fake_time = SimpleNamespace(
-            monotonic=lambda: clock[0], perf_counter=real_time.perf_counter
+        monkeypatch.setattr(
+            pl,
+            "time",
+            SimpleNamespace(monotonic=lambda: clock[0], perf_counter=real_time.perf_counter),
         )
-        monkeypatch.setattr(cl, "time", fake_time)
-        monkeypatch.setattr(pl, "time", fake_time)
-        searches, retried, votes = [], [], []
+        deadlines, retried, votes = [], [], []
         real_search, real_next, real_prune = cl.max_clique, cl.next_clique, pl.prune_by_scale
         real_hypotheses, real_bound = pl._scale_hypotheses, cl.size_bound
 
-        def timed_search(graph, time_budget):
-            searches.append((clock[0], time_budget))
+        def timed_search(graph, deadline):
+            deadlines.append(deadline)
             clock[0] += 0.25
             real_time.sleep(0.01)
-            return real_search(graph, 60.0)
+            return real_search(graph)
 
-        def recording_next(graph, first, time_budget):
+        def recording_next(graph, first, deadline):
             retried.append(graph)
-            return real_next(graph, first, time_budget)
+            return real_next(graph, first, deadline)
 
         def slow_prune(*args):
-            # The budget starts with the clique stage, so every prune draws
-            # on it.  Seven prunes and 24 searches (two of each per
-            # hypothesis, then the retry's prune and one search per member
-            # of the 18-clique) take 9.5 s on the fake clock, so none is
-            # handed an expired deadline.
+            # The prunes move the fake clock too; the deadline, fixed
+            # before the first of them, stays where it is.
             clock[0] += 0.5
             real_time.sleep(0.02)
             return real_prune(*args)
@@ -453,16 +450,12 @@ class TestRegister:
                 1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0
             )
         )
+        start = clock[0]
         res = register(
             c, TlsConfig(), RegistrationOptions(certify_rotation=True, clique_time_budget=10.0)
         )
-        # The first prune drew 0.5 s of the budget before the first search.
-        start, budget = searches[0]
-        assert budget == 9.5
-        assert len(searches) > 3  # one per hypothesis, then the retry's
-        for now, child_budget in searches[1:]:
-            assert 0.0 <= child_budget
-            assert now + child_budget <= start + budget + 1e-9
+        assert len(deadlines) > 3  # one per hypothesis, then the retry's
+        assert deadlines == [start + 10.0] * len(deadlines)
         tried = res.trace.scale_hypotheses
         assert [scale for scale, _ in tried] == hypotheses
         sizes = [size for _, size in tried]
@@ -486,7 +479,7 @@ class TestRegister:
         # Two hypotheses and a bound no clique reaches, with every vertex a
         # candidate for it, so each hypothesis is searched once, over every
         # vertex.  Each search takes 6 s on a fake clock and is cut when it
-        # has less time than that: at a 10 s budget the second search
+        # would end past its deadline: at a 10 s budget the second search
         # expires.  A cut search may have missed a larger clique, whichever
         # hypothesis's clique is chosen.
         import time as real_time
@@ -496,17 +489,17 @@ class TestRegister:
         import tlsreg.pipeline as pl
 
         clock = [real_time.monotonic()]
-        fake_time = SimpleNamespace(
-            monotonic=lambda: clock[0], perf_counter=real_time.perf_counter
+        monkeypatch.setattr(
+            pl,
+            "time",
+            SimpleNamespace(monotonic=lambda: clock[0], perf_counter=real_time.perf_counter),
         )
-        monkeypatch.setattr(cl, "time", fake_time)
-        monkeypatch.setattr(pl, "time", fake_time)
         real_search = cl.max_clique
 
-        def six_second_search(graph, time_budget):
+        def six_second_search(graph, deadline):
             clock[0] += 6.0
-            found = real_search(graph, 60.0)
-            cut = time_budget < 6.0
+            found = real_search(graph)
+            cut = clock[0] > deadline
             return cl.CliqueResult(found.vertices, found.is_certified_maximum and not cut)
 
         rng = np.random.default_rng(15)

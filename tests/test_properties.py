@@ -1,5 +1,6 @@
 """Property checks of the core solvers and of the registration cascade."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -404,12 +405,12 @@ def disjoint_tied_cliques(draw):
     return adj, vote_like_counts(rng, adj, draw(st.integers(0, 3)))
 
 
-def subgraph_search(adj, time_budget=cl.DEFAULT_TIME_BUDGET):
+def subgraph_search(adj, deadline=math.inf):
     """search(vertices) for max_clique_of_candidates over a fixed graph."""
 
     def search(vertices):
         graph = PrunedGraph(adj[np.ix_(vertices, vertices)], vertices)
-        return graph, max_clique(graph, time_budget)
+        return graph, max_clique(graph, deadline)
 
     return search
 
