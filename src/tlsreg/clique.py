@@ -253,8 +253,12 @@ def next_clique(
 ) -> CliqueResult:
     """Fallback clique after `first`: the best maximum clique of G - v, v in first.
 
-    "Best" is largest, then lexicographically smallest; the empty clique,
-    certified, when `first` is empty.  The |first| searches share the one
+    "Best" is largest, then lexicographically smallest, so the answer is
+    the best clique that does not contain all of `first`; the empty
+    clique, certified, when `first` is empty.  When no clique of m - 1 or
+    more vertices (m = |first|) exists other than the subsets of `first`,
+    that is `first` minus its largest vertex id, which need not be an
+    outlier.  The |first| searches share the one
     deadline, so each gets only the time the earlier ones left.  It is
     certified only when every search finished.
     """

@@ -285,13 +285,15 @@ class MeasurementGraph:
 
 
 def degenerate_edge_cutoff(c: CorrespondenceSet) -> float:
-    """Length below which a source-side TIM is treated as degenerate.
+    """Length at or below which a source-side TIM is treated as degenerate.
 
-    Scaled by the bounding-box diagonal of the source cloud so the cutoff
-    tracks the data's unit.
+    A fixed fraction of the bounding-box diagonal of the source cloud, at
+    every scale, so the cutoff follows the data's unit.  A cloud whose
+    points all coincide has extent 0, hence cutoff 0: every pair is
+    degenerate and no TRIM exists.
     """
     extent = np.linalg.norm(c.source.max(axis=0) - c.source.min(axis=0))
-    return DEGENERATE_EDGE_REL_TOL * max(extent, 1.0)
+    return DEGENERATE_EDGE_REL_TOL * extent
 
 
 def _norms(points: np.ndarray, i, j, out=None, scratch=None) -> np.ndarray:

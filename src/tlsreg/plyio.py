@@ -43,7 +43,8 @@ def write_ascii_ply(path, points) -> None:
 
 def read_ascii_ply(path) -> np.ndarray:
     """Parse vertices with x, y, z properties from an ASCII PLY file whose
-    first element is `vertex`."""
+    first element is `vertex`.  Other vertex properties are skipped; a list
+    property may follow x, y and z."""
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != "ply":
         raise PlyError("missing 'ply' magic", 1)
@@ -75,11 +76,15 @@ def read_ascii_ply(path) -> np.ndarray:
                 except (IndexError, ValueError):
                     raise PlyError("bad vertex count", lineno) from None
         elif parts[0] == "property" and in_vertex_element:
-            if len(parts) != 3:
+            if parts[1:2] == ["list"] and len(parts) == 5:
+                # A list's row holds its length, then that many values, so
+                # only the columns before it are fixed.
+                if len(coord_cols) < 3:
+                    raise PlyError("a list property must come after x, y, z", lineno)
+            elif len(parts) != 3:
                 raise PlyError("malformed property", lineno)
-            name = parts[2]
-            if name in ("x", "y", "z"):
-                coord_cols[name] = n_props
+            elif parts[2] in ("x", "y", "z"):
+                coord_cols[parts[2]] = n_props
             n_props += 1
     if header_end is None:
         raise PlyError("missing end_header", len(text))

@@ -36,6 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Boundaries merge when closer than this fraction of their magnitude: a
+# purely relative rule, with no absolute floor, so a change of units
+# merges the same boundaries.
 BOUNDARY_MERGE_REL_TOL = 1e-12
 # Keys of a missing entry's upper and lower boundary in the row-wise vote:
 # odd and even, and above every finite boundary's key.
@@ -136,7 +139,7 @@ def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
     # produce one event group instead of zero-width intervals.
     new_group = np.empty(pos.size, dtype=bool)
     new_group[0] = True
-    new_group[1:] = np.diff(pos) > BOUNDARY_MERGE_REL_TOL * np.maximum(1.0, np.abs(pos[1:]))
+    new_group[1:] = np.diff(pos) > BOUNDARY_MERGE_REL_TOL * np.abs(pos[1:])
     group_pos = pos[new_group]
     # State after processing all events of group g is valid on the open
     # interval (group_pos[g], group_pos[g + 1]).

@@ -272,6 +272,29 @@ class TestPlyIo:
         )
         assert np.array_equal(read_ascii_ply(path), [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
+    def test_list_property_after_the_coordinates(self, tmp_path):
+        # Each row holds the list's length, then that many values.
+        path = tmp_path / "indexed.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "property list uchar int idx\nend_header\n"
+            "0 1 2 2 7 8\n3 4 5 0\n"
+        )
+        assert np.array_equal(read_ascii_ply(path), [[0, 1, 2], [3, 4, 5]])
+
+    def test_list_property_before_a_coordinate_is_rejected(self, tmp_path):
+        # The list's length varies by row, so the columns after it do too.
+        path = tmp_path / "list_first.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+            "property list uchar int idx\nproperty double y\nproperty double z\n"
+            "end_header\n0 1 7 1 2\n3 0 4 5\n"
+        )
+        with pytest.raises(PlyError, match="a list property must come after x, y, z") as err:
+            read_ascii_ply(path)
+        assert err.value.line == 5
+
     def test_binary_format_rejected(self, tmp_path):
         path = tmp_path / "bin.ply"
         path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
@@ -434,6 +457,28 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: line 3: 'vertex' must be the first element"]
+
+    def test_register_ply_with_a_list_property(self, tmp_path):
+        # The same clouds with a list property after x, y, z register to
+        # the same pose and inliers.
+        prefix = tmp_path / "inst"
+        cli_main(["generate", "--n", "12", "--seed", "7", "--known-scale", "--out", str(prefix)])
+        argv = ["register", "--beta", "0.0554", "--known-scale", "1.0", "--no-certify"]
+        plain, listed = tmp_path / "plain.json", tmp_path / "listed.json"
+        assert cli_main([*argv, "--src", f"{prefix}_src.ply", "--dst", f"{prefix}_dst.ply",
+                         "--out", str(plain)]) == 0
+        for side in ("src", "dst"):
+            head, body = Path(f"{prefix}_{side}.ply").read_text().split("end_header\n")
+            rows = "".join(f"{row} 2 0 1\n" for row in body.splitlines())
+            (tmp_path / f"{side}.ply").write_text(
+                f"{head}property list uchar int idx\nend_header\n{rows}"
+            )
+        rc = cli_main([*argv, "--src", str(tmp_path / "src.ply"), "--dst", str(tmp_path / "dst.ply"),
+                       "--out", str(listed)])
+        assert rc == 0
+        docs = [json.loads(path.read_text()) for path in (plain, listed)]
+        assert docs[0]["transform"] == docs[1]["transform"]
+        assert docs[0]["inlier_indices"] == docs[1]["inlier_indices"]
 
     def test_register_clouds_of_different_size_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

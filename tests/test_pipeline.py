@@ -935,6 +935,24 @@ class TestErrorBounds:
             dt = np.abs(tf.translation - gt.translation)
             assert np.all(dt <= b.tighter.translation + 1e-12), seed
 
+    def test_worst_case_bounds_hold_on_few_inliers(self):
+        # At most 9 selected inliers give at most 36 TRIMs, whose C(36, 3)
+        # triples are few enough to enumerate: the tighter bounds take the
+        # worst case over them instead of the minimum.
+        for seed in range(70_000, 70_020):
+            c, gt, _ = generate(
+                SyntheticSpec(n_points=12, sigma=0.01, outlier_rate=0.3, seed=seed)
+            )
+            res = register(c)
+            b = compute_error_bounds(res, c)
+            tf = res.transform
+            assert b.tighter.worst_case, seed
+            assert abs(tf.scale - gt.scale) <= b.tighter.scale + 1e-12, seed
+            angle = geodesic_rotation_error(tf.matrix, gt.rotation.to_matrix())
+            assert gt.scale * (1 - math.cos(angle)) <= b.tighter.rotation + 1e-12, seed
+            dt = np.abs(tf.translation - gt.translation)
+            assert np.all(dt <= b.tighter.translation + 1e-12), seed
+
     def test_coplanar_geometry_gives_infinite_rotation_bound(self):
         rng = np.random.default_rng(42)
         src = np.column_stack([rng.uniform(0, 1, size=(20, 2)), np.zeros(20)])

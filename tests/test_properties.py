@@ -150,7 +150,9 @@ class TestRegisterProperties:
         assert np.abs(got.transform.translation - t_moved).max() <= 1e-9
 
     @pytest.mark.parametrize("known_scale", [True, False])
-    @pytest.mark.parametrize("units", [1000.0, 1 / 25.4])
+    @pytest.mark.parametrize(
+        "units", [1000.0, 1 / 25.4, 1e-8, 1e-9, 1e-12, 1e-100, 1e-140, 1e100, 1e150]
+    )
     def test_change_of_units(self, units, known_scale):
         # Points and noise bounds in other units: the same inliers, scale
         # and rotation, and the translation in the new units.

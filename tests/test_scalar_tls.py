@@ -327,12 +327,19 @@ class TestRowVotes:
     @pytest.mark.parametrize(
         "src, n_skipped, n_bare",
         [
-            # Vertex 0 lies within the degeneracy cutoff of both others,
-            # which are not within it of each other: no TRIM at vertex 0.
-            (np.array([[0.0, 0.0, 0.0], [0.9e-9, 0.0, 0.0], [-0.9e-9, 0.0, 0.0]]), 2, 1),
+            # Vertex 0 lies within the degeneracy cutoff (1e-9 of the
+            # extent, which vertex 3 sets) of vertices 1 and 2, which are
+            # not within it of each other.
+            (
+                np.array([[0.0, 0.0, 0.0], [0.9e-9, 0.0, 0.0], [-0.9e-9, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                2,
+                0,
+            ),
             (np.random.default_rng(85).uniform(0, 1, size=(3, 3)), 0, 0),
             # Vertices 3, 12 and 13 coincide.
             (CLOUD_30[[*range(12), 3, 3, *range(14, 30)]], 3, 0),
+            # Every point coincides: extent 0, cutoff 0, no TRIM at all.
+            (np.full((3, 3), 0.5), 3, 3),
         ],
     )
     def test_graph_tables_with_coincident_source_points(self, src, n_skipped, n_bare):
