@@ -350,16 +350,24 @@ def _solve_rotation(graph, within, s_hat, cfg: TlsConfig, opts: RegistrationOpti
 
 def estimate_translation(source, target, s_hat, R_hat, betas, cbar_sq):
     """Component-wise translation: three independent scalar solves on the
-    aligned residuals, plus the per-axis and intersection inlier masks."""
+    aligned residuals, plus the per-axis and intersection inlier masks.
+
+    The axes are solved in units of 2^e, the power of two just above the
+    largest bound, so the sweep's weights 1/beta^2 stay finite at any unit
+    of length (at 1e-150 they would reach about 3e302, and their products
+    overflow).  Scaling by a power of two is exact, so the estimate scaled
+    back is the one solved in the caller's units."""
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    residuals = target - s_hat * source @ np.asarray(R_hat).T
+    e = math.frexp(float(np.max(betas)))[1]
+    residuals = np.ldexp(target - s_hat * source @ np.asarray(R_hat).T, -e)
+    alphas = np.ldexp(betas, -e)
     t = np.zeros(3)
     masks = np.zeros((3, source.shape[0]), dtype=bool)
     for axis in range(3):
-        sol = solve_scalar_tls(ScalarTlsProblem(residuals[:, axis], betas, cbar_sq))
-        t[axis] = sol.estimate
+        sol = solve_scalar_tls(ScalarTlsProblem(residuals[:, axis], alphas, cbar_sq))
+        t[axis] = math.ldexp(sol.estimate, e)
         masks[axis] = sol.inlier_mask
     return t, masks, np.all(masks, axis=0)
 

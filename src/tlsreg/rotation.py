@@ -18,11 +18,14 @@ eigenvector of the symmetric 4x4 matrix sum_k w_k L(b_k)^T R(a_k), the
 cross-covariance contracted with PRODUCT_BASIS.  The outer loop anneals a
 surrogate of the truncated cost from nearly-least-squares to the exact
 truncated cost, rewriting per-measurement weights in closed form at each
-step.  A step takes eigh's eigenvector as it comes, close enough that no
-weight crosses 1/2 and the loop stops at the same step; only the rotation
-returned, the last step's, is polished.  At K = 45 a step takes about
-46 us on one core (93 us with every step polished and the rotation
-matrix built on numpy scalars).
+step.  It starts from the all-inlier rotation, the solve with every weight
+1/beta^2, as the GNC paper does (Yang et al., RA-L 2020, Algorithm 1).  A
+step takes eigh's eigenvector as it comes, close enough that no weight
+crosses 1/2 and the loop stops at the same step; only the rotation
+returned, the last step's, is polished.  On a clique of inliers the
+residuals at the start lie well inside the bound, so the first step's
+weights are binary and that step is the last: a call costs about one
+rotation solve plus one step, at K = 45 about 0.14 ms on one core.
 """
 
 from __future__ import annotations
@@ -208,13 +211,14 @@ def _weight_update(r_sq, mu, eps_sq) -> np.ndarray:
 def solve_gnc_tls(p: RotationProblem) -> RotationSolution:
     """Graduated non-convexity for the truncated rotation objective.
 
-    Starts from the identity rotation, anneals the control parameter
-    geometrically until the surrogate matches the truncated cost, and
-    re-evaluates the exact objective at the final rotation/indicators.
+    Starts from the all-inlier rotation (every weight 1/beta^2), anneals
+    the control parameter geometrically from the value its residuals give
+    until the surrogate matches the truncated cost, and re-evaluates the
+    exact objective at the final rotation/indicators.
     """
     eps_sq = p.cbar_sq
     inv_beta_sq = 1.0 / p.beta_sq
-    q = np.array([0.0, 0.0, 0.0, 1.0])
+    q = _horn(inv_beta_sq @ p.table)
     r_sq = p.residuals_sq(q)
     r_max_sq = float(np.max(r_sq))
     mu = eps_sq / max(2.0 * r_max_sq - eps_sq, 1e-12)

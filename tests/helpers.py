@@ -111,12 +111,15 @@ def make_rotation_instance(rng, K, outlier_fraction=0.0, sigma=0.0, beta=0.055):
     return a, b, q_true, labels
 
 
-def reference_gnc_tls(p):
+def reference_gnc_tls(p, start=None):
     """GNC with every step's rotation polished (_horn on each step): the
-    reference whose answers solve_gnc_tls, which polishes once, reproduces."""
+    reference whose answers solve_gnc_tls, which polishes once, reproduces.
+
+    It starts where the solver does, at the all-inlier rotation (every
+    weight 1/beta^2), unless given another start quaternion."""
     eps_sq = p.cbar_sq
     inv_beta_sq = 1.0 / p.beta_bars**2
-    q = np.array([0.0, 0.0, 0.0, 1.0])
+    q = _horn(inv_beta_sq @ p.table) if start is None else start
     r_sq = p.residuals_sq(q)
     mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
     degenerate = check_collinear(p.a_bars)

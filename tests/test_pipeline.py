@@ -714,6 +714,32 @@ class TestUnknownScaleNinetyPercentOutliers:
         assert np.linalg.norm(tf.translation - gt.translation) < 0.1
 
 
+class TestCleanCliqueRotation:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "n, outlier_rate, known_scale", [(150, 0.5, False), (1000, 0.99, True)]
+    )
+    def test_one_gnc_step_on_a_clean_clique(self, n, outlier_rate, known_scale, seed):
+        # The dense50_n150 and known99_n1000 regimes: the clique holds
+        # inliers only, so GNC's all-inlier start already has every weight
+        # binary, and its first step is its last.
+        c, gt, labels = generate(
+            SyntheticSpec(
+                n_points=n, sigma=0.01, outlier_rate=outlier_rate, seed=32_000 + seed,
+                known_scale=known_scale,
+            )
+        )
+        res = register(
+            c, TlsConfig(), RegistrationOptions(known_scale=1.0 if known_scale else None)
+        )
+        assert np.all(labels[res.clique.vertices])
+        assert res.trace.gnc_iterations == 1 and res.trace.gnc_converged
+        tf = res.transform
+        assert abs(tf.scale - gt.scale) < 0.05 * gt.scale
+        assert math.degrees(geodesic_rotation_error(tf.matrix, gt.rotation.to_matrix())) < 3.0
+        assert np.linalg.norm(tf.translation - gt.translation) < 0.1
+
+
 class TestCertificateRetry:
     @pytest.mark.parametrize("seed", [3213451745401503880, 1423462175018655287])
     def test_a_rejected_clique_retries_on_the_whole_graphs_next_clique(self, seed):

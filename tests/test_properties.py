@@ -120,6 +120,19 @@ def with_copies(c, rows, shift):
     )
 
 
+def assert_same_answer_in_units(c, opts, res, units):
+    """c with its points and noise bounds in other units registers to res's
+    inliers, scale and rotation, and to its translation in the new units."""
+    scaled = CorrespondenceSet(units * c.source, units * c.target, units * c.noise_bounds)
+    got = register(scaled, TlsConfig(), opts)
+
+    assert np.array_equal(got.inlier_indices, res.inlier_indices)
+    assert abs(got.transform.scale - res.transform.scale) <= 1e-9
+    assert np.abs(got.transform.matrix - res.transform.matrix).max() <= 1e-9
+    t_scaled = units * res.transform.translation
+    assert np.abs(got.transform.translation - t_scaled).max() <= 1e-9 * units
+
+
 def register_instance(seed, known_scale):
     """An N = 80, 50%-outlier instance and its registration."""
     c, _, _, opts = make_instance(seed, known_scale)
@@ -151,20 +164,22 @@ class TestRegisterProperties:
 
     @pytest.mark.parametrize("known_scale", [True, False])
     @pytest.mark.parametrize(
-        "units", [1000.0, 1 / 25.4, 1e-8, 1e-9, 1e-12, 1e-100, 1e-140, 1e100, 1e150]
+        "units", [1000.0, 1 / 25.4, 1e-8, 1e-9, 1e-12, 1e-100, 1e-140, 1e-150, 1e100, 1e150]
     )
     def test_change_of_units(self, units, known_scale):
-        # Points and noise bounds in other units: the same inliers, scale
-        # and rotation, and the translation in the new units.
         c, opts, res = register_instance(15_003, known_scale)
-        scaled = CorrespondenceSet(units * c.source, units * c.target, units * c.noise_bounds)
-        got = register(scaled, TlsConfig(), opts)
+        assert_same_answer_in_units(c, opts, res, units)
 
-        assert np.array_equal(got.inlier_indices, res.inlier_indices)
-        assert abs(got.transform.scale - res.transform.scale) <= 1e-9
-        assert np.abs(got.transform.matrix - res.transform.matrix).max() <= 1e-9
-        t_scaled = units * res.transform.translation
-        assert np.abs(got.transform.translation - t_scaled).max() <= 1e-9 * units
+    @pytest.mark.parametrize("seed, known_scale", [(3, True), (5, False)])
+    def test_change_of_units_in_the_translation_solve(self, seed, known_scale):
+        # N = 300, 80% outliers: solved in the caller's units, the
+        # translation's weights 1/beta^2 reached 3e302 at 1e-150 on these
+        # two, and their products overflowed.
+        c, _, _ = generate(
+            SyntheticSpec(n_points=300, outlier_rate=0.8, seed=seed, known_scale=known_scale)
+        )
+        opts = RegistrationOptions(known_scale=1.0 if known_scale else None)
+        assert_same_answer_in_units(c, opts, register(c, TlsConfig(), opts), 1e-150)
 
     @pytest.mark.parametrize("known_scale", [True, False])
     @pytest.mark.parametrize("seed", [15_004, 15_005, 15_006])

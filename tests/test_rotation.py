@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import gnc_surrogate, quat_from_axis_angle, reference_gnc_tls, truncated_cost
+from helpers import (
+    gnc_surrogate,
+    make_rotation_instance,
+    quat_from_axis_angle,
+    reference_gnc_tls,
+    truncated_cost,
+)
 from tlsreg.geometry import (
     geodesic_rotation_error,
     left_product_matrix,
@@ -319,14 +325,15 @@ class TestGncTls:
             assert sol.cost <= best + 1e-6
 
     def test_surrogate_monotone_within_iterations(self):
-        # Replays solve_gnc_tls step by step: at fixed mu, the weight update
-        # and the weighted rotation solve each lower the surrogate.
+        # Replays solve_gnc_tls step by step from its start, the all-inlier
+        # rotation: at fixed mu, the weight update and the weighted rotation
+        # solve each lower the surrogate.
         rng = np.random.default_rng(77)
         a, b, _, _ = make_instance(rng, 30, outlier_fraction=0.3, sigma=0.01, beta=0.055)
         p = RotationProblem(a, b, np.full(30, 0.11))
         eps_sq = p.cbar_sq
         inv_beta_sq = 1.0 / p.beta_bars**2
-        q = np.array([0.0, 0.0, 0.0, 1.0])
+        q = _horn(inv_beta_sq @ p.table)
         r_sq = p.residuals_sq(q)
         mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
         weights = np.ones(p.size)
@@ -346,6 +353,22 @@ class TestGncTls:
         sol = solve_gnc_tls(p)
         assert sol.gnc_iterations == iterations
         assert np.array_equal(sol.rotation, q)
+
+    def test_certifier_protocol_answers_as_from_the_identity(self):
+        # Criterion 8's problems (K = 100, outlier rates 0 to 0.7, its own
+        # seed): the all-inlier start gives the rotation bits and indicators
+        # an identity start gives, so the certifier sees the same candidates.
+        rng = np.random.default_rng(808)
+        rates = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        identity = np.array([0.0, 0.0, 0.0, 1.0])
+        for trial in range(100):
+            a, b, _, _ = make_rotation_instance(
+                rng, 100, outlier_fraction=rates[trial % len(rates)], sigma=0.01, beta=0.055
+            )
+            p = RotationProblem(a, b, np.full(100, 0.11), cbar_sq=1.0)
+            sol, ref = solve_gnc_tls(p), reference_gnc_tls(p, start=identity)
+            assert sol.rotation.tobytes() == ref.rotation.tobytes(), trial
+            assert np.array_equal(sol.theta, ref.theta), trial
 
     @pytest.mark.parametrize(
         "geometry, tol",
