@@ -12,15 +12,19 @@ the whole solve is O(K log K) instead of the O(K^2) re-scan of the naive
 enumeration.  The same sweep powers consensus maximization (return the
 largest consensus set instead of the cheapest one).
 
-The boundaries are sorted with numpy's stable sort, because the bits of
-the running sums depend on the event order: lower boundaries come first
-on ties, each kind in index order.  The active count of each interval is
-an integer prefix sum over the lower-boundary events.  Registration
-solves at most a few thousand measurements at a time: one vertex's TRIMs
-(N - 1 of them) and a clique's pairs (4,950 in a 100-vertex clique).  At
-K = 4,950 a solve takes a median of 1.9 ms (30 calls on one core); an
-unstable sort plus a fix-up of the runs of equal boundaries took 0.9 ms,
-a difference lost in the spread of the ~100 ms registration call.
+The bits of the running sums depend on the event order, which is the
+stable one: lower boundaries come first on ties, each kind in index
+order.  The boundaries go through numpy's default argsort, and only runs
+of equal boundaries, when there are any, get a second sort into that
+order (`_event_order`).  The active count of each interval is an integer
+prefix sum over the lower-boundary events.  Registration solves at most
+a few thousand measurements at a time: one vertex's TRIMs (N - 1 of
+them) and a clique's pairs (2,775 in the 75-vertex cliques of the
+dense50_n150 workload, 4,950 in a 100-vertex one).  A stable argsort of
+those 9,900 boundaries took 0.7-1.0 ms and the default one 0.12-0.19 ms
+(one core, 2-core machine), so a solve at K = 4,950 went from a median
+of 2.1 ms to 1.4 ms (30 calls), and at K = 2,775 from 1.0 to 0.6 ms:
+about a tenth of a dense50_n150 call.
 
 `row_consensus_votes` runs consensus maximization on every row of a table
 at once; registration's per-vertex scale votes hand it the TRIM rows one
@@ -123,16 +127,32 @@ class _Sweep:
         return self.edges[j], self.edges[j + 1]
 
 
+def _event_order(pos: np.ndarray) -> np.ndarray:
+    """np.argsort(pos, kind="stable"), from the faster default argsort.
+
+    That one leaves only runs of equal values (-0.0 equals 0.0) out of
+    index order; when there are any, one more argsort on (run, index) puts
+    each run in order.
+    """
+    order = np.argsort(pos)
+    sorted_pos = pos[order]
+    ties = sorted_pos[1:] == sorted_pos[:-1]
+    if ties.any():
+        run = np.concatenate([[0], np.cumsum(~ties)])
+        order = order[np.argsort(run * pos.size + order)]
+    return order
+
+
 def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
     s, a = p.measurements, p.alphas
     cbar = np.sqrt(p.cbar_sq)
     half = a * cbar
     K = s.size
 
-    # Lower boundaries are events 0..K-1; the stable sort puts them first
+    # Lower boundaries are events 0..K-1; the stable order puts them first
     # on ties.
     pos = np.concatenate([s - half, s + half])
-    order = np.argsort(pos, kind="stable")
+    order = _event_order(pos)
     pos = pos[order]
 
     # Collapse boundaries that coincide within relative tolerance so ties

@@ -118,7 +118,7 @@ def reference_gnc_tls(p, start=None):
     It starts where the solver does, at the all-inlier rotation (every
     weight 1/beta^2), unless given another start quaternion."""
     eps_sq = p.cbar_sq
-    inv_beta_sq = 1.0 / p.beta_bars**2
+    inv_beta_sq = 1.0 / p.beta_sq
     q = _horn(inv_beta_sq @ p.table) if start is None else start
     r_sq = p.residuals_sq(q)
     mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)

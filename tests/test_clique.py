@@ -197,6 +197,53 @@ class TestMaxClique:
             assert order.tolist() == recount_degeneracy_order(adj, active)
 
 
+class TestGreedySeed:
+    @staticmethod
+    def counted_drops(monkeypatch):
+        calls = []
+        real = cl._drop
+
+        def drop(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cl, "_drop", drop)
+        return calls
+
+    def test_a_complete_graph_takes_no_step(self, monkeypatch):
+        calls = self.counted_drops(monkeypatch)
+        adj = graph_from_edges(200, list(itertools.combinations(range(200), 2))).adj
+        assert _greedy_clique(adj, adj.sum(axis=1)) == list(range(200))
+        assert calls == []
+
+    def test_the_rest_joins_at_once_partway(self, monkeypatch):
+        # A clique planted in sparse noise: the walk steps until the noise
+        # around the clique has dropped out, then takes the rest at once.
+        calls = self.counted_drops(monkeypatch)
+        rng = np.random.default_rng(33)
+        for n, m, p in [(60, 12, 0.05), (150, 75, 0.02), (200, 30, 0.1), (40, 39, 0.5)]:
+            for _ in range(5):
+                planted = rng.choice(n, size=m, replace=False)
+                edges = random_graph(rng, n, p) + list(itertools.combinations(planted, 2))
+                adj = graph_from_edges(n, edges).adj
+                calls.clear()
+                seed = _greedy_clique(adj, adj.sum(axis=1))
+                assert seed == recount_greedy_clique(adj)
+                assert 0 < len(calls) < len(seed) - 1
+
+    def test_a_missing_edge_keeps_the_walk_going(self, monkeypatch):
+        # K_n minus the edge (u, v): u and v stay candidates, not adjacent,
+        # until the walk has taken every other vertex one by one.
+        calls = self.counted_drops(monkeypatch)
+        for n, (u, v) in [(2, (0, 1)), (3, (0, 2)), (10, (0, 1)), (50, (7, 31)), (50, (48, 49))]:
+            edges = [e for e in itertools.combinations(range(n), 2) if e != (u, v)]
+            adj = graph_from_edges(n, edges).adj
+            calls.clear()
+            seed = _greedy_clique(adj, adj.sum(axis=1))
+            assert seed == recount_greedy_clique(adj)
+            assert len(calls) == n - 1
+
+
 class TestPruneByScale:
     def make_graph(self, n, outlier_idx, scale=2.0, seed=0):
         rng = np.random.default_rng(seed)

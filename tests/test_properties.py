@@ -164,7 +164,8 @@ class TestRegisterProperties:
 
     @pytest.mark.parametrize("known_scale", [True, False])
     @pytest.mark.parametrize(
-        "units", [1000.0, 1 / 25.4, 1e-8, 1e-9, 1e-12, 1e-100, 1e-140, 1e-150, 1e100, 1e150]
+        "units",
+        [1000.0, 1 / 25.4, 1e-8, 1e-9, 1e-12, 1e-100, 1e-140, 1e-150, 1e-155, 1e100, 1e150],
     )
     def test_change_of_units(self, units, known_scale):
         c, opts, res = register_instance(15_003, known_scale)

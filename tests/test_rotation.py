@@ -20,6 +20,7 @@ from tlsreg.geometry import (
     random_unit_quaternion,
     right_product_matrix,
 )
+from tlsreg import rotation
 from tlsreg.rotation import (
     GNC_MAX_ITERATIONS,
     GNC_MU_FACTOR,
@@ -114,7 +115,7 @@ class TestMeasurementTable:
             q = random_unit_quaternion(rng)
             R = quat_to_matrix(q)
             direct = ((b - a @ R.T) ** 2).sum(axis=1) / p.beta_bars**2
-            scale = (p.sq_norms / p.beta_bars**2).max()
+            scale = (p.sq_norms / p.beta_sq).max()
             assert np.max(np.abs(p.residuals_sq(q) - direct)) <= 1e-13 * scale
 
     def test_noise_free_residuals_are_nonnegative(self):
@@ -332,7 +333,7 @@ class TestGncTls:
         a, b, _, _ = make_instance(rng, 30, outlier_fraction=0.3, sigma=0.01, beta=0.055)
         p = RotationProblem(a, b, np.full(30, 0.11))
         eps_sq = p.cbar_sq
-        inv_beta_sq = 1.0 / p.beta_bars**2
+        inv_beta_sq = 1.0 / p.beta_sq
         q = _horn(inv_beta_sq @ p.table)
         r_sq = p.residuals_sq(q)
         mu = max(eps_sq / max(2.0 * float(np.max(r_sq)) - eps_sq, 1e-12), GNC_MU_MIN)
@@ -414,6 +415,28 @@ class TestGncTls:
                     assert sol.degenerate == ref.degenerate
                     assert np.max(np.abs(sol.rotation - ref.rotation)) <= tol, (K, rate)
 
+    def test_a_clean_problem_is_solved_once(self, monkeypatch):
+        # On inliers only, the first step's weights are all 1: the start's
+        # solve is that step's, so it is neither redone nor polished again.
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(rotation, "_polish", counted("polish", rotation._polish))
+        rng = np.random.default_rng(32)
+        for K in (3, 45, 2775):
+            a, b, _, _ = make_rotation_instance(rng, K, sigma=0.01, beta=0.055)
+            calls.clear()
+            sol = solve_gnc_tls(RotationProblem(a, b, np.full(K, 0.11)))
+            assert sol.gnc_iterations == 1 and sol.converged
+            assert calls == ["eigh", "polish"]
+
     def test_output_quaternion_is_unit_and_rotation_valid(self):
         rng = np.random.default_rng(3)
         a, b, _, _ = make_instance(rng, 20, outlier_fraction=0.2, sigma=0.01, beta=0.055)
@@ -458,3 +481,22 @@ class TestGncTls:
             args[field][1] = math.inf
         with pytest.raises(ValueError, match="finite"):
             RotationProblem(**args)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.6])
+    def test_a_change_of_units_keeps_the_bits(self, rate):
+        # 2^-520 puts beta^2 (about 2^-1050) below the smallest normal
+        # double: 1/beta^2 in the caller's units would overflow.  Scaling by
+        # a power of two is exact, so the answer keeps its bits.
+        rng = np.random.default_rng(33_000 + int(10 * rate))
+        a, b, _, _ = make_rotation_instance(rng, 40, outlier_fraction=rate, sigma=0.01, beta=0.055)
+        beta = np.full(40, 0.11)
+        unit = solve_gnc_tls(RotationProblem(a, b, beta))
+        for e in (-520, -300, 300, 520):
+            sol = solve_gnc_tls(
+                RotationProblem(np.ldexp(a, e), np.ldexp(b, e), np.ldexp(beta, e))
+            )
+            assert sol.rotation.tobytes() == unit.rotation.tobytes(), e
+            assert np.array_equal(sol.theta, unit.theta), e
+            assert (sol.cost, sol.gnc_iterations, sol.converged, sol.degenerate) == (
+                unit.cost, unit.gnc_iterations, unit.converged, unit.degenerate
+            ), e

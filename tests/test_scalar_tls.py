@@ -5,10 +5,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import finite_trim_count, reference_sweep_intervals, trim_tables
 from tlsreg.scalar_tls import (
     ScalarTlsProblem,
+    _event_order,
     _sweep_intervals,
     consensus_equivalence_check,
     row_consensus_votes,
@@ -80,6 +83,32 @@ def tied_problem(rng):
     s[rng.random(K) < 0.1] = -0.0
     a = rng.choice([1.0, 3.0, 5.0, 7.0], size=K)
     return ScalarTlsProblem(s, a, cbar_sq=float(rng.choice([1.0, 4.0])))
+
+
+@st.composite
+def touching_problems(draw):
+    """Measurements and bounds on a grid of halves, so that unequal
+    boundaries are 0.5 apart or more and equal ones tie exactly; the odd
+    bounds make 1/alpha^2 no binary fraction, so the running sums' bits
+    depend on the event order.  The draw forces each kind of tie: an upper
+    boundary on another measurement's lower one, a boundary at 0.0
+    (s = +-alpha cbar), duplicated measurements and -0.0."""
+    cbar = draw(st.sampled_from([1.0, 2.0]))
+    bounds = st.sampled_from([0.5, 1.0, 3.0, 5.0])
+    index = st.integers(0, 10**6)
+    entries = draw(
+        st.lists(st.tuples(st.integers(-8, 8).map(float), bounds), min_size=1, max_size=30)
+    )
+    for i, a in draw(st.lists(st.tuples(index, bounds), max_size=10)):
+        s_i, a_i = entries[i % len(entries)]
+        entries.append((s_i + (a_i + a) * cbar, a))
+    for a, sign in draw(st.lists(st.tuples(bounds, st.sampled_from([-1.0, 1.0])), max_size=4)):
+        entries.append((sign * a * cbar, a))
+    for i in draw(st.lists(index, max_size=10)):
+        entries.append(entries[i % len(entries)])
+    entries += [(-0.0, a) for a in draw(st.lists(bounds, max_size=2))]
+    s, a = np.array(draw(st.permutations(entries))).T
+    return ScalarTlsProblem(s, a, cbar_sq=cbar * cbar)
 
 
 def random_problem(rng, K, spread=5.0):
@@ -233,6 +262,33 @@ class TestSweep:
             for x, y in zip(got, reference_sweep_intervals(p)):
                 self.assert_same_bits(x, y)
         assert tied >= 600
+
+    @given(touching_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_ties_of_every_kind_match_reference_sweep(self, p):
+        sweep = _sweep_intervals(p)
+        got = (*sweep.bounds(), sweep.n, sweep.w, sweep.s1, sweep.s2)
+        for x, y in zip(got, reference_sweep_intervals(p)):
+            self.assert_same_bits(x, y)
+
+    @given(
+        st.lists(
+            st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0), max_size=200
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_event_order_is_the_stable_order(self, values):
+        # -0.0 and 0.0 are equal boundaries: a stable sort keeps them in
+        # event order.  (A sweep boundary is -0.0 only with a zero width.)
+        pos = np.array(values, dtype=float)
+        assert np.array_equal(_event_order(pos), np.argsort(pos, kind="stable"))
+
+    def test_event_order_of_a_large_tied_table(self):
+        rng = np.random.default_rng(34)
+        for size in (2 * 2775, 2 * 4950):
+            pos = rng.integers(-500, 500, size=size) * 0.5
+            pos[rng.random(size) < 0.05] = -0.0
+            assert np.array_equal(_event_order(pos), np.argsort(pos, kind="stable"))
 
     def test_peak_memory_of_a_large_solve(self):
         # The sweep peaks at about 218 B per measurement (numpy 2.4,
