@@ -127,24 +127,34 @@ def _cmd_register(args) -> int:
     return EXIT_OK
 
 
+def _read_certify_problem(path) -> dict:
+    """The problem file's fields as float arrays, cbar_sq as a float that
+    defaults to 1.  A ValueError names a missing or malformed field, or
+    says the document is not an object."""
+    doc = read_result_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError("problem file is not a JSON object")
+    doc = {"cbar_sq": 1.0, **doc}
+    fields = {}
+    for name in ("a_bars", "b_bars", "beta_bars", "cbar_sq", "quaternion_xyzw", "thetas"):
+        if name not in doc:
+            raise ValueError(f"problem file missing field {name!r}")
+        value = np.asarray(doc[name])
+        # JSON numbers only: no strings, booleans, nulls or objects.
+        if value.dtype.kind not in "iuf" or (name == "cbar_sq" and value.ndim):
+            raise ValueError(f"problem file field {name!r} is malformed")
+        fields[name] = value.astype(float)
+    fields["cbar_sq"] = float(fields["cbar_sq"])
+    return fields
+
+
 def _cmd_certify(args) -> int:
-    doc = read_result_json(args.problem)
-    try:
-        problem = RotationProblem(
-            a_bars=np.asarray(doc["a_bars"], dtype=float),
-            b_bars=np.asarray(doc["b_bars"], dtype=float),
-            beta_bars=np.asarray(doc["beta_bars"], dtype=float),
-            cbar_sq=float(doc.get("cbar_sq", 1.0)),
-        )
-        cand = make_candidate(problem, doc["quaternion_xyzw"], doc["thetas"])
-        opts = CertifyOptions(max_iters=args.max_iters, eta_target=args.eta_target)
-        cert = certify(build_cost_matrix(problem), cand, opts)
-    except KeyError as exc:
-        print(f"error: problem file missing field {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    except (ValueError, TypeError) as exc:
-        print(f"error: malformed problem file or option: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+    doc = _read_certify_problem(args.problem)
+    q, thetas = doc.pop("quaternion_xyzw"), doc.pop("thetas")
+    problem = RotationProblem(**doc)
+    cand = make_candidate(problem, q, thetas)
+    opts = CertifyOptions(max_iters=args.max_iters, eta_target=args.eta_target)
+    cert = certify(build_cost_matrix(problem), cand, opts)
     payload = {
         "eta": cert.eta,
         "verdict": cert.verdict.value,

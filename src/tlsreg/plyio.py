@@ -84,6 +84,8 @@ def read_ascii_ply(path) -> np.ndarray:
             elif len(parts) != 3:
                 raise PlyError("malformed property", lineno)
             elif parts[2] in ("x", "y", "z"):
+                if parts[2] in coord_cols:
+                    raise PlyError(f"repeated property {parts[2]!r}", lineno)
                 coord_cols[parts[2]] = n_props
             n_props += 1
     if header_end is None:
@@ -117,7 +119,7 @@ def read_ascii_ply(path) -> np.ndarray:
             raise PlyError("non-numeric vertex value", lineno) from None
     if len(rows) != n_vertex:
         raise PlyError(f"expected {n_vertex} vertices, found {len(rows)}", lineno)
-    return np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float).reshape(n_vertex, 3)
 
 
 def write_labels(path, labels) -> None:

@@ -2,10 +2,14 @@
 
 Each measurement s_k with bound alpha_k contributes min((s - s_k)^2 /
 alpha_k^2, cbar_sq) to the cost.  The consensus set {k : |s - s_k| <=
-alpha_k * cbar} only changes at the 2K interval boundaries s_k -+
-alpha_k * cbar, so sweeping the sorted boundaries enumerates every
+alpha_k * cbar}, a closed set, only changes at the 2K interval boundaries
+s_k -+ alpha_k * cbar, so sweeping the sorted boundaries enumerates every
 candidate consensus set (at most 2K - 1 of them) and the weighted
-least-squares center of each is a global-minimizer candidate.
+least-squares center of each is a global-minimizer candidate.  Every
+boundary is an edge, tied ones included: the state after sorted event i
+holds on [pos[i], pos[i + 1]], and since lower boundaries come first on
+ties, the zero-width state where an upper boundary meets a lower one
+holds both intervals, as the closed set does.  No tolerance enters.
 
 The sweep keeps running sums of 1/alpha^2, s/alpha^2 and s^2/alpha^2, so
 the whole solve is O(K log K) instead of the O(K^2) re-scan of the naive
@@ -40,10 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Boundaries merge when closer than this fraction of their magnitude: a
-# purely relative rule, with no absolute floor, so a change of units
-# merges the same boundaries.
-BOUNDARY_MERGE_REL_TOL = 1e-12
 # Keys of a missing entry's upper and lower boundary in the row-wise vote:
 # odd and even, and above every finite boundary's key.
 MISSING_UPPER_KEY = np.uint64(2**64 - 3)
@@ -99,8 +99,10 @@ def tls_cost(p: ScalarTlsProblem, estimate: float) -> float:
 
 
 def _consensus_mask(p: ScalarTlsProblem, estimate: float) -> np.ndarray:
-    r = (estimate - p.measurements) / p.alphas
-    return r * r <= p.cbar_sq * (1.0 + 1e-12)
+    """Members of the closed consensus set at the estimate, read from the
+    boundaries the sweep counts (formed with the same bits)."""
+    half = p.alphas * np.sqrt(p.cbar_sq)
+    return (p.measurements - half <= estimate) & (estimate <= p.measurements + half)
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,12 @@ class _Sweep:
 
     Arrays are aligned: interval i spans bounds(i) = (lo, hi) with n[i] > 0
     active measurements whose weighted sums are w[i], s1[i], s2[i].
-    Intervals with no active measurement are left out, so the arrays are
-    empty when every boundary collapsed to one point.  The bounds are
-    gathered only when asked for: the TLS pick never reads them.
+    Intervals with no active measurement are left out; the one after the
+    first event always has one, so the arrays are never empty.  The bounds
+    are gathered only when asked for: the TLS pick never reads them.
     """
 
-    edges: np.ndarray  # merged boundary positions, ascending
+    edges: np.ndarray  # sorted boundary positions, ties kept
     occupied: np.ndarray  # index into edges of each interval's lower end
     n: np.ndarray
     w: np.ndarray
@@ -155,16 +157,6 @@ def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
     order = _event_order(pos)
     pos = pos[order]
 
-    # Collapse boundaries that coincide within relative tolerance so ties
-    # produce one event group instead of zero-width intervals.
-    new_group = np.empty(pos.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = np.diff(pos) > BOUNDARY_MERGE_REL_TOL * np.abs(pos[1:])
-    group_pos = pos[new_group]
-    # State after processing all events of group g is valid on the open
-    # interval (group_pos[g], group_pos[g + 1]).
-    last = np.nonzero(np.append(new_group[1:], True))[0][: group_pos.size - 1]
-
     def running(v, at):
         """Sum of v over the active measurements after the events at `at`:
         +v enters at a lower boundary, -v leaves at an upper one.  Summing
@@ -173,19 +165,19 @@ def _sweep_intervals(p: ScalarTlsProblem) -> _Sweep:
         order, which is why ties need the stable order."""
         return np.cumsum(np.concatenate([v, -v])[order])[at]
 
-    # Active count after event i: lower boundaries among events 0..i
-    # minus the upper ones, an exact integer prefix sum.
-    n = 2 * np.cumsum(order < K)[last] - (last + 1)
+    # Active count after event i, which holds on [pos[i], pos[i + 1]]:
+    # lower boundaries among events 0..i minus the upper ones, an exact
+    # integer prefix sum.  The last event leaves none active.
+    n = 2 * np.cumsum(order[:-1] < K) - np.arange(1, 2 * K)
     occupied = np.nonzero(n > 0)[0]
-    rows = last[occupied]
     inv_a2 = 1.0 / (a * a)
     return _Sweep(
-        edges=group_pos,
+        edges=pos,
         occupied=occupied,
         n=n[occupied],
-        w=running(inv_a2, rows),
-        s1=running(s * inv_a2, rows),
-        s2=running(s * s * inv_a2, rows),
+        w=running(inv_a2, occupied),
+        s1=running(s * inv_a2, occupied),
+        s2=running(s * s * inv_a2, occupied),
     )
 
 
@@ -196,12 +188,6 @@ def _solution(p: ScalarTlsProblem, estimate: float, n_candidates: int) -> Scalar
         inlier_mask=_consensus_mask(p, estimate),
         n_candidates=n_candidates,
     )
-
-
-def _collapsed_point(p: ScalarTlsProblem) -> float:
-    """The one point left when every interval boundary collapsed: it
-    covers every measurement."""
-    return float(np.min(p.measurements - p.alphas * np.sqrt(p.cbar_sq)))
 
 
 def _largest_consensus(sweep: _Sweep) -> tuple[int, float]:
@@ -223,9 +209,7 @@ def solve_scalar_tls(p: ScalarTlsProblem) -> ScalarTlsSolution:
     sweep = _sweep_intervals(p)
     K = p.measurements.size
     n_candidates = sweep.n.size
-    assert n_candidates <= 2 * K - 1
-    if n_candidates == 0:
-        return _solution(p, _collapsed_point(p), 0)
+    assert 0 < n_candidates <= 2 * K - 1
 
     estimates = sweep.s1 / sweep.w
     # Cost of keeping exactly this consensus set: weighted SSE at its
@@ -246,8 +230,6 @@ def solve_consensus_max(p: ScalarTlsProblem) -> ScalarTlsSolution:
     cardinality prefer the smaller estimate.
     """
     sweep = _sweep_intervals(p)
-    if sweep.n.size == 0:
-        return _solution(p, _collapsed_point(p), 0)
     _, mid = _largest_consensus(sweep)
     return _solution(p, mid, sweep.n.size)
 
@@ -324,13 +306,15 @@ def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:
     r_in / cbar_sq, where r_in is the weighted residual sum of the maximum
     consensus set at its best representative, the TLS solution picks the
     same inliers as consensus maximization.
+
+    The second-largest set is taken over the sweep's states, the
+    zero-width ones between tied boundaries of one kind included.  Such a
+    state is a subset of a neighbouring state, so counting it can only
+    raise second_size: the condition stays sufficient, and only gets more
+    conservative.
     """
     sweep = _sweep_intervals(p)
     n = sweep.n
-    if n.size == 0:
-        K = p.measurements.size
-        return ConsensusDiagnostics(True, K, 0, 0.0, float(K))
-
     best, mid = _largest_consensus(sweep)
     max_size = int(n[best])
     # Every n is positive, so an empty side contributes 0.

@@ -353,24 +353,19 @@ def reference_sweep_intervals(p):
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
 
-    new_group = np.empty(pos.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = np.diff(pos) > 1e-12 * np.maximum(1.0, np.abs(pos[1:]))
-    group_pos = pos[new_group]
-    last = np.nonzero(np.append(new_group[1:], True))[0][: group_pos.size - 1]
-
     def running(v, at):
         return np.cumsum(np.concatenate([v, -v])[order])[at]
 
-    n = np.rint(running(np.ones(K), last)).astype(np.int64)
+    # Every boundary is an edge: the state after event i holds on
+    # [pos[i], pos[i + 1]].
+    n = np.rint(running(np.ones(K), slice(None, -1))).astype(np.int64)
     occupied = np.nonzero(n > 0)[0]
-    rows = last[occupied]
     inv_a2 = 1.0 / (a * a)
     return (
-        group_pos[occupied],
-        group_pos[occupied + 1],
+        pos[occupied],
+        pos[occupied + 1],
         n[occupied],
-        running(inv_a2, rows),
-        running(s * inv_a2, rows),
-        running(s * s * inv_a2, rows),
+        running(inv_a2, occupied),
+        running(s * inv_a2, occupied),
+        running(s * s * inv_a2, occupied),
     )

@@ -295,6 +295,24 @@ class TestPlyIo:
             read_ascii_ply(path)
         assert err.value.line == 5
 
+    def test_empty_cloud_round_trip(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        write_ascii_ply(path, np.empty((0, 3)))
+        pts = read_ascii_ply(path)
+        assert pts.shape == (0, 3) and pts.dtype == float
+
+    def test_repeated_coordinate_property_is_rejected(self, tmp_path):
+        # Which of the two columns is x is not for the reader to guess.
+        path = tmp_path / "two_x.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+            "property double y\nproperty double x\nproperty double z\n"
+            "end_header\n0 1 2 3\n"
+        )
+        with pytest.raises(PlyError, match="repeated property 'x'") as err:
+            read_ascii_ply(path)
+        assert err.value.line == 6
+
     def test_binary_format_rejected(self, tmp_path):
         path = tmp_path / "bin.ply"
         path.write_text("ply\nformat binary_little_endian 1.0\nend_header\n")
@@ -450,6 +468,14 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 9: ")
 
+    def test_register_empty_ply_exit_code(self, tmp_path, capsys):
+        empty = tmp_path / "empty.ply"
+        write_ascii_ply(empty, np.empty((0, 3)))
+        rc = cli_main(["register", "--src", str(empty), "--dst", str(empty), "--beta", "0.1"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: need at least one correspondence"]
+
     def test_register_face_first_ply_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "face_first.ply"
         bad.write_text(FACE_FIRST_PLY)
@@ -551,6 +577,10 @@ class TestCli:
             lambda d: {**d, "thetas": [0] * len(d["thetas"])},
             lambda d: {**d, "thetas": [1.7] * len(d["thetas"])},
             lambda d: {**d, "b_bars": [[math.nan, 0.0, 0.0]] + d["b_bars"][1:]},
+            lambda d: {k: v for k, v in d.items() if k != "thetas"},
+            lambda d: {**d, "quaternion_xyzw": {"x": 1.0}},
+            lambda d: {**d, "cbar_sq": [1.0, 2.0]},
+            lambda d: {**d, "thetas": [str(t) for t in d["thetas"]]},
             # certify's own check; numpy warns of the overflow on the way.
             pytest.param(
                 lambda d: {**d, "a_bars": [[1e300] * 3] * len(d["a_bars"]),
@@ -559,7 +589,8 @@ class TestCli:
             ),
         ],
         ids=["one-measurement", "top-level-list", "mismatched-shapes", "thetas-not-signs",
-             "thetas-not-integers", "nan", "cost-matrix-not-finite"],
+             "thetas-not-integers", "nan", "missing-field", "field-not-numbers",
+             "cbar-sq-not-a-number", "thetas-as-strings", "cost-matrix-not-finite"],
     )
     def test_certify_malformed_problem_exit_code(self, tmp_path, capsys, edit):
         path = self._certify_problem(tmp_path)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_trim_count, reference_sweep_intervals, trim_tables
+from helpers import (
+    finite_trim_count,
+    reference_sweep_intervals,
+    trim_tables,
+    vectorized_subset_oracle,
+)
 from tlsreg.scalar_tls import (
     ScalarTlsProblem,
     _event_order,
@@ -86,13 +91,14 @@ def tied_problem(rng):
 
 
 @st.composite
-def touching_problems(draw):
+def touching_problems(draw, max_k=None):
     """Measurements and bounds on a grid of halves, so that unequal
     boundaries are 0.5 apart or more and equal ones tie exactly; the odd
     bounds make 1/alpha^2 no binary fraction, so the running sums' bits
     depend on the event order.  The draw forces each kind of tie: an upper
     boundary on another measurement's lower one, a boundary at 0.0
-    (s = +-alpha cbar), duplicated measurements and -0.0."""
+    (s = +-alpha cbar), duplicated measurements and -0.0.  With max_k, the
+    first max_k entries of the shuffled draw."""
     cbar = draw(st.sampled_from([1.0, 2.0]))
     bounds = st.sampled_from([0.5, 1.0, 3.0, 5.0])
     index = st.integers(0, 10**6)
@@ -107,7 +113,7 @@ def touching_problems(draw):
     for i in draw(st.lists(index, max_size=10)):
         entries.append(entries[i % len(entries)])
     entries += [(-0.0, a) for a in draw(st.lists(bounds, max_size=2))]
-    s, a = np.array(draw(st.permutations(entries))).T
+    s, a = np.array(draw(st.permutations(entries))[:max_k]).T
     return ScalarTlsProblem(s, a, cbar_sq=cbar * cbar)
 
 
@@ -240,6 +246,45 @@ class TestConsensusMax:
             assert diag.max_size == n.max()
             assert diag.second_size == (np.sort(n)[-2] if n.size > 1 else 0)
         assert tied_problems >= 50
+
+    def test_touching_intervals_share_their_point(self):
+        # [0, 1] and [1, 2] both hold 1.0: the closed consensus set.
+        p = ScalarTlsProblem([0.5, 1.5], [0.5, 0.5])
+        sol = solve_consensus_max(p)
+        assert sol.estimate == 1.0
+        assert sol.inlier_mask.tolist() == [True, True]
+        assert consensus_equivalence_check(p).max_size == 2
+
+    def test_close_disjoint_intervals_stay_apart(self):
+        # Boundaries 8e-14 apart relative to their size are not one point:
+        # the first interval wins both solvers, at its center.
+        p = ScalarTlsProblem([1.0, 1.0 + 1e-13], [1e-14, 1e-14])
+        for sol in (solve_scalar_tls(p), solve_consensus_max(p)):
+            assert sol.estimate == 1.0
+            assert sol.inlier_mask.tolist() == [True, False]
+
+    @given(touching_problems(max_k=14))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_sets_match_subset_oracle(self, p):
+        _, oracle_size = vectorized_subset_oracle(p.measurements, p.alphas, p.cbar_sq)
+        assert np.count_nonzero(solve_consensus_max(p).inlier_mask) == oracle_size
+        assert consensus_equivalence_check(p).max_size == oracle_size
+
+    @pytest.mark.parametrize("cbar_sq", [1.0, 4.0])
+    def test_sweep_matches_row_votes(self, cbar_sq):
+        # The row vote counts closed intervals too; its clipping at 0 only
+        # drops points whose cover is a subset of the cover at 0.
+        rng = np.random.default_rng(87)
+        for _ in range(40):
+            s, a = integer_vote_table(rng, 7, int(rng.integers(1, 25)))
+            counts, _ = row_consensus_votes(s, a, cbar_sq)
+            for r, count in enumerate(counts):
+                ok = ~np.isnan(s[r])
+                if not ok.any():
+                    continue
+                p = ScalarTlsProblem(s[r, ok], a[r, ok], cbar_sq)
+                assert consensus_equivalence_check(p).max_size == count
+                assert np.count_nonzero(solve_consensus_max(p).inlier_mask) == count
 
 
 class TestSweep:
