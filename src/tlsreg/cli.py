@@ -139,10 +139,14 @@ def _read_certify_problem(path) -> dict:
     for name in ("a_bars", "b_bars", "beta_bars", "cbar_sq", "quaternion_xyzw", "thetas"):
         if name not in doc:
             raise ValueError(f"problem file missing field {name!r}")
-        value = np.asarray(doc[name])
+        malformed = ValueError(f"problem file field {name!r} is malformed")
+        try:
+            value = np.asarray(doc[name])
+        except ValueError:  # a ragged array
+            raise malformed from None
         # JSON numbers only: no strings, booleans, nulls or objects.
         if value.dtype.kind not in "iuf" or (name == "cbar_sq" and value.ndim):
-            raise ValueError(f"problem file field {name!r} is malformed")
+            raise malformed
         fields[name] = value.astype(float)
     fields["cbar_sq"] = float(fields["cbar_sq"])
     return fields

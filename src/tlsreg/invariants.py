@@ -10,7 +10,8 @@ No TRIM is stored.  TrimSet keeps the TIMs' points and the degeneracy
 cutoff and computes any TRIM where it is read, in one symmetric layout: edge
 (i, j)'s value sits at [i, j] and at [j, i], NaN on the diagonal and on
 degenerate edges.  The per-vertex scale votes compute full rows a block at
-a time, each thread its own blocks; a scale hypothesis is refined on one
+a time, each thread its own blocks, into the buffers the rows are voted in
+(scalar_tls.RowVotes); a scale hypothesis is refined on one
 row; the rotation stage reads the pairs inside a clique; a prune
 computes the upper rectangle of its candidates, a block of rows at a time
 (clique.prune_by_scale); and the degree pass at known scale computes only
@@ -139,10 +140,10 @@ def scale_consistent(s_meas, alpha, s_hat: float, cbar_sq: float, out=None) -> n
     return np.less_equal(dev, tol, out=out)
 
 
-def row_blocks(n: int, parts: int = 1) -> list[slice]:
+def row_blocks(n: int) -> list[slice]:
     """Slices of consecutive rows covering 0..n-1, each about
-    BLOCK_ENTRIES // parts entries of an n-column table."""
-    step = max(1, BLOCK_ENTRIES // parts // max(n, 1))
+    BLOCK_ENTRIES entries of an n-column table."""
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
     return [slice(r0, min(n, r0 + step)) for r0 in range(0, n, step)]
 
 
@@ -166,6 +167,8 @@ class TrimSet:
         i and j index the vertices (integers, index arrays or slices, with
         None to lay out a table) and broadcast together.  out, when given,
         holds four arrays of their shape: s_meas, alpha and two temporaries.
+        The second temporary is done with before alpha is written, so it
+        may be alpha itself.
         """
         s_meas, alpha, a_norm, scratch = out or (None,) * 4
         t = self.tims
@@ -176,22 +179,6 @@ class TrimSet:
         alpha = np.add(t.noise_bounds[i], t.noise_bounds[j], out=alpha)
         alpha /= a_norm
         return s_meas, alpha
-
-    def blocks(self, rows=None):
-        """(rows, s_meas, alpha) for blocks of consecutive rows, in order.
-
-        `rows` lists the row slices to compute, row_blocks of every vertex
-        by default.  Each block holds the TRIMs of the vertices in rows
-        against every vertex.  The arrays are buffers that the next block
-        overwrites.
-        """
-        n = len(self.tims.source)
-        rows = row_blocks(n) if rows is None else rows
-        height = max((block.stop - block.start for block in rows), default=0)
-        buffers = np.empty((4, height * n))
-        for block in rows:
-            out = [b[: (block.stop - block.start) * n].reshape(-1, n) for b in buffers]
-            yield (block, *self.at(np.s_[block, None], np.s_[None, :], out))
 
     @cached_property
     def skipped_rows(self) -> np.ndarray:

@@ -10,13 +10,17 @@ its inlier candidate set; the largest clique over the hypotheses wins,
 and the search stops as soon as a clique reaches the bound the votes put
 on any clique.  A single vote over all N^2/2 TRIMs let the outlier
 ratios outvote the inliers at 90% outliers.  No TRIM table is stored: the
-votes compute the TRIM rows from the points a block at a time and vote
-each block as it comes, on up to VOTE_THREADS threads, as the rows are
-independent.  At N = 1000 the votes and hypotheses take a median of
-38 ms on both cores of a 2-core machine (35-40 ms, quartiles over 48
-solves) and 60 ms on one (55-62 ms), about 22 ms of it computing the
-rows.  Measured alongside, stored (N, N) tables took 35 ms to fill and
-47 ms to vote on.
+votes compute the TRIM rows from the points a block of about
+BLOCK_ENTRIES entries at a time, straight into the buffers the block is
+voted in (`scalar_tls.RowVotes`, one set a thread), on up to
+VOTE_THREADS threads, as the rows are independent.  At N = 1000 the
+votes and hypotheses take a median of 24 ms on both cores of a 2-core
+machine (22-29 ms, quartiles over 48 solves) and 45 ms on one
+(40-50 ms), about 21 ms of it computing the rows.  Measured alongside,
+the previous vote, which split each block between the threads and
+allocated its keys and temporaries anew for every block, took 30 and
+58 ms.  Stored (N, N) tables once took 35 ms to fill and 47 ms to vote
+on.
 
 The votes also say which vertices can be in a clique: a member of a
 clique of m at any scale has m - 1 TRIMs that agree with that scale, so
@@ -76,7 +80,7 @@ from .invariants import (
     scale_consistent,
 )
 from .rotation import RotationProblem, solve_gnc_tls
-from .scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls
+from .scalar_tls import RowVotes, ScalarTlsProblem, solve_scalar_tls
 
 # Scale hypotheses at unknown scale: the votes of this many best-voted
 # vertices are walked, a vote within this relative distance of a kept one
@@ -246,26 +250,33 @@ def usable_cpu_count() -> int:
 def _vertex_votes(trims: TrimSet, cbar_sq: float) -> tuple[np.ndarray, np.ndarray]:
     """Each vertex's consensus vote over its own TRIMs: count and midpoint.
 
-    The rows of TRIMs are computed and voted a block at a time.  The blocks
-    are dealt in turn to VOTE_THREADS threads, at most one per usable CPU
-    and per block, the calling thread one of them.  With w threads each
-    holds BLOCK_ENTRIES // w entries in its own buffers, so the blocks in
-    flight hold what one full block would, and each thread writes only its
-    own rows.  An exception in any thread is raised here once every thread
-    has stopped.
+    The rows of TRIMs are computed and voted a block of about BLOCK_ENTRIES
+    entries at a time.  The blocks are dealt in turn to VOTE_THREADS
+    threads, at most one per usable CPU and per block, the calling thread
+    one of them.  Each thread holds one `RowVotes` buffer set for all its
+    blocks, computes each block's TRIMs into it and votes them there, and
+    writes only its own rows.  A set takes 25 B an entry, 1.6 MB at
+    N = 1000, and a vote briefly 8 B an entry more, so two threads keep
+    about 4.3 MB in flight.  An exception in any thread is raised here
+    once every thread has stopped.
     """
     n = len(trims.tims.source)
     counts, mids = np.empty(n, dtype=np.int64), np.empty(n)
-    workers = min(VOTE_THREADS, usable_cpu_count())
-    blocks = row_blocks(n, workers)
-    workers = max(1, min(workers, len(blocks)))
+    blocks = row_blocks(n)
+    workers = max(1, min(VOTE_THREADS, usable_cpu_count(), len(blocks)))
 
     failures, threads = [], []
 
     def vote(share):
         try:
-            for rows, s_meas, alpha in trims.blocks(rows=share):
-                counts[rows], mids[rows] = row_consensus_votes(s_meas, alpha, cbar_sq)
+            votes = RowVotes(max((b.stop - b.start for b in share), default=0), n)
+            for rows in share:
+                height = rows.stop - rows.start
+                s_meas, alpha, scratch = votes.tables(height)
+                # alpha doubles as at's second temporary, done with before
+                # alpha is written.
+                trims.at(np.s_[rows, None], np.s_[None, :], (s_meas, alpha, scratch, alpha))
+                counts[rows], mids[rows] = votes.vote(height, cbar_sq)
         except Exception as exc:
             failures.append(exc)
 

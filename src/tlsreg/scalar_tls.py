@@ -31,11 +31,12 @@ of 2.1 ms to 1.4 ms (30 calls), and at K = 2,775 from 1.0 to 0.6 ms:
 about a tenth of a dense50_n150 call.
 
 `row_consensus_votes` runs consensus maximization on every row of a table
-at once; registration's per-vertex scale votes hand it the TRIM rows one
-block at a time.  It only needs the winning count and interval, not the
-running sums, so it sorts packed integer keys along the rows instead: the
+at once.  It only needs the winning count and interval, not the running
+sums, so it sorts packed integer keys along the rows instead: the
 boundary and the event type in one uint64, whose plain sort is the order
-the sweep needs.
+the sweep needs.  The work is done in a `RowVotes` buffer set.
+Registration's per-vertex scale votes keep one set a thread, compute each
+block of TRIM rows into its tables and vote the block there.
 """
 
 from __future__ import annotations
@@ -234,6 +235,76 @@ def solve_consensus_max(p: ScalarTlsProblem) -> ScalarTlsSolution:
     return _solution(p, mid, sweep.n.size)
 
 
+class RowVotes:
+    """One buffer set for consensus maximization over the rows of tables
+    of up to `height` rows of m measurements each (see row_consensus_votes).
+
+    `tables(rows)` hands out three contiguous (rows, m) float tables: the
+    caller writes the measurements into the first, their bounds into the
+    second, and may use the third as scratch while it does.  `vote(rows,
+    cbar_sq)` then votes those rows.  The bounds and the scratch table are
+    the two halves of the (height, 2m) uint64 key table, the measurements
+    table is the set's one float table, and the vote forms the boundaries
+    in these three tables before it writes the keys: numpy runs elementwise
+    work on contiguous tables several times faster than on the key table's
+    halves, which are not contiguous.  With a bool table of missing
+    entries the set takes 25 B an entry, 1.6 MB for 65 rows of 1000; a
+    vote briefly allocates 8 B an entry more, once for a copy and once for
+    the positions of the upper events.
+    """
+
+    def __init__(self, height: int, m: int):
+        self._keys = np.empty((height, 2 * m), dtype=np.uint64)
+        self._values = np.empty((height, m))
+        self._missing = np.empty((height, m), dtype=bool)
+        # 2u for the u-th upper event of a row.
+        self._twice_u = np.arange(0, 2 * m, 2)
+
+    def tables(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(measurements, bounds, scratch) of the first rows rows."""
+        halves = self._keys[:rows].reshape(2, rows, self._values.shape[1]).view(np.float64)
+        return self._values[:rows], halves[0], halves[1]
+
+    def vote(self, rows: int, cbar_sq: float) -> tuple[np.ndarray, np.ndarray]:
+        """Counts and midpoints of the first rows rows of the tables, which
+        the vote overwrites."""
+        keys = self._keys[:rows]
+        m = self._values.shape[1]
+        s, half, lo = self.tables(rows)
+        missing = np.flatnonzero(np.isnan(s, out=self._missing[:rows]))
+        half *= np.sqrt(cbar_sq)
+        np.subtract(s, half, out=lo)
+        hi = np.add(half, s, out=s)
+        np.maximum(lo, 0.0, out=lo)
+        lo_keys, hi_keys = lo.view(np.uint64), hi.view(np.uint64)
+        lo_keys <<= 1
+        hi_keys <<= 1
+        hi_keys |= 1
+        lo_keys.reshape(-1)[missing] = MISSING_LOWER_KEY
+        hi_keys.reshape(-1)[missing] = MISSING_UPPER_KEY
+        # lo_keys lies in the key table: numpy copies it before the write.
+        keys[:, :m] = lo_keys
+        keys[:, m:] = hi_keys
+        keys.sort(axis=1)
+        # The event types, in the float table, which the keys have left.
+        upper = self._values.reshape(-1).view(bool)[: keys.size].reshape(keys.shape)
+        np.bitwise_and(keys, 1, out=upper, casting="unsafe")
+        # Flat positions p of each row's m upper events.  Row r starts at
+        # 2mr, so just before its u-th one p - 2mr - 2u intervals are
+        # open; the row's offset does not move the first peak.
+        peaks = np.flatnonzero(upper).reshape(rows, m)
+        peaks -= self._twice_u
+        u = np.argmax(peaks, axis=1)
+        r = np.arange(rows)
+        p = peaks[r, u]
+        n = p - 2 * m * r
+        p += 2 * u  # the upper event that ends the first peak
+        flat = keys.reshape(-1)
+        lo_pos, hi_pos = ((flat[q] >> 1).view(np.float64) for q in (p - 1, p))
+        voted = n > 0
+        return np.where(voted, n, 0), np.where(voted, 0.5 * (lo_pos + hi_pos), np.nan)
+
+
 def row_consensus_votes(
     measurements: np.ndarray,
     alphas: np.ndarray,
@@ -260,43 +331,23 @@ def row_consensus_votes(
     of them upper, so p - 2u intervals are open; the count only falls at
     an upper event, so it peaks just before one.
 
-    Registration votes blocks of about 64K TRIMs this way, computed from
-    the points a block at a time: at N = 1000, 16 blocks of 65 x 1000 on
-    one core take a median of 58 ms, 22 ms of it computing the TRIMs, and
-    two threads with 16 blocks of 32 x 1000 each take 35 ms on a 2-core
-    machine (48 calls each).  On one core a running count over all 2M
-    events took 42-44 ms where this vote took 37-39 ms, the row sorts
-    about 14 ms of it (an argsort along the rows took 38 ms on the whole
-    1000 x 1998 boundary table, a stable one 159 ms).
+    The vote is RowVotes.vote on a buffer set of the table's size, which
+    this function fills with a copy of the table; registration computes
+    its blocks of TRIM rows straight into the tables of one set a thread
+    (`pipeline._vertex_votes`).  On one core a block of 65 x 1000 TRIMs
+    takes a median of 2.3 ms to compute and 1.5 ms to vote: 0.4 ms to
+    form the keys, 0.8 ms to sort them and 0.35 ms to read the counts,
+    where the previous vote, allocating its keys and temporaries anew,
+    took 3.7 ms.  A running count over all 2M events (np.cumsum, with no
+    allocation) read the counts in 0.6 ms, and an argsort along the rows
+    took 38 ms on the whole 1000 x 1998 boundary table, a stable one
+    159 ms.
     """
     s = np.asarray(measurements, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    n_rows, m = s.shape
-    keys = np.empty((n_rows, 2 * m), dtype=np.uint64)
-    lo, hi = keys.view(np.float64)[:, :m], keys.view(np.float64)[:, m:]
-    half = np.multiply(np.sqrt(cbar_sq), alphas, out=hi)
-    np.maximum(np.subtract(s, half, out=lo), 0.0, out=lo)
-    hi += s
-    keys <<= 1
-    keys[:, m:] |= 1
-    missing = np.isnan(s)
-    np.copyto(keys[:, :m], MISSING_LOWER_KEY, where=missing)
-    np.copyto(keys[:, m:], MISSING_UPPER_KEY, where=missing)
-    keys.sort(axis=1)
-    # Sorted positions of each row's upper events, and the count just
-    # before each; the first peak's interval ends at that upper event.
-    up = np.flatnonzero((keys & 1).astype(bool)).reshape(n_rows, m)
-    up -= np.arange(0, keys.size, 2 * m)[:, None]
-    open_before = up - np.arange(0, 2 * m, 2)
-    u = np.argmax(open_before, axis=1)[:, None]
-    n = np.take_along_axis(open_before, u, axis=1)[:, 0]
-    p = np.take_along_axis(up, u, axis=1)
-    lo_pos, hi_pos = (
-        (np.take_along_axis(keys, p + k, axis=1)[:, 0] >> 1).view(np.float64)
-        for k in (-1, 0)
-    )
-    voted = n > 0
-    return np.where(voted, n, 0), np.where(voted, 0.5 * (lo_pos + hi_pos), np.nan)
+    votes = RowVotes(*s.shape)
+    s_table, alpha_table, _ = votes.tables(s.shape[0])
+    s_table[...], alpha_table[...] = s, alphas
+    return votes.vote(s.shape[0], cbar_sq)
 
 
 def consensus_equivalence_check(p: ScalarTlsProblem) -> ConsensusDiagnostics:

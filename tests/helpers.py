@@ -42,13 +42,8 @@ def graph_from_edges(n_vertices, edges):
 
 
 def trim_tables(trims):
-    """The symmetric (N, N) s_meas and alpha tables, assembled from the
-    blocks of rows that TrimSet.blocks computes."""
-    n = len(trims.tims.source)
-    s_meas, alpha = np.empty((n, n)), np.empty((n, n))
-    for rows, s_block, a_block in trims.blocks():
-        s_meas[rows], alpha[rows] = s_block, a_block
-    return s_meas, alpha
+    """The symmetric (N, N) s_meas and alpha tables, computed whole."""
+    return trims.at(np.s_[:, None], np.s_[None, :])
 
 
 def upper_trims(trims):
@@ -292,6 +287,22 @@ def vectorized_subset_oracle(measurements, alphas, cbar_sq):
     feasible = lo <= hi + 1e-12
     best_size = int(np.max(n[feasible])) if np.any(feasible) else 0
     return best_cost, best_size
+
+
+def row_vote_oracle(s_row, a_row, cbar_sq):
+    """Brute-force vote of one row: the most closed intervals sharing a
+    point, and the midpoint of the first sweep interval with that many.
+    That interval starts at p, the smallest point covered that many times,
+    and ends at the first upper boundary at or past p."""
+    ok = ~np.isnan(s_row)
+    half = np.sqrt(cbar_sq) * a_row[ok]
+    lo = np.maximum(s_row[ok] - half, 0.0)
+    hi = s_row[ok] + half
+    if lo.size == 0:
+        return 0, np.nan
+    cover = np.array([np.count_nonzero((lo <= x) & (x <= hi)) for x in lo])
+    p = lo[cover == cover.max()].min()
+    return int(cover.max()), 0.5 * (p + hi[hi >= p].min())
 
 
 def pair_index_map(K):

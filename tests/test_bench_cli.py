@@ -581,6 +581,7 @@ class TestCli:
             lambda d: {**d, "quaternion_xyzw": {"x": 1.0}},
             lambda d: {**d, "cbar_sq": [1.0, 2.0]},
             lambda d: {**d, "thetas": [str(t) for t in d["thetas"]]},
+            lambda d: {**d, "a_bars": [[1, 0, 0], [1]]},
             # certify's own check; numpy warns of the overflow on the way.
             pytest.param(
                 lambda d: {**d, "a_bars": [[1e300] * 3] * len(d["a_bars"]),
@@ -590,7 +591,8 @@ class TestCli:
         ],
         ids=["one-measurement", "top-level-list", "mismatched-shapes", "thetas-not-signs",
              "thetas-not-integers", "nan", "missing-field", "field-not-numbers",
-             "cbar-sq-not-a-number", "thetas-as-strings", "cost-matrix-not-finite"],
+             "cbar-sq-not-a-number", "thetas-as-strings", "ragged-array",
+             "cost-matrix-not-finite"],
     )
     def test_certify_malformed_problem_exit_code(self, tmp_path, capsys, edit):
         path = self._certify_problem(tmp_path)
@@ -599,6 +601,13 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_certify_ragged_array_names_its_field(self, tmp_path, capsys):
+        path = self._certify_problem(tmp_path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "a_bars": [[1, 0, 0], [1]]}))
+        assert cli_main(["certify", "--problem", str(path)]) == 3
+        assert capsys.readouterr().err == "error: problem file field 'a_bars' is malformed\n"
 
     @pytest.mark.parametrize(
         "flags",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import row_vote_oracle, trim_tables, vectorized_subset_oracle
 from tlsreg.geometry import (
     CorrespondenceSet,
     TlsConfig,
@@ -27,9 +28,10 @@ from tlsreg.clique import (
     prune_by_scale,
 )
 from tlsreg import invariants
+from tlsreg import pipeline as pl
 from tlsreg.invariants import build_measurement_graph, degenerate_edge_cutoff, scale_consistent
 from tlsreg.pipeline import RegistrationOptions, register
-from tlsreg.scalar_tls import ScalarTlsProblem, solve_scalar_tls, tls_cost
+from tlsreg.scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls, tls_cost
 from tlsreg.synthetic import SyntheticSpec, generate
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -488,3 +490,55 @@ class TestCandidateCliques:
             _, found = max_clique_of_candidates(subgraph_search(adj, 0.0), counts, k)
         assert not whole.is_certified_maximum
         assert not found.is_certified_maximum
+
+
+@st.composite
+def vote_instances(draw):
+    """Correspondences whose TRIM rows tie: integer points (equal ratios
+    and touching intervals) or noisy uniform ones, some rows duplicated,
+    some source points coincident (degenerate pairs, missing TRIMs), at a
+    unit of 1e-150, 1 or 1e150."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 30))
+    if draw(st.booleans()):
+        src = rng.integers(0, 3, size=(n, 3)).astype(float)
+        dst = 2.0 * src + rng.integers(0, 2, size=(n, 3))
+    else:
+        src = rng.uniform(-1, 1, size=(n, 3))
+        dst = 1.5 * src + rng.normal(scale=0.05, size=(n, 3))
+    betas = rng.choice([0.05, 0.25], size=n)
+    copies = draw(st.integers(0, n // 3))
+    picked = rng.integers(0, n, size=copies)
+    src[:copies], dst[:copies], betas[:copies] = src[picked], dst[picked], betas[picked]
+    src[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = src[-1]
+    unit = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    return CorrespondenceSet(unit * src, unit * dst, unit * betas)
+
+
+class TestVoteBytes:
+    @given(
+        vote_instances(),
+        st.sampled_from([1, 2]),
+        st.sampled_from([60, invariants.BLOCK_ENTRIES]),
+        st.sampled_from([1.0, 4.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_votes_match_the_whole_table_and_the_oracles(self, c, threads, block_entries, cbar_sq):
+        # Blocks of 60 entries are 2 to 20 rows, several a thread; the
+        # default is one block.  The usable CPUs cap the threads, so on one
+        # CPU both thread counts vote on one.
+        trims = build_measurement_graph(c).trims
+        with mock.patch.object(invariants, "BLOCK_ENTRIES", block_entries), \
+                mock.patch.object(pl, "VOTE_THREADS", threads):
+            counts, mids = pl._vertex_votes(trims, cbar_sq)
+        s, a = trim_tables(trims)
+        whole_counts, whole_mids = row_consensus_votes(s, a, cbar_sq)
+        assert counts.tobytes() == whole_counts.tobytes()
+        assert mids.tobytes() == whole_mids.tobytes()
+        for r, (count, mid) in enumerate(zip(counts, mids)):
+            oracle_count, oracle_mid = row_vote_oracle(s[r], a[r], cbar_sq)
+            assert count == oracle_count
+            assert mid.tobytes() == np.float64(oracle_mid).tobytes()
+            ok = ~np.isnan(s[r])
+            if 0 < np.count_nonzero(ok) <= 12:
+                assert count == vectorized_subset_oracle(s[r, ok], a[r, ok], cbar_sq)[1]

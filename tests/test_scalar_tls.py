@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     finite_trim_count,
     reference_sweep_intervals,
+    row_vote_oracle,
     trim_tables,
     vectorized_subset_oracle,
 )
@@ -354,22 +355,6 @@ class TestSweep:
         assert peak <= 250 * K
 
 
-def row_vote_oracle(s_row, a_row, cbar_sq):
-    """Brute-force vote of one row: the most closed intervals sharing a
-    point, and the midpoint of the first sweep interval with that many.
-    That interval starts at p, the smallest point covered that many times,
-    and ends at the first upper boundary at or past p."""
-    ok = ~np.isnan(s_row)
-    half = np.sqrt(cbar_sq) * a_row[ok]
-    lo = np.maximum(s_row[ok] - half, 0.0)
-    hi = s_row[ok] + half
-    if lo.size == 0:
-        return 0, np.nan
-    cover = np.array([np.count_nonzero((lo <= x) & (x <= hi)) for x in lo])
-    p = lo[cover == cover.max()].min()
-    return int(cover.max()), 0.5 * (p + hi[hi >= p].min())
-
-
 def assert_votes_match_oracle(s, a, cbar_sq):
     counts, mids = row_consensus_votes(s, a, cbar_sq)
     expected = [row_vote_oracle(s[r], a[r], cbar_sq) for r in range(s.shape[0])]
@@ -523,9 +508,9 @@ class TestThreadedVotes:
         "block_entries, workers, n_blocks",
         [
             (64, 1, 7),  # blocks of 3 rows of 20, the last 2
-            (120, 2, 7),  # an odd count: one thread votes 4 blocks, the other 3
-            (180, 3, 7),
-            (600, 3, 2),  # fewer blocks than workers: two threads run
+            (60, 2, 7),  # an odd count: one thread votes 4 blocks, the other 3
+            (60, 3, 7),
+            (200, 3, 2),  # fewer blocks than workers: two threads run
             (10_000, 2, 1),  # one block: the calling thread alone
         ],
     )
@@ -536,7 +521,7 @@ class TestThreadedVotes:
         from tlsreg import pipeline as pl
 
         monkeypatch.setattr(invariants, "BLOCK_ENTRIES", block_entries)
-        assert len(invariants.row_blocks(20, workers)) == n_blocks
+        assert len(invariants.row_blocks(20)) == n_blocks
         started = []
         real_thread = threading.Thread
 
@@ -562,15 +547,27 @@ class TestThreadedVotes:
         assert mids.tobytes() == whole_mids.tobytes()
 
     def test_default_workers_follow_the_usable_cpus(self, monkeypatch):
+        import threading
+
+        from tlsreg import invariants
         from tlsreg import pipeline as pl
 
-        seen = []
-        monkeypatch.setattr(pl, "row_blocks", lambda n, parts: seen.append(parts) or [])
+        # Blocks of one row of 4: more blocks than any worker count here.
+        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", 4)
+        started = []
+        real_thread = threading.Thread
+
+        def counted_thread(*args, **kwargs):
+            started.append(real_thread(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(pl.threading, "Thread", counted_thread)
         for cpus, threads, workers in [(1, 2, 1), (4, 2, 2), (4, 1, 1), (2, 3, 2)]:
             monkeypatch.setattr(pl, "usable_cpu_count", lambda cpus=cpus: cpus)
             monkeypatch.setattr(pl, "VOTE_THREADS", threads)
+            started.clear()
             pl._vertex_votes(vote_graph_trims(4), 1.0)
-            assert seen.pop() == workers
+            assert len(started) + 1 == workers
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_exception_is_raised_after_every_thread_stops(self, monkeypatch, failing):
@@ -582,8 +579,8 @@ class TestThreadedVotes:
         from tlsreg import invariants
         from tlsreg import pipeline as pl
 
-        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", 120)
-        real_votes = pl.row_consensus_votes
+        monkeypatch.setattr(invariants, "BLOCK_ENTRIES", 60)
+        real_votes = pl.RowVotes.vote
         done = []
 
         def votes(*args):
@@ -594,7 +591,7 @@ class TestThreadedVotes:
             done.append(threading.current_thread())
             return real_votes(*args)
 
-        monkeypatch.setattr(pl, "row_consensus_votes", votes)
+        monkeypatch.setattr(pl.RowVotes, "vote", votes)
         monkeypatch.setattr(pl, "VOTE_THREADS", 2)
         monkeypatch.setattr(pl, "usable_cpu_count", lambda: 2)
         before = set(threading.enumerate())
