@@ -12,7 +12,7 @@ cutoff and computes any TRIM where it is read, in one symmetric layout: edge
 degenerate edges.  The per-vertex scale votes compute full rows a block at
 a time, each thread its own blocks, into the buffers the rows are voted in
 (scalar_tls.RowVotes); a scale hypothesis is refined on one
-row; the rotation stage reads the pairs inside a clique; a prune
+row; the pairs inside a clique are gathered once (below); a prune
 computes the upper rectangle of its candidates, a block of rows at a time
 (clique.prune_by_scale); and the degree pass at known scale computes only
 the pairs a bound cannot rule out (below).  A block holds about
@@ -21,9 +21,9 @@ from block to block, so the temporaries stay in cache and touch no fresh
 memory.  Each value is the
 same bit for bit wherever it is computed: the coordinates are squared and
 summed in order, and a difference squares to the same value in both
-directions.  Only the rotation stage and the error bounds need TIM
-vectors, on the few pairs inside the selected clique, and TimSet forms
-them per pair on demand.
+directions.  The clique's scale re-vote, the rotation stage and the error
+bounds read one record of a clique's pairs: MeasurementGraph.pairs_within
+forms each pair's differences once, and their norms and TRIMs from them.
 
 Pair (i, j) agrees with the scale s when its TRIM does:
 |s_ij - s| <= cbar * alpha_ij, that is |X - s Y| <= cbar * beta_ij with
@@ -102,7 +102,7 @@ class GraphTopology:
 
 @dataclass(frozen=True)
 class TimSet:
-    """TIMs of every edge of the complete graph, formed per pair on demand.
+    """The points whose pair differences are the TIMs of the complete graph.
 
     Holds the correspondence arrays themselves; len() is the edge count.
     """
@@ -115,16 +115,18 @@ class TimSet:
         n = self.source.shape[0]
         return n * (n - 1) // 2
 
-    def at(self, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a_bar, b_bar, beta_bar) of the (P, 2) vertex pairs (i, j):
-        a_j - a_i, b_j - b_i and beta_i + beta_j."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        i, j = pairs[:, 0], pairs[:, 1]
-        return (
-            self.source[j] - self.source[i],
-            self.target[j] - self.target[i],
-            self.noise_bounds[i] + self.noise_bounds[j],
-        )
+
+@dataclass(frozen=True)
+class PairMeasurements:
+    """TIMs and TRIMs of the pairs inside a vertex set, row k for pairs[k]."""
+
+    pairs: np.ndarray  # (P, 2), each (i, j) with i < j
+    a_bars: np.ndarray  # (P, 3), a_j - a_i
+    b_bars: np.ndarray  # (P, 3), b_j - b_i
+    beta_bars: np.ndarray  # beta_i + beta_j
+    a_norms: np.ndarray  # ||a_j - a_i||
+    s_meas: np.ndarray  # the TRIMs, bit for bit TrimSet.at's
+    alpha: np.ndarray
 
 
 def scale_consistent(s_meas, alpha, s_hat: float, cbar_sq: float, out=None) -> np.ndarray:
@@ -252,23 +254,22 @@ class MeasurementGraph:
     tims: TimSet
     trims: TrimSet
 
-    def trims_within(self, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pairs, s_meas, alpha) of the TRIMs with both ends in vertices.
-
-        The pairs (i, j), i < j, of the sorted unique vertices, in row-major
-        order, skipping the degenerate ones; only these pairs are computed.
-        """
-        # Sort and keep the first of each run: np.unique would import
-        # numpy.ma on the first call.
-        v = np.sort(np.asarray(vertices, dtype=np.int64), axis=None)
-        first = np.ones(v.size, dtype=bool)
-        np.not_equal(v[1:], v[:-1], out=first[1:])
-        v = v[first]
+    def pairs_within(self, vertices) -> PairMeasurements:
+        """The measurements of the pairs (i, j), i < j, of vertices, sorted
+        unique ids, in row-major order, skipping the degenerate ones."""
+        v = np.asarray(vertices, dtype=np.int64)
         i, j = np.triu_indices(v.size, k=1)
         i, j = v[i], v[j]
-        s_meas, alpha = self.trims.at(i, j)
-        hit = ~np.isnan(s_meas)
-        return np.column_stack([i[hit], j[hit]]), s_meas[hit], alpha[hit]
+        t = self.tims
+        a_bars, a_norms = _differences(t.source, i, j)
+        keep = a_norms > self.trims.cutoff
+        if not keep.all():  # never on a clique: no clique pair is degenerate
+            i, j, a_bars, a_norms = i[keep], j[keep], a_bars[keep], a_norms[keep]
+        b_bars, b_norms = _differences(t.target, i, j)
+        beta_bars = t.noise_bounds[i] + t.noise_bounds[j]
+        s_meas, alpha = b_norms / a_norms, beta_bars / a_norms
+        pairs = np.column_stack([i, j])
+        return PairMeasurements(pairs, a_bars, b_bars, beta_bars, a_norms, s_meas, alpha)
 
 
 def degenerate_edge_cutoff(c: CorrespondenceSet) -> float:
@@ -300,6 +301,14 @@ def _norms(points: np.ndarray, i, j, out=None, scratch=None) -> np.ndarray:
         d *= d
         out += d
     return np.sqrt(out, out=out)
+
+
+def _differences(points: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """(P, 3) rows p_j - p_i for the index arrays i and j, and their norms,
+    the coordinates squared and summed in order, so each has _norms' bits."""
+    d = points.take(j, axis=0) - points.take(i, axis=0)
+    x, y, z = d.T
+    return d, np.sqrt(x * x + y * y + z * z)
 
 
 def _bound_features(tims: TimSet, s_hat: float, cbar_sq: float):

@@ -16,11 +16,8 @@ voted in (`scalar_tls.RowVotes`, one set a thread), on up to
 VOTE_THREADS threads, as the rows are independent.  At N = 1000 the
 votes and hypotheses take a median of 24 ms on both cores of a 2-core
 machine (22-29 ms, quartiles over 48 solves) and 45 ms on one
-(40-50 ms), about 21 ms of it computing the rows.  Measured alongside,
-the previous vote, which split each block between the threads and
-allocated its keys and temporaries anew for every block, took 30 and
-58 ms.  Stored (N, N) tables once took 35 ms to fill and 47 ms to vote
-on.
+(40-50 ms), about 21 ms of it computing the rows.  Stored (N, N) tables
+would take 35 ms to fill and 47 ms to vote on.
 
 The votes also say which vertices can be in a clique: a member of a
 clique of m at any scale has m - 1 TRIMs that agree with that scale, so
@@ -41,8 +38,9 @@ is a candidate, and every pair is tested twice: the degree pass counts
 the agreeing pairs and the prune writes them into the graph.  The two
 take a median of 25-39 ms where the table took 12 ms.
 
-The scale is then re-voted exactly on the clique's measurements; rotation
-is solved on them by graduated non-convexity (optionally certified).  A
+The clique's pairs are gathered once (`MeasurementGraph.pairs_within`):
+the scale is re-voted exactly on their TRIMs, and rotation is solved on
+their TIMs by graduated non-convexity (optionally certified).  A
 rejected certificate sends the cascade once to the next clique at the
 chosen scale, searched like every hypothesis through
 `max_clique_of_candidates`: over V_(m-1) for a first clique of m, which
@@ -74,6 +72,7 @@ from .clique import CliqueResult, prune_by_scale
 from .geometry import CorrespondenceSet, RigidTransform, TlsConfig, UnitQuaternion
 from .invariants import (
     MeasurementGraph,
+    PairMeasurements,
     TrimSet,
     build_measurement_graph,
     row_blocks,
@@ -231,11 +230,10 @@ class ErrorBounds:
     tighter: TighterBounds
 
 
-def _refine_scale_on_clique(within, cbar_sq: float):
-    """Scale re-vote on all the clique's TRIMs (`within`, from trims_within):
-    pruning at the hypothesis already made each of them agree with it."""
-    _, s_meas, alpha = within
-    sol = solve_scalar_tls(ScalarTlsProblem(s_meas, alpha, cbar_sq))
+def _refine_scale_on_clique(within: PairMeasurements, cbar_sq: float):
+    """Scale re-vote on all the clique's TRIMs: pruning at the hypothesis
+    already made each of them agree with it."""
+    sol = solve_scalar_tls(ScalarTlsProblem(within.s_meas, within.alpha, cbar_sq))
     return sol.estimate if sol.estimate > 0 else None
 
 
@@ -332,22 +330,19 @@ def _scale_hypotheses(graph: MeasurementGraph, cbar_sq: float) -> tuple[list[flo
     return scales, counts
 
 
-def _solve_rotation(graph, within, s_hat, cfg: TlsConfig, opts: RegistrationOptions, clock):
-    """GNC on the clique's TRIM pairs (`within`, from graph.trims_within)
-    whose TRIM agrees with s_hat, then its certificate when one is asked
-    for: (solution, certificate, skipped K).  Above certify_max_k
-    measurements certification is skipped and their count kept."""
+def _solve_rotation(within, s_hat, cfg: TlsConfig, opts: RegistrationOptions, clock):
+    """GNC on the clique's TIMs whose TRIM agrees with s_hat, then its
+    certificate when one is asked for: (solution, certificate, skipped K).
+    Above certify_max_k measurements certification is skipped and their
+    count kept."""
     with clock("gnc_s"):
-        pairs, s_meas, alpha = within
-        pairs = pairs[scale_consistent(s_meas, alpha, s_hat, cfg.cbar_sq)]
-        if len(pairs) < 2:
+        agree = scale_consistent(within.s_meas, within.alpha, s_hat, cfg.cbar_sq)
+        if np.count_nonzero(agree) < 2:
             raise InsufficientInliersError(
                 "fewer than two scale-consistent measurements inside the clique"
             )
-        a_bars, b_bars, beta_bars = graph.tims.at(pairs)
-        problem = RotationProblem(
-            a_bars=s_hat * a_bars, b_bars=b_bars, beta_bars=beta_bars, cbar_sq=cfg.cbar_sq
-        )
+        a, b, beta = within.a_bars[agree], within.b_bars[agree], within.beta_bars[agree]
+        problem = RotationProblem(a_bars=s_hat * a, b_bars=b, beta_bars=beta, cbar_sq=cfg.cbar_sq)
         sol = solve_gnc_tls(problem)
     certificate = skipped_k = None
     if opts.certify_rotation and problem.size > opts.certify_max_k:
@@ -447,19 +442,19 @@ def register(
 
     # One pass per clique: the chosen one, then at most one retry.
     for retried in (False, True):
-        # The clique's TRIMs are computed once, for the re-vote and the
-        # rotation input.  Chance-consistent outlier measurements can get
+        # The clique's measurements are gathered once, for the re-vote and
+        # the rotation input.  Chance-consistent outlier measurements can get
         # absorbed into a vertex's scale vote and bias it; the clique
         # members are mutually consistent, so re-voting on their internal
         # measurements removes the bias (and is exact on noise-free data).
         # The retry keeps the scale the first clique gave.
         with clock("retry_s" if retried else "revote_s"):
-            within = graph.trims_within(used.vertices)
+            within = graph.pairs_within(used.vertices)
             if not retried and opts.known_scale is None:
                 s_refined = _refine_scale_on_clique(within, cfg.cbar_sq)
                 if s_refined is not None:
                     s_hat = s_refined
-        rot_sol, certificate, skipped_k = _solve_rotation(graph, within, s_hat, cfg, opts, clock)
+        rot_sol, certificate, skipped_k = _solve_rotation(within, s_hat, cfg, opts, clock)
         if retried or certificate is None or certificate.certified:
             break
         # The paper's cascade retries once, on the next-largest clique, at
@@ -535,19 +530,15 @@ def _unrank_combination(rank: int, n: int, k: int) -> list[int]:
     return picked
 
 
-def _base_point_tuples(units: np.ndarray, exhaustive_cap: int, rng: np.random.Generator):
-    """(i; j, h, k) rows over units, all of them or a sample of exhaustive_cap.
+def _base_point_tuples(m: int, exhaustive_cap: int, rng: np.random.Generator):
+    """(i; j, h, k) rows over m vertices, all of them or a sample of exhaustive_cap.
 
     The tuples are ordered by i, then by (j, h, k) as itertools.combinations
-    over the j with a finite units[i, j]; a sample draws tuple indices in
-    that order and unranks them, so the tuples are never listed.
+    over the other m - 1 vertices; a sample draws tuple indices in that
+    order and unranks them, so the tuples are never listed.
     """
-    finite = np.isfinite(units[:, :, 0])
-    np.fill_diagonal(finite, False)
-    degrees = finite.sum(axis=1)
-    counts = degrees * (degrees - 1) * (degrees - 2) // 6  # C(degree, 3)
-    ends = np.cumsum(counts)
-    total = int(counts.sum())
+    per_row = math.comb(m - 1, 3)
+    total = m * per_row
     exhaustive = total <= exhaustive_cap
     if exhaustive:
         picks = range(total)
@@ -555,21 +546,19 @@ def _base_point_tuples(units: np.ndarray, exhaustive_cap: int, rng: np.random.Ge
         picks = rng.choice(total, size=exhaustive_cap, replace=False).tolist()
     rows = []
     for idx in picks:
-        i = int(np.searchsorted(ends, idx, side="right"))
-        others = np.flatnonzero(finite[i])
-        rank = idx - int(ends[i] - counts[i])
-        rows.append([i, *others[_unrank_combination(rank, int(degrees[i]), 3)].tolist()])
+        i, rank = divmod(idx, per_row)
+        rows.append([i, *(v + (v >= i) for v in _unrank_combination(rank, m - 1, 3))])
     return np.array(rows, dtype=np.int64).reshape(-1, 4), exhaustive
 
 
 def _min_u_singular_value(units: np.ndarray, exhaustive_cap: int, rng: np.random.Generator):
     """Smallest singular value over base-point 4-tuples of unit directions.
 
-    units[i, j] is the normalized difference direction from inlier i to j
-    (rows of NaN where undefined).  Enumerates all (i; j, h, k) tuples when
+    units[i, j] is the normalized difference direction from inlier i to j,
+    defined for every i != j.  Enumerates all (i; j, h, k) tuples when
     there are at most exhaustive_cap, otherwise samples that many.
     """
-    tuples, exhaustive = _base_point_tuples(units, exhaustive_cap, rng)
+    tuples, exhaustive = _base_point_tuples(units.shape[0], exhaustive_cap, rng)
     if tuples.shape[0] == 0:
         return 0.0, True
     i, j, h, k = tuples.T
@@ -595,21 +584,18 @@ def compute_error_bounds(result: RegistrationResult, c: CorrespondenceSet) -> Er
         raise InsufficientInliersError("bounds need at least 3 selected inliers")
     rng = np.random.default_rng(U_TUPLE_SEED)
 
-    sel_pairs, s_meas, alphas = graph.trims_within(inliers)
-    sel_tims, sel_btims, _ = graph.tims.at(sel_pairs)
-    if alphas.size == 0:
+    within = graph.pairs_within(inliers)
+    if within.alpha.size == 0:
         raise InsufficientInliersError("no scale measurements among selected inliers")
 
-    eta_s = 2.0 * float(np.max(alphas))
+    eta_s = 2.0 * float(np.max(within.alpha))
 
     # Unit direction table over the selected vertices for the U tuples.
-    # trims_within skips the degenerate pairs, so every norm is positive.
+    # The inliers are clique members and no clique pair is degenerate, so
+    # pair k is the k-th of the inliers' pairs and its norm is positive.
     m = inliers.size
-    pos = np.zeros(len(c), dtype=np.int64)
-    pos[inliers] = np.arange(m)
-    norms = np.linalg.norm(sel_tims, axis=1)
-    i, j = pos[sel_pairs[:, 0]], pos[sel_pairs[:, 1]]
-    u = sel_tims / norms[:, None]
+    i, j = np.triu_indices(m, k=1)
+    u = within.a_bars / within.a_norms[:, None]
     units = np.full((m, m, 3), np.nan)
     units[i, j] = u
     units[j, i] = -u
@@ -617,11 +603,11 @@ def compute_error_bounds(result: RegistrationResult, c: CorrespondenceSet) -> Er
     if smin < COPLANAR_SVAL_TOL:
         eta_R = math.inf
     else:
-        eta_R = 2.0 * math.sqrt(3.0) * float(np.max(alphas)) / smin
+        eta_R = 2.0 * math.sqrt(3.0) * float(np.max(within.alpha)) / smin
 
     eta_t = TRANSLATION_BOUND_FACTOR * float(np.max(c.noise_bounds[inliers]))
 
-    tighter = _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, norms)
+    tighter = _tighter_bounds(result, c, within)
     return ErrorBounds(
         eta_s=eta_s,
         eta_R_frobenius=eta_R,
@@ -638,7 +624,7 @@ def _worst_case_over_triples(values: np.ndarray) -> float:
     return float(top3)
 
 
-def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, a_norms) -> TighterBounds:
+def _tighter_bounds(result, c, within: PairMeasurements) -> TighterBounds:
     s_hat = result.transform.scale
     R_hat = result.transform.matrix
     t_hat = result.transform.translation
@@ -646,16 +632,17 @@ def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, a_norms) -> 
 
     # Scale: zeta_i = |s_i - s_hat| + alpha_i; any true-inlier triple gives
     # min over it, so the worst case is the third-largest zeta.
-    zeta_s = np.abs(s_meas - s_hat) + alphas
+    alphas = within.alpha
+    zeta_s = np.abs(within.s_meas - s_hat) + alphas
     worst_case = 0 < math.comb(alphas.size, 3) <= SUBSET_CAP
     scale_bound = _worst_case_over_triples(zeta_s) if worst_case else float(np.min(zeta_s))
 
     # Rotation: over a candidate true-inlier triple T the bound is
     # sum_T zeta_R^2 / (2 s_hat (sigma1^2 + sigma2^2)) for the normalized
     # direction matrix of T; enumerate triples when affordable.
-    res_norm = np.linalg.norm(sel_btims - s_hat * sel_tims @ R_hat.T, axis=1)
-    zeta_R = res_norm / a_norms + alphas
-    units = sel_tims / a_norms[:, None]
+    res_norm = np.linalg.norm(within.b_bars - s_hat * within.a_bars @ R_hat.T, axis=1)
+    zeta_R = res_norm / within.a_norms + alphas
+    units = within.a_bars / within.a_norms[:, None]
 
     def rot_rhs(idx):
         """Bound for each row of idx, a (T, n) array of measurement indices."""
@@ -675,11 +662,12 @@ def _tighter_bounds(result, c, s_meas, alphas, sel_tims, sel_btims, a_norms) -> 
         rotation_bound = float(rot_rhs(np.arange(alphas.size)[None, :])[0])
 
     # Translation: per-axis bound chains the scale and rotation terms with
-    # the per-point zeta; worst case again via third-largest.
+    # the per-point zeta; worst case again via third-largest.  The pose term
+    # bounds ||(s_hat R_hat - s R) a||, the root of a bound on its square.
     res = c.target[inliers] - s_hat * c.source[inliers] @ R_hat.T - t_hat
     zeta_t = np.abs(res) + c.noise_bounds[inliers][:, None]  # (m, 3)
     a_sq = np.sum(c.source[inliers] ** 2, axis=1)
-    pose_term = (scale_bound**2 + 2.0 * s_hat * rotation_bound) * a_sq
+    pose_term = np.sqrt((scale_bound**2 + 2.0 * s_hat * rotation_bound) * a_sq)
     per_axis = pose_term[:, None] + zeta_t
     if worst_case:
         translation_bound = np.array(

@@ -2,11 +2,12 @@
 
     PYTHONPATH=src python tests/answer_records.py [--blocks 8] > answers.jsonl
 
-Each line is {"case": ..., "record": ...}, the record being
-`helpers.answer_record` of the call, or the refusal's message.  Two
-checkouts that print the same lines give the same answers there: a change
-meant to leave answers alone is checked by diffing its output against its
-parent's.  The instances:
+Each line is {"case": ..., "record": ..., "bounds": ...}, the record being
+`helpers.answer_record` of the call and the bounds its
+`compute_error_bounds` as plain values, or either refusal's message.  Two
+checkouts that print the same lines give the same answers and bounds
+there: a change meant to leave them alone is checked by diffing its output
+against its parent's.  The instances:
 
 * seed 1, blocks 0 to --blocks - 1 of the benchmark's three register
   workloads (`perfbench/bench.register_block`);
@@ -22,6 +23,7 @@ this file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,7 +34,12 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(Path(__file__).resolve().parent)]
 from bench import WORKLOADS, RegisterWorkload, register_block  # noqa: E402
 from helpers import answer_record  # noqa: E402
 from tlsreg.geometry import TlsConfig  # noqa: E402
-from tlsreg.pipeline import InsufficientInliersError, RegistrationOptions, register  # noqa: E402
+from tlsreg.pipeline import (  # noqa: E402
+    InsufficientInliersError,
+    RegistrationOptions,
+    compute_error_bounds,
+    register,
+)
 from tlsreg.synthetic import SyntheticSpec, generate  # noqa: E402
 
 RETRY_INSTANCES = ((6, 25, 1), (1, 177, 5))
@@ -56,11 +63,19 @@ def instances(n_blocks: int):
 
 
 def answer(corr, known_scale, certify: bool):
+    """(answer record, bounds record) of one call; a refusal is its message."""
     opts = RegistrationOptions(known_scale=known_scale, certify_rotation=certify)
     try:
-        return answer_record(register(corr, TlsConfig(), opts))
+        result = register(corr, TlsConfig(), opts)
     except InsufficientInliersError as e:
-        return {"refused": str(e)}
+        return {"refused": str(e)}, None
+    try:
+        b = compute_error_bounds(result, corr)
+    except InsufficientInliersError as e:
+        return answer_record(result), {"refused": str(e)}
+    bounds = dataclasses.asdict(b)
+    bounds["tighter"]["translation"] = b.tighter.translation.tolist()
+    return answer_record(result), bounds
 
 
 def main(argv=None) -> None:
@@ -71,8 +86,9 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     for case, corr, known_scale in instances(args.blocks):
         for certify in (False, True):
-            record = answer(corr, known_scale, certify)
-            print(json.dumps({"case": f"{case}/certify={int(certify)}", "record": record}))
+            record, bounds = answer(corr, known_scale, certify)
+            case_name = f"{case}/certify={int(certify)}"
+            print(json.dumps({"case": case_name, "record": record, "bounds": bounds}))
 
 
 if __name__ == "__main__":

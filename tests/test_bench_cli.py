@@ -552,13 +552,13 @@ class TestCli:
 
         c, gt, _ = gen(SyntheticSpec(n_points=12, sigma=0.0, seed=3, known_scale=True))
         g = build_measurement_graph(c)
-        a_bars, b_bars, beta_bars = g.tims.at(np.column_stack(np.triu_indices(len(c), k=1)))
+        within = g.pairs_within(np.arange(len(c)))
         thetas = [1] * len(g.tims)
         thetas[:flipped] = [-1] * flipped
         problem_doc = {
-            "a_bars": a_bars.tolist(),
-            "b_bars": b_bars.tolist(),
-            "beta_bars": beta_bars.tolist(),
+            "a_bars": within.a_bars.tolist(),
+            "b_bars": within.b_bars.tolist(),
+            "beta_bars": within.beta_bars.tolist(),
             "cbar_sq": 1.0,
             "quaternion_xyzw": gt.rotation.as_array().tolist(),
             "thetas": thetas,

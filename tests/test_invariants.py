@@ -47,24 +47,24 @@ class TestBuildTims:
             c = CorrespondenceSet(src, src + np.asarray(t), [0.1, 0.1])
             g = build_measurement_graph(c)
             assert len(g.tims) == 1
-            a_bar, b_bar, _ = g.tims.at([[0, 1]])
-            assert np.allclose(a_bar[0], [1, 0, 0])
-            assert np.allclose(b_bar[0], [1, 0, 0])
+            within = g.pairs_within([0, 1])
+            assert np.allclose(within.a_bars[0], [1, 0, 0])
+            assert np.allclose(within.b_bars[0], [1, 0, 0])
 
     def test_beta_bar_is_sum_of_endpoint_bounds(self):
         betas = np.array([0.1, 0.2, 0.4])
         src = RNG.uniform(0, 1, size=(3, 3))
         g = build_measurement_graph(CorrespondenceSet(src, src, betas))
-        _, _, beta_bar = g.tims.at(all_pairs(3))
-        assert np.allclose(beta_bar, [0.3, 0.5, 0.6])
+        assert np.allclose(g.pairs_within([0, 1, 2]).beta_bars, [0.3, 0.5, 0.6])
 
     def test_noiseless_model_holds_exactly(self):
         q = random_unit_quaternion(RNG)
         s = 2.3
         c = make_pair(30, s, q, np.array([0.4, -0.2, 0.9]))
-        a_bar, b_bar, _ = build_measurement_graph(c).tims.at(all_pairs(30))
+        within = build_measurement_graph(c).pairs_within(np.arange(30))
+        assert np.array_equal(within.pairs, all_pairs(30))
         R = quat_to_matrix(q)
-        assert np.allclose(b_bar, s * a_bar @ R.T, atol=1e-12)
+        assert np.allclose(within.b_bars, s * within.a_bars @ R.T, atol=1e-12)
 
     def test_graph_holds_no_per_edge_vectors(self):
         n = 300
@@ -148,35 +148,41 @@ class TestBuildTrims:
             assert np.isnan(np.diag(table)).all()
 
 
-class TestTrimsWithin:
+class TestPairsWithin:
     def test_matches_membership_filter(self):
         rng = np.random.default_rng(3)
         n = 40
         src = rng.uniform(0, 1, size=(n, 3))
         src[9] = src[2]  # a degenerate pair inside the vertex set
-        g = build_measurement_graph(CorrespondenceSet(src, src, np.full(n, 0.1)))
+        dst = rng.uniform(-2, 2, size=(n, 3))
+        betas = rng.uniform(0.01, 0.1, size=n)
+        g = build_measurement_graph(CorrespondenceSet(src, dst, betas))
+        vertices = np.array([0, 2, 9, 14, 31, 38])
         member = np.zeros(n, dtype=bool)
-        member[[0, 2, 9, 14, 31, 38]] = True
+        member[vertices] = True
         i, j = all_pairs(n).T
         s_table, a_table = trim_tables(g.trims)
         keep = member[i] & member[j] & ~np.isnan(s_table[i, j])
         i, j = i[keep], j[keep]
 
-        # Unsorted with one repeat; unsorted with runs and a repeated
-        # first and last vertex.
-        for vertices in ([31, 2, 9, 14, 0, 38, 9], [38, 9, 9, 0, 31, 38, 14, 2, 0, 9]):
-            pairs, s_meas, alpha = g.trims_within(np.array(vertices))
-            assert np.array_equal(pairs, np.column_stack([i, j]))
-            assert np.array_equal(s_meas, s_table[i, j])
-            assert np.array_equal(alpha, a_table[i, j])
-            assert len(pairs) == 6 * 5 // 2 - 1
+        within = g.pairs_within(vertices)
+        assert np.array_equal(within.pairs, np.column_stack([i, j]))
+        assert len(within.pairs) == 6 * 5 // 2 - 1
+        assert np.array_equal(within.s_meas, s_table[i, j])
+        assert np.array_equal(within.alpha, a_table[i, j])
+        assert np.array_equal(within.a_bars, src[j] - src[i])
+        assert np.array_equal(within.b_bars, dst[j] - dst[i])
+        assert np.array_equal(within.beta_bars, betas[i] + betas[j])
+        assert np.array_equal(within.a_norms, np.linalg.norm(src[j] - src[i], axis=1))
 
     def test_empty_and_single_vertex(self):
         src = RNG.uniform(0, 1, size=(5, 3))
         g = build_measurement_graph(CorrespondenceSet(src, src, np.full(5, 0.1)))
-        for vertices in ([], [3], [3, 3, 3]):
-            pairs, s_meas, alpha = g.trims_within(vertices)
-            assert pairs.shape == (0, 2) and s_meas.size == alpha.size == 0
+        for vertices in ([], [3]):
+            within = g.pairs_within(vertices)
+            assert within.pairs.shape == (0, 2)
+            assert within.a_bars.shape == within.b_bars.shape == (0, 3)
+            assert within.s_meas.size == within.alpha.size == within.a_norms.size == 0
 
 
 class TestInvariances:

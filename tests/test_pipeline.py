@@ -188,23 +188,23 @@ class TestRegister:
 
     @pytest.mark.parametrize("retry", [False, True])
     def test_clique_trims_computed_once_per_clique(self, monkeypatch, retry):
-        # The re-vote and the rotation input share one trims_within result;
-        # only the retry's new clique computes its own.
+        # The re-vote and the rotation input share one pairs_within result;
+        # only the retry's new clique gathers its own.
         import tlsreg.pipeline as pl
         from tlsreg.certifier import Certificate, Verdict
         from tlsreg.invariants import MeasurementGraph
 
         calls = []
-        trims_within = MeasurementGraph.trims_within
+        pairs_within = MeasurementGraph.pairs_within
 
         def counted(graph, vertices):
             calls.append(np.unique(vertices).tolist())
-            return trims_within(graph, vertices)
+            return pairs_within(graph, vertices)
 
         def always_reject(data, cand, opts=None):
             return Certificate(1.0, 200, Verdict.BUDGET_EXHAUSTED, (), cand.mu_hat, 0.0)
 
-        monkeypatch.setattr(MeasurementGraph, "trims_within", counted)
+        monkeypatch.setattr(MeasurementGraph, "pairs_within", counted)
         if retry:
             monkeypatch.setattr(pl, "certify", always_reject)
         rng = np.random.default_rng(15)
@@ -637,15 +637,15 @@ class TestStageTimes:
         from tlsreg.invariants import MeasurementGraph
 
         calls = []
-        trims_within = MeasurementGraph.trims_within
+        pairs_within = MeasurementGraph.pairs_within
 
         def slow_second(graph, vertices):
             calls.append(vertices)
             if len(calls) == 2:
                 time.sleep(self.SLEEP)
-            return trims_within(graph, vertices)
+            return pairs_within(graph, vertices)
 
-        monkeypatch.setattr(MeasurementGraph, "trims_within", slow_second)
+        monkeypatch.setattr(MeasurementGraph, "pairs_within", slow_second)
         self.assert_only(self.retried_trace(monkeypatch), "retry_s", 1)
 
     def test_the_clock_keeps_every_trace_time_and_refuses_nested_spans(self):
@@ -1002,19 +1002,18 @@ class TestErrorBounds:
             tuples = [tuples[t] for t in sel]
         return np.array(tuples, dtype=np.int64).reshape(-1, 4), exhaustive
 
-    @pytest.mark.parametrize("m, n_nan, cap", [(6, 0, 500), (7, 2, 500), (12, 0, 500), (13, 5, 40)])
-    def test_base_point_tuples_match_listed_enumeration(self, m, n_nan, cap):
+    @pytest.mark.parametrize("m, cap", [(6, 500), (7, 500), (12, 500), (13, 40)])
+    def test_base_point_tuples_match_listed_enumeration(self, m, cap):
+        # Every pair of the selected inliers is a clique pair, so the table
+        # is complete but for its diagonal.
         rng = np.random.default_rng(m)
-        units = np.full((m, m, 3), np.nan)  # NaN where undefined, as in the real table
+        units = np.full((m, m, 3), np.nan)  # NaN on the diagonal, as in the real table
         i, j = np.triu_indices(m, 1)
         d = rng.normal(size=(i.size, 3))
         units[i, j] = d / np.linalg.norm(d, axis=1, keepdims=True)
         units[j, i] = -units[i, j]
-        for a, b in rng.choice(m, size=(n_nan, 2)):
-            units[a, b] = units[b, a] = np.nan  # degenerate pairs
-        units[0, :] = units[:, 0] = np.nan  # an isolated vertex
         expected, exhaustive = self.listed_tuples(units, cap, np.random.default_rng(3))
-        got, got_exhaustive = _base_point_tuples(units, cap, np.random.default_rng(3))
+        got, got_exhaustive = _base_point_tuples(m, cap, np.random.default_rng(3))
         assert got_exhaustive == exhaustive == (m <= 7)
         assert np.array_equal(got, expected)
         i, j, h, k = expected.T

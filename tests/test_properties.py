@@ -30,7 +30,7 @@ from tlsreg.clique import (
 from tlsreg import invariants
 from tlsreg import pipeline as pl
 from tlsreg.invariants import build_measurement_graph, degenerate_edge_cutoff, scale_consistent
-from tlsreg.pipeline import RegistrationOptions, register
+from tlsreg.pipeline import RegistrationOptions, compute_error_bounds, register
 from tlsreg.scalar_tls import ScalarTlsProblem, row_consensus_votes, solve_scalar_tls, tls_cost
 from tlsreg.synthetic import SyntheticSpec, generate
 
@@ -124,7 +124,8 @@ def with_copies(c, rows, shift):
 
 def assert_same_answer_in_units(c, opts, res, units):
     """c with its points and noise bounds in other units registers to res's
-    inliers, scale and rotation, and to its translation in the new units."""
+    inliers, scale and rotation, and to its translation in the new units;
+    its error bounds are res's, the lengths among them in the new units."""
     scaled = CorrespondenceSet(units * c.source, units * c.target, units * c.noise_bounds)
     got = register(scaled, TlsConfig(), opts)
 
@@ -133,6 +134,16 @@ def assert_same_answer_in_units(c, opts, res, units):
     assert np.abs(got.transform.matrix - res.transform.matrix).max() <= 1e-9
     t_scaled = units * res.transform.translation
     assert np.abs(got.transform.translation - t_scaled).max() <= 1e-9 * units
+
+    want, bounds = compute_error_bounds(res, c), compute_error_bounds(got, scaled)
+    for field in ("eta_s", "eta_R_frobenius"):
+        assert getattr(bounds, field) == pytest.approx(getattr(want, field), rel=1e-9), field
+    for field in ("scale", "rotation"):
+        got_bound, want_bound = getattr(bounds.tighter, field), getattr(want.tighter, field)
+        assert got_bound == pytest.approx(want_bound, rel=1e-9), field
+    assert bounds.eta_t == pytest.approx(units * want.eta_t, rel=1e-9)
+    t_bound = units * want.tighter.translation
+    assert bounds.tighter.translation == pytest.approx(t_bound, rel=1e-9)
 
 
 def register_instance(seed, known_scale):
@@ -221,8 +232,8 @@ class TestRegisterProperties:
 
 class TestPrunedCliqueMeasurements:
     # The clique's scale re-vote and the error bounds take every TRIM that
-    # trims_within returns for a clique unchecked.  That holds only if
-    # pruning and trims_within compute each ratio alike: a clique edge
+    # pairs_within returns for a clique unchecked.  That holds only if
+    # pruning and pairs_within compute each ratio alike: a clique edge
     # survived pruning, so its TRIM agrees with the scale and its pair is
     # not degenerate.  Besides the truth and the searched hypotheses, the
     # scales include ones that put an inlier TRIM on the agreement boundary
@@ -238,17 +249,25 @@ class TestPrunedCliqueMeasurements:
         for cs in [c, *(with_copies(c, rows, shift) for shift in shifts)]:
             graph = build_measurement_graph(cs)
             searched = register(cs, TlsConfig(cbar_sq), opts).trace.scale_hypotheses
-            _, s_in, alpha_in = graph.trims_within(np.flatnonzero(labels))
-            tol = np.sqrt(cbar_sq) * alpha_in[:4]
-            boundary = np.concatenate([s_in[:4] - tol, s_in[:4] + tol])
+            inliers = graph.pairs_within(np.flatnonzero(labels))
+            tol = np.sqrt(cbar_sq) * inliers.alpha[:4]
+            boundary = np.concatenate([inliers.s_meas[:4] - tol, inliers.s_meas[:4] + tol])
             for s in {gt.scale, *(scale for scale, _ in searched), *boundary.tolist()}:
                 found = max_clique(prune_by_scale(graph, s, cbar_sq))
-                pairs, s_meas, alpha = graph.trims_within(found.vertices)
+                within = graph.pairs_within(found.vertices)
                 m = len(found)
-                assert m >= 3 and len(pairs) == m * (m - 1) // 2
-                assert scale_consistent(s_meas, alpha, s, cbar_sq).all()
-                a_bars = cs.source[pairs[:, 1]] - cs.source[pairs[:, 0]]
-                assert np.all(np.linalg.norm(a_bars, axis=1) > degenerate_edge_cutoff(cs))
+                assert m >= 3 and len(within.pairs) == m * (m - 1) // 2
+                assert scale_consistent(within.s_meas, within.alpha, s, cbar_sq).all()
+                # The one gather has the bits of the TRIMs pruning read, of
+                # the endpoint differences and of np.linalg.norm.
+                i, j = within.pairs.T
+                s_at, alpha_at = graph.trims.at(i, j)
+                assert np.array_equal(within.s_meas, s_at)
+                assert np.array_equal(within.alpha, alpha_at)
+                assert np.array_equal(within.a_bars, cs.source[j] - cs.source[i])
+                assert np.array_equal(within.b_bars, cs.target[j] - cs.target[i])
+                assert np.array_equal(within.a_norms, np.linalg.norm(within.a_bars, axis=1))
+                assert np.all(within.a_norms > degenerate_edge_cutoff(cs))
 
 
 @st.composite
